@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# One-shot gate: build + full test suite + fedpower-lint + (when clang-tidy
-# is installed) the curated clang-tidy build. Exits nonzero on any finding.
+# One-shot gate: build + full test suite + fedpower-lint + the fedbench
+# selftest + (when clang-tidy is installed) the curated clang-tidy build.
+# Exits nonzero on any finding.
 #
 #   scripts/check.sh            # default preset
 #   scripts/check.sh --asan     # additionally run the asan preset suite
@@ -31,6 +32,9 @@ lint_start=$SECONDS
 ./build/tools/fedpower_lint --sarif --root . src bench tests examples \
   > build/lint_report.sarif
 echo "lint wall time: $((SECONDS - lint_start))s (SARIF archived at build/lint_report.sarif)"
+
+echo "== fedbench selftest (the benchmark builds against src/ and passes its checks) =="
+python3 fedbench/selftest.py
 
 echo "== kill-and-resume smoke (SIGKILL mid-run, resume from snapshot) =="
 scripts/kill_resume_smoke.sh ./build/examples/run_experiment

@@ -27,7 +27,7 @@ PolicyFn Evaluator::neural_policy(std::span<const double> params) const {
   const rl::StateFeaturizer featurizer(config_.featurizer);
   return [model, featurizer](const sim::TelemetrySample& sample) {
     const std::vector<double> features = featurizer.featurize(sample);
-    const nn::Matrix mu = model->forward(nn::Matrix::row_vector(features));
+    const nn::Matrix& mu = model->forward(nn::Matrix::row_vector(features));
     return rl::argmax(mu.data());
   };
 }

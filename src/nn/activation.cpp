@@ -4,41 +4,48 @@
 
 namespace fedpower::nn {
 
-Matrix Relu::forward(const Matrix& input) {
-  input_ = input;
-  Matrix out = input;
-  for (double& x : out.data())
-    if (x < 0.0) x = 0.0;
-  return out;
+const Matrix& Relu::forward(const Matrix& input) {
+  output_.resize(input.rows(), input.cols());
+  const double* in = input.data().data();
+  double* out = output_.data().data();
+  // A select, not a branch; NaN and -0.0 pass through unchanged.
+  for (std::size_t i = 0; i < input.size(); ++i)
+    out[i] = in[i] < 0.0 ? 0.0 : in[i];
+  return output_;
 }
 
-Matrix Relu::backward(const Matrix& grad_output) {
-  FEDPOWER_EXPECTS(grad_output.same_shape(input_));
-  Matrix grad_in = grad_output;
-  for (std::size_t i = 0; i < grad_in.data().size(); ++i)
-    if (input_.data()[i] <= 0.0) grad_in.data()[i] = 0.0;
-  return grad_in;
+const Matrix& Relu::backward(const Matrix& grad_output) {
+  FEDPOWER_EXPECTS(grad_output.same_shape(output_));
+  grad_input_.resize(grad_output.rows(), grad_output.cols());
+  const double* y = output_.data().data();
+  const double* g = grad_output.data().data();
+  double* out = grad_input_.data().data();
+  for (std::size_t i = 0; i < grad_output.size(); ++i) {
+    const double gi = g[i];  // read unconditionally so the select vectorizes
+    out[i] = y[i] <= 0.0 ? 0.0 : gi;
+  }
+  return grad_input_;
 }
 
 std::unique_ptr<Layer> Relu::clone() const {
   return std::make_unique<Relu>(*this);
 }
 
-Matrix Tanh::forward(const Matrix& input) {
-  Matrix out = input;
-  for (double& x : out.data()) x = std::tanh(x);
-  output_ = out;
-  return out;
+const Matrix& Tanh::forward(const Matrix& input) {
+  output_.resize(input.rows(), input.cols());
+  for (std::size_t i = 0; i < input.size(); ++i)
+    output_.data()[i] = std::tanh(input.data()[i]);
+  return output_;
 }
 
-Matrix Tanh::backward(const Matrix& grad_output) {
+const Matrix& Tanh::backward(const Matrix& grad_output) {
   FEDPOWER_EXPECTS(grad_output.same_shape(output_));
-  Matrix grad_in = grad_output;
-  for (std::size_t i = 0; i < grad_in.data().size(); ++i) {
+  grad_input_.resize(grad_output.rows(), grad_output.cols());
+  for (std::size_t i = 0; i < grad_output.size(); ++i) {
     const double y = output_.data()[i];
-    grad_in.data()[i] *= 1.0 - y * y;
+    grad_input_.data()[i] = grad_output.data()[i] * (1.0 - y * y);
   }
-  return grad_in;
+  return grad_input_;
 }
 
 std::unique_ptr<Layer> Tanh::clone() const {

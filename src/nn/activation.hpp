@@ -8,8 +8,8 @@ namespace fedpower::nn {
 /// Rectified linear unit, the activation the paper's policy network uses.
 class Relu final : public Layer {
  public:
-  Matrix forward(const Matrix& input) override;
-  Matrix backward(const Matrix& grad_output) override;
+  const Matrix& forward(const Matrix& input) override;
+  const Matrix& backward(const Matrix& grad_output) override;
   std::size_t param_count() const noexcept override { return 0; }
   void copy_params_to(std::span<double>) const override {}
   void set_params_from(std::span<const double>) override {}
@@ -18,14 +18,16 @@ class Relu final : public Layer {
   std::unique_ptr<Layer> clone() const override;
 
  private:
-  Matrix input_;
+  // backward() masks on the output: relu(x) <= 0 exactly when x <= 0.
+  Matrix output_;      // forward result workspace
+  Matrix grad_input_;  // backward result workspace
 };
 
 /// Hyperbolic tangent (available for ablations; the paper uses ReLU).
 class Tanh final : public Layer {
  public:
-  Matrix forward(const Matrix& input) override;
-  Matrix backward(const Matrix& grad_output) override;
+  const Matrix& forward(const Matrix& input) override;
+  const Matrix& backward(const Matrix& grad_output) override;
   std::size_t param_count() const noexcept override { return 0; }
   void copy_params_to(std::span<double>) const override {}
   void set_params_from(std::span<const double>) override {}
@@ -34,7 +36,8 @@ class Tanh final : public Layer {
   std::unique_ptr<Layer> clone() const override;
 
  private:
-  Matrix output_;
+  Matrix output_;      // forward result workspace
+  Matrix grad_input_;  // backward result workspace
 };
 
 }  // namespace fedpower::nn

@@ -24,20 +24,25 @@ Dense::Dense(std::size_t in, std::size_t out, Init init, util::Rng& rng)
     for (double& w : w_.data()) w = rng.normal(0.0, scale);
 }
 
-Matrix Dense::forward(const Matrix& input) {
+const Matrix& Dense::forward(const Matrix& input) {
   FEDPOWER_EXPECTS(input.cols() == in_);
-  input_ = input;
-  Matrix out = input.matmul(w_);
-  out.add_row_broadcast(b_);
-  return out;
+  input_ = input;  // reuses input_'s storage; input may be a temporary
+  matmul_into(input_, w_, output_);
+  output_.add_row_broadcast(b_);
+  return output_;
 }
 
-Matrix Dense::backward(const Matrix& grad_output) {
+const Matrix& Dense::backward(const Matrix& grad_output) {
   FEDPOWER_EXPECTS(grad_output.cols() == out_);
   FEDPOWER_EXPECTS(grad_output.rows() == input_.rows());
-  gw_ += input_.transpose_matmul(grad_output);
-  gb_ += grad_output.column_sums();
-  return grad_output.matmul_transpose(w_);
+  // This step's gradients are formed apart and then added, so accumulating
+  // over several backward() calls rounds exactly as it always has.
+  transpose_matmul_into(input_, grad_output, step_gw_);
+  gw_ += step_gw_;
+  column_sums_into(grad_output, step_gb_);
+  gb_ += step_gb_;
+  matmul_transpose_into(grad_output, w_, grad_input_);
+  return grad_input_;
 }
 
 std::size_t Dense::param_count() const noexcept { return in_ * out_ + out_; }

@@ -13,8 +13,8 @@ class Dense final : public Layer {
  public:
   Dense(std::size_t in, std::size_t out, Init init, util::Rng& rng);
 
-  Matrix forward(const Matrix& input) override;
-  Matrix backward(const Matrix& grad_output) override;
+  const Matrix& forward(const Matrix& input) override;
+  const Matrix& backward(const Matrix& grad_output) override;
 
   std::size_t param_count() const noexcept override;
   void copy_params_to(std::span<double> dst) const override;
@@ -38,7 +38,12 @@ class Dense final : public Layer {
   Matrix b_;       // [1 x out]
   Matrix gw_;      // accumulated dL/dW
   Matrix gb_;      // accumulated dL/db
-  Matrix input_;   // cached forward input
+  // Workspaces (Layer gives their lifetime rule).
+  Matrix input_;       // forward input, cached for backward
+  Matrix output_;      // forward result
+  Matrix grad_input_;  // backward result, dL/dinput
+  Matrix step_gw_;     // this backward's dL/dW, added to gw_
+  Matrix step_gb_;     // this backward's dL/db, added to gb_
 };
 
 }  // namespace fedpower::nn

@@ -2,6 +2,13 @@
 // policies. Layers cache whatever they need from forward() so that a
 // subsequent backward() can compute gradients; the usual
 // forward -> backward -> optimizer step cycle applies.
+//
+// Each layer owns its output and gradient workspaces, and forward() and
+// backward() return references into them. A returned reference stays valid
+// until the next forward() (output) or backward() (input gradient) on the
+// same layer, which overwrites it in place; copy the Matrix to keep it
+// longer. Workspaces grow to the largest batch seen and are then reused, so
+// a warm layer allocates nothing (DESIGN.md §5).
 #pragma once
 
 #include <memory>
@@ -16,12 +23,15 @@ class Layer {
   virtual ~Layer() = default;
 
   /// Computes the layer output for a [batch x in] input and caches the
-  /// activations required by backward().
-  virtual Matrix forward(const Matrix& input) = 0;
+  /// activations required by backward(). The result is the layer's output
+  /// workspace.
+  virtual const Matrix& forward(const Matrix& input) = 0;
 
   /// Propagates [batch x out] output gradients back to the input and
-  /// accumulates parameter gradients. Must follow a matching forward().
-  virtual Matrix backward(const Matrix& grad_output) = 0;
+  /// accumulates parameter gradients. Must follow a matching forward(). The
+  /// result is the layer's input-gradient workspace; grad_output must not be
+  /// that workspace.
+  virtual const Matrix& backward(const Matrix& grad_output) = 0;
 
   /// Number of trainable scalars in this layer (0 for activations).
   virtual std::size_t param_count() const noexcept = 0;

@@ -1,5 +1,6 @@
 #include "nn/loss.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace fedpower::nn {
@@ -20,24 +21,26 @@ LossResult MseLoss::evaluate(const Matrix& prediction,
   return result;
 }
 
-LossResult MseLoss::evaluate_masked(const Matrix& prediction,
-                                    const std::vector<std::size_t>& actions,
-                                    const std::vector<double>& targets) const {
+double MseLoss::evaluate_masked_into(const Matrix& prediction,
+                                     const std::vector<std::size_t>& actions,
+                                     const std::vector<double>& targets,
+                                     Matrix& grad) const {
   FEDPOWER_EXPECTS(actions.size() == prediction.rows());
   FEDPOWER_EXPECTS(targets.size() == prediction.rows());
   FEDPOWER_EXPECTS(!actions.empty());
-  LossResult result;
-  result.grad = Matrix(prediction.rows(), prediction.cols());
+  FEDPOWER_EXPECTS(&grad != &prediction);
+  grad.resize(prediction.rows(), prediction.cols());
+  std::fill(grad.data().begin(), grad.data().end(), 0.0);
+  double value = 0.0;
   const double n = static_cast<double>(prediction.rows());
   for (std::size_t r = 0; r < prediction.rows(); ++r) {
     const std::size_t a = actions[r];
     FEDPOWER_EXPECTS(a < prediction.cols());
     const double e = prediction(r, a) - targets[r];
-    result.value += 0.5 * e * e;
-    result.grad(r, a) = e / n;
+    value += 0.5 * e * e;
+    grad(r, a) = e / n;
   }
-  result.value /= n;
-  return result;
+  return value / n;
 }
 
 HuberLoss::HuberLoss(double delta) : delta_(delta) {
@@ -71,24 +74,26 @@ LossResult HuberLoss::evaluate(const Matrix& prediction,
   return result;
 }
 
-LossResult HuberLoss::evaluate_masked(const Matrix& prediction,
-                                      const std::vector<std::size_t>& actions,
-                                      const std::vector<double>& targets) const {
+double HuberLoss::evaluate_masked_into(const Matrix& prediction,
+                                       const std::vector<std::size_t>& actions,
+                                       const std::vector<double>& targets,
+                                       Matrix& grad) const {
   FEDPOWER_EXPECTS(actions.size() == prediction.rows());
   FEDPOWER_EXPECTS(targets.size() == prediction.rows());
   FEDPOWER_EXPECTS(!actions.empty());
-  LossResult result;
-  result.grad = Matrix(prediction.rows(), prediction.cols());
+  FEDPOWER_EXPECTS(&grad != &prediction);
+  grad.resize(prediction.rows(), prediction.cols());
+  std::fill(grad.data().begin(), grad.data().end(), 0.0);
+  double value = 0.0;
   const double n = static_cast<double>(prediction.rows());
   for (std::size_t r = 0; r < prediction.rows(); ++r) {
     const std::size_t a = actions[r];
     FEDPOWER_EXPECTS(a < prediction.cols());
     const double e = prediction(r, a) - targets[r];
-    result.value += pointwise(e);
-    result.grad(r, a) = derivative(e) / n;
+    value += pointwise(e);
+    grad(r, a) = derivative(e) / n;
   }
-  result.value /= n;
-  return result;
+  return value / n;
 }
 
 }  // namespace fedpower::nn

@@ -30,10 +30,21 @@ class Loss {
 
   /// Bandit variant: row i contributes only at column actions[i] with target
   /// targets[i]; the returned gradient is zero elsewhere. Averaged over rows.
-  virtual LossResult evaluate_masked(const Matrix& prediction,
-                                     const std::vector<std::size_t>& actions,
-                                     const std::vector<double>& targets)
-      const = 0;
+  LossResult evaluate_masked(const Matrix& prediction,
+                             const std::vector<std::size_t>& actions,
+                             const std::vector<double>& targets) const {
+    LossResult result;
+    result.value = evaluate_masked_into(prediction, actions, targets,
+                                        result.grad);
+    return result;
+  }
+
+  /// evaluate_masked() writing the gradient into a caller-owned workspace
+  /// (resized, reusing its storage); returns the loss value.
+  virtual double evaluate_masked_into(const Matrix& prediction,
+                                      const std::vector<std::size_t>& actions,
+                                      const std::vector<double>& targets,
+                                      Matrix& grad) const = 0;
 };
 
 /// Mean squared error: L = mean((p - t)^2) / 2 with gradient (p - t)/n.
@@ -41,9 +52,10 @@ class MseLoss final : public Loss {
  public:
   LossResult evaluate(const Matrix& prediction,
                       const Matrix& target) const override;
-  LossResult evaluate_masked(const Matrix& prediction,
-                             const std::vector<std::size_t>& actions,
-                             const std::vector<double>& targets) const override;
+  double evaluate_masked_into(const Matrix& prediction,
+                              const std::vector<std::size_t>& actions,
+                              const std::vector<double>& targets,
+                              Matrix& grad) const override;
 };
 
 /// Huber loss: quadratic for |e| <= delta, linear beyond — robust to the
@@ -56,9 +68,10 @@ class HuberLoss final : public Loss {
 
   LossResult evaluate(const Matrix& prediction,
                       const Matrix& target) const override;
-  LossResult evaluate_masked(const Matrix& prediction,
-                             const std::vector<std::size_t>& actions,
-                             const std::vector<double>& targets) const override;
+  double evaluate_masked_into(const Matrix& prediction,
+                              const std::vector<std::size_t>& actions,
+                              const std::vector<double>& targets,
+                              Matrix& grad) const override;
 
  private:
   double pointwise(double error) const noexcept;

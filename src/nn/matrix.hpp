@@ -1,6 +1,12 @@
 // Dense row-major matrix of doubles. Deliberately small: the policy networks
 // in this library are tiny (hundreds of parameters), so we favour a clear,
 // assert-checked implementation over BLAS bindings.
+//
+// The products have one implementation each, the *_into kernels below,
+// which write into a caller-owned output and so allocate nothing once that
+// output has grown to size; the out-of-place members wrap them. Every
+// output element is summed in ascending k from +0.0, and exactly-zero terms
+// are skipped (DESIGN.md §5 gives the exactness argument).
 #pragma once
 
 #include <cstddef>
@@ -33,6 +39,15 @@ class Matrix {
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
   [[nodiscard]] std::size_t size() const noexcept { return data_.size(); }
   [[nodiscard]] bool empty() const noexcept { return data_.empty(); }
+
+  /// Reshapes to rows x cols, reusing the storage when it is large enough
+  /// (so a workspace that has held the largest shape never reallocates).
+  /// Element values are unspecified afterwards.
+  void resize(std::size_t rows, std::size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+  }
 
   double& operator()(std::size_t r, std::size_t c) noexcept {
     FEDPOWER_EXPECTS(r < rows_ && c < cols_);
@@ -86,5 +101,20 @@ class Matrix {
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
+
+// In-place kernels. Each resizes `out` and overwrites all of it; `out` must
+// not alias an operand.
+
+/// out = a(r x k) * b(k x c).
+void matmul_into(const Matrix& a, const Matrix& b, Matrix& out);
+
+/// out = a^T * b for a(k x r), b(k x c), without materializing a^T.
+void transpose_matmul_into(const Matrix& a, const Matrix& b, Matrix& out);
+
+/// out = a * b^T for a(r x k), b(c x k), without materializing b^T.
+void matmul_transpose_into(const Matrix& a, const Matrix& b, Matrix& out);
+
+/// out = the 1 x cols vector of a's column sums.
+void column_sums_into(const Matrix& a, Matrix& out);
 
 }  // namespace fedpower::nn

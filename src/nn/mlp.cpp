@@ -19,17 +19,17 @@ Mlp& Mlp::operator=(const Mlp& other) {
   return *this;
 }
 
-Matrix Mlp::forward(const Matrix& input) {
-  Matrix activation = input;
-  for (const auto& layer : layers_) activation = layer->forward(activation);
-  return activation;
+const Matrix& Mlp::forward(const Matrix& input) {
+  const Matrix* activation = &input;
+  for (const auto& layer : layers_) activation = &layer->forward(*activation);
+  return *activation;
 }
 
-Matrix Mlp::backward(const Matrix& grad_output) {
-  Matrix grad = grad_output;
+const Matrix& Mlp::backward(const Matrix& grad_output) {
+  const Matrix* grad = &grad_output;
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
-    grad = (*it)->backward(grad);
-  return grad;
+    grad = &(*it)->backward(*grad);
+  return *grad;
 }
 
 std::size_t Mlp::param_count() const noexcept {
@@ -40,13 +40,18 @@ std::size_t Mlp::param_count() const noexcept {
 
 std::vector<double> Mlp::parameters() const {
   std::vector<double> flat(param_count());
+  copy_parameters_to(flat);
+  return flat;
+}
+
+void Mlp::copy_parameters_to(std::span<double> dst) const {
+  FEDPOWER_EXPECTS(dst.size() == param_count());
   std::size_t offset = 0;
   for (const auto& layer : layers_) {
     const std::size_t n = layer->param_count();
-    layer->copy_params_to({flat.data() + offset, n});
+    layer->copy_params_to(dst.subspan(offset, n));
     offset += n;
   }
-  return flat;
 }
 
 void Mlp::set_parameters(std::span<const double> params) {
@@ -61,13 +66,18 @@ void Mlp::set_parameters(std::span<const double> params) {
 
 std::vector<double> Mlp::gradients() const {
   std::vector<double> flat(param_count());
+  copy_gradients_to(flat);
+  return flat;
+}
+
+void Mlp::copy_gradients_to(std::span<double> dst) const {
+  FEDPOWER_EXPECTS(dst.size() == param_count());
   std::size_t offset = 0;
   for (const auto& layer : layers_) {
     const std::size_t n = layer->param_count();
-    layer->copy_grads_to({flat.data() + offset, n});
+    layer->copy_grads_to(dst.subspan(offset, n));
     offset += n;
   }
-  return flat;
 }
 
 void Mlp::zero_gradients() noexcept {

@@ -23,11 +23,14 @@ class Mlp {
   Mlp& operator=(Mlp&&) noexcept = default;
 
   /// Runs the full stack; caches per-layer activations for backward().
-  Matrix forward(const Matrix& input);
+  /// Returns the last layer's output workspace, valid until the next
+  /// forward() (Layer gives the lifetime rule).
+  const Matrix& forward(const Matrix& input);
 
   /// Back-propagates dLoss/dOutput, accumulating gradients in every layer,
-  /// and returns dLoss/dInput.
-  Matrix backward(const Matrix& grad_output);
+  /// and returns dLoss/dInput: the first layer's input-gradient workspace,
+  /// valid until the next backward().
+  const Matrix& backward(const Matrix& grad_output);
 
   std::size_t layer_count() const noexcept { return layers_.size(); }
   std::size_t param_count() const noexcept;
@@ -35,11 +38,17 @@ class Mlp {
   /// Gathers all parameters into one flat vector (layer order, W then b).
   std::vector<double> parameters() const;
 
+  /// parameters() into caller-owned storage of param_count() entries.
+  void copy_parameters_to(std::span<double> dst) const;
+
   /// Scatters a flat vector back into the layers.
   void set_parameters(std::span<const double> params);
 
   /// Gathers accumulated gradients (same layout as parameters()).
   std::vector<double> gradients() const;
+
+  /// gradients() into caller-owned storage of param_count() entries.
+  void copy_gradients_to(std::span<double> dst) const;
 
   void zero_gradients() noexcept;
 

@@ -25,29 +25,33 @@ NeuralBanditAgent::NeuralBanditAgent(NeuralAgentConfig config, util::Rng rng)
   FEDPOWER_EXPECTS(config.prox_mu >= 0.0);
 }
 
-std::vector<double> NeuralBanditAgent::predict(
+const nn::Matrix& NeuralBanditAgent::forward_row(
     std::span<const double> state) const {
   FEDPOWER_EXPECTS(state.size() == config_.state_dim);
+  row_.resize(1, state.size());
+  std::copy(state.begin(), state.end(), row_.data().begin());
   // forward() caches activations, which is irrelevant for inference; the
   // model is logically const here.
-  auto& model = const_cast<nn::Mlp&>(model_);
-  const nn::Matrix out =
-      model.forward(nn::Matrix::row_vector({state.begin(), state.end()}));
-  return out.data();
+  return const_cast<nn::Mlp&>(model_).forward(row_);
+}
+
+std::vector<double> NeuralBanditAgent::predict(
+    std::span<const double> state) const {
+  return forward_row(state).data();
 }
 
 std::size_t NeuralBanditAgent::select_action(std::span<const double> state) {
-  const std::vector<double> mu = predict(state);
+  const std::vector<double>& mu = forward_row(state).data();
   if (config_.exploration == ExplorationMode::kEpsilonGreedy) {
     const double epsilon = std::min(1.0, temperature());
     return epsilon_greedy(mu, epsilon, rng_);
   }
-  return sample_softmax(mu, temperature(), rng_);
+  return sample_softmax(mu, temperature(), rng_, probs_);
 }
 
 std::size_t NeuralBanditAgent::greedy_action(
     std::span<const double> state) const {
-  return argmax(predict(state));
+  return argmax(forward_row(state).data());
 }
 
 double NeuralBanditAgent::temperature() const noexcept {
@@ -64,38 +68,30 @@ void NeuralBanditAgent::record(std::span<const double> state,
 
 double NeuralBanditAgent::train_step() {
   if (replay_.empty()) return 0.0;
-  const std::vector<Transition> batch =
-      replay_.sample(config_.batch_size, rng_);
+  replay_.sample_into(config_.batch_size, rng_, batch_states_, batch_actions_,
+                      batch_rewards_);
 
-  nn::Matrix inputs(batch.size(), config_.state_dim);
-  std::vector<std::size_t> actions(batch.size());
-  std::vector<double> targets(batch.size());
-  for (std::size_t r = 0; r < batch.size(); ++r) {
-    for (std::size_t c = 0; c < config_.state_dim; ++c)
-      inputs(r, c) = batch[r].state[c];
-    actions[r] = batch[r].action;
-    targets[r] = batch[r].reward;
-  }
-
-  const nn::Matrix prediction = model_.forward(inputs);
-  const nn::LossResult loss = loss_.evaluate_masked(prediction, actions,
-                                                    targets);
+  const nn::Matrix& prediction = model_.forward(batch_states_);
+  const double loss = loss_.evaluate_masked_into(prediction, batch_actions_,
+                                                 batch_rewards_, loss_grad_);
   model_.zero_gradients();
-  model_.backward(loss.grad);
+  model_.backward(loss_grad_);
 
-  std::vector<double> params = model_.parameters();
-  std::vector<double> grads = model_.gradients();
-  if (config_.prox_mu > 0.0 && global_anchor_.size() == params.size()) {
+  params_.resize(model_.param_count());
+  grads_.resize(model_.param_count());
+  model_.copy_parameters_to(params_);
+  model_.copy_gradients_to(grads_);
+  if (config_.prox_mu > 0.0 && global_anchor_.size() == params_.size()) {
     // FedProx: + mu/2 * ||theta - theta_global||^2 added to the loss.
-    for (std::size_t i = 0; i < params.size(); ++i)
-      grads[i] += config_.prox_mu * (params[i] - global_anchor_[i]);
+    for (std::size_t i = 0; i < params_.size(); ++i)
+      grads_[i] += config_.prox_mu * (params_[i] - global_anchor_[i]);
   }
-  optimizer_.step(params, grads);
-  model_.set_parameters(params);
+  optimizer_.step(params_, grads_);
+  model_.set_parameters(params_);
 
   ++updates_;
-  last_loss_ = loss.value;
-  return loss.value;
+  last_loss_ = loss;
+  return loss;
 }
 
 void NeuralBanditAgent::reheat(double target_tau) {
@@ -137,6 +133,11 @@ void NeuralBanditAgent::restore_state(ckpt::Reader& in) {
   model_.set_parameters(params);
   optimizer_.restore_state(in);
   replay_.restore_state(in);
+  if (replay_.max_action() >= config_.action_count)
+    throw ckpt::StateMismatchError(
+        "agent snapshot replays action " +
+        std::to_string(replay_.max_action()) + ", this agent has " +
+        std::to_string(config_.action_count) + " action(s)");
   global_anchor_ = in.vec_f64();
   if (!global_anchor_.empty() && global_anchor_.size() != params.size())
     throw ckpt::StateMismatchError(

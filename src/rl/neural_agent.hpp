@@ -99,6 +99,10 @@ class NeuralBanditAgent {
   const NeuralAgentConfig& config() const noexcept { return config_; }
 
  private:
+  /// Runs the model on one state; the result is the model's output
+  /// workspace, valid until the next forward.
+  const nn::Matrix& forward_row(std::span<const double> state) const;
+
   NeuralAgentConfig config_;  // lint: ckpt-skip(construction config, fixed for the run)
   mutable util::Rng rng_;
   nn::Mlp model_;
@@ -110,6 +114,17 @@ class NeuralBanditAgent {
   std::size_t step_ = 0;
   std::size_t updates_ = 0;
   double last_loss_ = 0.0;
+
+  // Buffers reused by every call so the steady-state act and train paths
+  // allocate nothing; none carries state from one call to the next.
+  mutable nn::Matrix row_;     // lint: ckpt-skip(scratch: forward_row input)
+  std::vector<double> probs_;  // lint: ckpt-skip(scratch: softmax output)
+  nn::Matrix batch_states_;  // lint: ckpt-skip(scratch: replay batch)
+  std::vector<std::size_t> batch_actions_;  // lint: ckpt-skip(scratch: batch)
+  std::vector<double> batch_rewards_;  // lint: ckpt-skip(scratch: batch)
+  nn::Matrix loss_grad_;  // lint: ckpt-skip(scratch: loss gradient)
+  std::vector<double> params_;  // lint: ckpt-skip(scratch: Adam input)
+  std::vector<double> grads_;   // lint: ckpt-skip(scratch: Adam input)
 };
 
 }  // namespace fedpower::rl

@@ -22,21 +22,27 @@ NeuralQAgent::NeuralQAgent(NeuralQConfig config, util::Rng rng)
   FEDPOWER_EXPECTS(config.target_sync_interval > 0);
 }
 
-std::vector<double> NeuralQAgent::predict(
+const nn::Matrix& NeuralQAgent::forward_row(
     std::span<const double> state) const {
   FEDPOWER_EXPECTS(state.size() == config_.base.state_dim);
-  auto& model = const_cast<nn::Mlp&>(online_);
-  return model.forward(nn::Matrix::row_vector({state.begin(), state.end()}))
-      .data();
+  row_.resize(1, state.size());
+  std::copy(state.begin(), state.end(), row_.data().begin());
+  return const_cast<nn::Mlp&>(online_).forward(row_);
+}
+
+std::vector<double> NeuralQAgent::predict(
+    std::span<const double> state) const {
+  return forward_row(state).data();
 }
 
 std::size_t NeuralQAgent::select_action(std::span<const double> state) {
-  return sample_softmax(predict(state), temperature(), rng_);
+  return sample_softmax(forward_row(state).data(), temperature(), rng_,
+                        probs_);
 }
 
 std::size_t NeuralQAgent::greedy_action(
     std::span<const double> state) const {
-  return argmax(predict(state));
+  return argmax(forward_row(state).data());
 }
 
 void NeuralQAgent::record(std::span<const double> state, std::size_t action,
@@ -50,44 +56,39 @@ void NeuralQAgent::record(std::span<const double> state, std::size_t action,
 
 double NeuralQAgent::train_step() {
   if (replay_.empty()) return 0.0;
-  const std::vector<QTransition> batch =
-      replay_.sample(config_.base.batch_size, rng_);
-
-  const std::size_t dim = config_.base.state_dim;
-  nn::Matrix states(batch.size(), dim);
-  nn::Matrix next_states(batch.size(), dim);
-  std::vector<std::size_t> actions(batch.size());
-  std::vector<double> targets(batch.size());
-  for (std::size_t r = 0; r < batch.size(); ++r) {
-    for (std::size_t c = 0; c < dim; ++c) {
-      states(r, c) = batch[r].state[c];
-      next_states(r, c) = batch[r].next_state[c];
-    }
-    actions[r] = batch[r].action;
-  }
+  // batch_targets_ receives the rewards and becomes the targets in place.
+  const std::size_t count = replay_.sample_into(
+      config_.base.batch_size, rng_, batch_states_, batch_next_states_,
+      batch_actions_, batch_targets_);
 
   // Bootstrapped targets from the frozen target network.
-  const nn::Matrix next_q = target_.forward(next_states);
-  for (std::size_t r = 0; r < batch.size(); ++r) {
+  const nn::Matrix& next_q = target_.forward(batch_next_states_);
+  for (std::size_t r = 0; r < count; ++r) {
     double best = next_q(r, 0);
     for (std::size_t a = 1; a < config_.base.action_count; ++a)
       best = std::max(best, next_q(r, a));
-    targets[r] = batch[r].reward + config_.gamma * best;
+    batch_targets_[r] += config_.gamma * best;
   }
 
-  const nn::Matrix prediction = online_.forward(states);
-  const nn::LossResult loss =
-      loss_.evaluate_masked(prediction, actions, targets);
+  const nn::Matrix& prediction = online_.forward(batch_states_);
+  const double loss = loss_.evaluate_masked_into(prediction, batch_actions_,
+                                                 batch_targets_, loss_grad_);
   online_.zero_gradients();
-  online_.backward(loss.grad);
-  std::vector<double> params = online_.parameters();
-  optimizer_.step(params, online_.gradients());
-  online_.set_parameters(params);
+  online_.backward(loss_grad_);
+  params_.resize(online_.param_count());
+  grads_.resize(online_.param_count());
+  online_.copy_parameters_to(params_);
+  online_.copy_gradients_to(grads_);
+  optimizer_.step(params_, grads_);
+  online_.set_parameters(params_);
 
   ++updates_;
-  if (updates_ % config_.target_sync_interval == 0) target_ = online_;
-  last_loss_ = loss.value;
-  return loss.value;
+  // The target network only ever runs forward, so syncing its parameters
+  // is a full sync.
+  if (updates_ % config_.target_sync_interval == 0)
+    target_.set_parameters(params_);
+  last_loss_ = loss;
+  return loss;
 }
 
 namespace {
@@ -119,6 +120,11 @@ void NeuralQAgent::restore_state(ckpt::Reader& in) {
   target_.set_parameters(target);
   optimizer_.restore_state(in);
   replay_.restore_state(in);
+  if (replay_.max_action() >= config_.base.action_count)
+    throw ckpt::StateMismatchError(
+        "Q agent snapshot replays action " +
+        std::to_string(replay_.max_action()) + ", this agent has " +
+        std::to_string(config_.base.action_count) + " action(s)");
   step_ = in.u64();
   updates_ = in.u64();
   last_loss_ = in.f64();

@@ -66,6 +66,9 @@ class NeuralQAgent {
   const NeuralQConfig& config() const noexcept { return config_; }
 
  private:
+  /// Runs the online network on one state (NeuralBanditAgent::forward_row).
+  const nn::Matrix& forward_row(std::span<const double> state) const;
+
   NeuralQConfig config_;  // lint: ckpt-skip(construction config, fixed for the run)
   mutable util::Rng rng_;
   nn::Mlp online_;
@@ -77,6 +80,17 @@ class NeuralQAgent {
   std::size_t step_ = 0;
   std::size_t updates_ = 0;
   double last_loss_ = 0.0;
+
+  // Buffers reused by every call (as in NeuralBanditAgent).
+  mutable nn::Matrix row_;     // lint: ckpt-skip(scratch: forward_row input)
+  std::vector<double> probs_;  // lint: ckpt-skip(scratch: softmax output)
+  nn::Matrix batch_states_;  // lint: ckpt-skip(scratch: replay batch)
+  nn::Matrix batch_next_states_;  // lint: ckpt-skip(scratch: batch)
+  std::vector<std::size_t> batch_actions_;  // lint: ckpt-skip(scratch: batch)
+  std::vector<double> batch_targets_;  // lint: ckpt-skip(scratch: batch)
+  nn::Matrix loss_grad_;  // lint: ckpt-skip(scratch: loss gradient)
+  std::vector<double> params_;  // lint: ckpt-skip(scratch: Adam input)
+  std::vector<double> grads_;   // lint: ckpt-skip(scratch: Adam input)
 };
 
 }  // namespace fedpower::rl

@@ -8,22 +8,29 @@
 namespace fedpower::rl {
 
 std::vector<double> softmax(std::span<const double> values, double tau) {
+  std::vector<double> probs;
+  softmax_into(values, tau, probs);
+  return probs;
+}
+
+void softmax_into(std::span<const double> values, double tau,
+                  std::vector<double>& probs) {
   FEDPOWER_EXPECTS(!values.empty());
   FEDPOWER_EXPECTS(tau > 0.0);
   const double v_max = *std::max_element(values.begin(), values.end());
-  std::vector<double> probs(values.size());
+  probs.resize(values.size());
   double total = 0.0;
   for (std::size_t i = 0; i < values.size(); ++i) {
     probs[i] = std::exp((values[i] - v_max) / tau);
     total += probs[i];
   }
   for (double& p : probs) p /= total;
-  return probs;
 }
 
 std::size_t sample_softmax(std::span<const double> values, double tau,
-                           util::Rng& rng) {
-  return rng.categorical(softmax(values, tau));
+                           util::Rng& rng, std::vector<double>& probs) {
+  softmax_into(values, tau, probs);
+  return rng.categorical(probs);
 }
 
 std::size_t argmax(std::span<const double> values) {

@@ -15,9 +15,15 @@ namespace fedpower::rl {
 [[nodiscard]] std::vector<double> softmax(std::span<const double> values,
                                           double tau);
 
-/// Samples an action from the softmax distribution.
+/// softmax() into caller-owned storage (resized, reusing its capacity).
+void softmax_into(std::span<const double> values, double tau,
+                  std::vector<double>& probs);
+
+/// Samples an action from the softmax distribution. The probabilities go
+/// to caller-owned scratch, so a warm call allocates nothing.
 [[nodiscard]] std::size_t sample_softmax(std::span<const double> values,
-                                         double tau, util::Rng& rng);
+                                         double tau, util::Rng& rng,
+                                         std::vector<double>& probs);
 
 /// Index of the largest value (first on ties).
 [[nodiscard]] std::size_t argmax(std::span<const double> values);

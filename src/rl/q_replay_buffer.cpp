@@ -1,7 +1,6 @@
 #include "rl/q_replay_buffer.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "util/assert.hpp"
 
@@ -51,20 +50,65 @@ QTransition QReplayBuffer::at(std::size_t index) const {
   return t;
 }
 
+std::size_t QReplayBuffer::gather(ReplaySampler& sampler, std::size_t n,
+                                  util::Rng& rng, nn::Matrix& states,
+                                  nn::Matrix& next_states,
+                                  std::vector<std::size_t>& actions,
+                                  std::vector<double>& rewards) const {
+  const std::size_t count = std::min(n, size_);
+  states.resize(count, state_dim_);
+  next_states.resize(count, state_dim_);
+  actions.resize(count);
+  rewards.resize(count);
+  const std::size_t base = size_ == capacity_ ? head_ : 0;
+  return sampler.draw(count, size_, rng, [&](std::size_t row,
+                                             std::size_t index) {
+    const std::size_t slot = (base + index) % capacity_;
+    for (std::size_t i = 0; i < state_dim_; ++i) {
+      states(row, i) = static_cast<double>(states_[slot * state_dim_ + i]);
+      next_states(row, i) =
+          static_cast<double>(next_states_[slot * state_dim_ + i]);
+    }
+    actions[row] = actions_[slot];
+    rewards[row] = static_cast<double>(rewards_[slot]);
+  });
+}
+
+std::size_t QReplayBuffer::sample_into(std::size_t n, util::Rng& rng,
+                                       nn::Matrix& states,
+                                       nn::Matrix& next_states,
+                                       std::vector<std::size_t>& actions,
+                                       std::vector<double>& rewards) {
+  return gather(sampler_, n, rng, states, next_states, actions, rewards);
+}
+
 std::vector<QTransition> QReplayBuffer::sample(std::size_t n,
                                                util::Rng& rng) const {
-  const std::size_t count = std::min(n, size_);
-  std::vector<std::size_t> indices(size_);
-  std::iota(indices.begin(), indices.end(), std::size_t{0});
+  ReplaySampler sampler;
+  nn::Matrix states;
+  nn::Matrix next_states;
+  std::vector<std::size_t> actions;
+  std::vector<double> rewards;
+  const std::size_t count =
+      gather(sampler, n, rng, states, next_states, actions, rewards);
+  std::vector<QTransition> batch(count);
   for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t j =
-        i + static_cast<std::size_t>(rng.uniform_index(size_ - i));
-    std::swap(indices[i], indices[j]);
+    const auto offset = static_cast<std::ptrdiff_t>(i * state_dim_);
+    const auto width = static_cast<std::ptrdiff_t>(state_dim_);
+    const auto s = states.data().begin() + offset;
+    const auto ns = next_states.data().begin() + offset;
+    batch[i].state.assign(s, s + width);
+    batch[i].next_state.assign(ns, ns + width);
+    batch[i].action = actions[i];
+    batch[i].reward = rewards[i];
   }
-  std::vector<QTransition> batch;
-  batch.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) batch.push_back(at(indices[i]));
   return batch;
+}
+
+std::size_t QReplayBuffer::max_action() const noexcept {
+  // Live entries always occupy slots [0, size).
+  const auto live = actions_.begin() + static_cast<std::ptrdiff_t>(size_);
+  return size_ == 0 ? 0 : *std::max_element(actions_.begin(), live);
 }
 
 void QReplayBuffer::clear() noexcept {
@@ -103,7 +147,11 @@ void QReplayBuffer::restore_state(ckpt::Reader& in) {
   next_states_ = in.vec_f32();
   actions_ = in.vec_u8();
   rewards_ = in.vec_f32();
+  // Until the ring first fills, entries occupy slots [0, size) and the
+  // next write goes to slot size; any other head would sample never-written
+  // slots as live ones.
   if (head_ >= capacity_ || size_ > capacity_ ||
+      (size_ < capacity_ && head_ != size_) ||
       states_.size() != capacity_ * state_dim_ ||
       next_states_.size() != capacity_ * state_dim_ ||
       actions_.size() != capacity_ || rewards_.size() != capacity_)

@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "ckpt/binary_io.hpp"
+#include "nn/matrix.hpp"
+#include "rl/replay_sampler.hpp"
 #include "util/rng.hpp"
 
 namespace fedpower::rl {
@@ -34,7 +36,17 @@ class QReplayBuffer {
   /// Uniform sample of min(n, size()) distinct transitions.
   std::vector<QTransition> sample(std::size_t n, util::Rng& rng) const;
 
+  /// sample() gathered straight into caller-owned storage, as
+  /// ReplayBuffer::sample_into; returns the sample count.
+  std::size_t sample_into(std::size_t n, util::Rng& rng, nn::Matrix& states,
+                          nn::Matrix& next_states,
+                          std::vector<std::size_t>& actions,
+                          std::vector<double>& rewards);
+
   QTransition at(std::size_t index) const;
+
+  /// Largest action among the stored transitions (0 when empty).
+  std::size_t max_action() const noexcept;
 
   void clear() noexcept;
 
@@ -43,6 +55,11 @@ class QReplayBuffer {
   void restore_state(ckpt::Reader& in);
 
  private:
+  std::size_t gather(ReplaySampler& sampler, std::size_t n, util::Rng& rng,
+                     nn::Matrix& states, nn::Matrix& next_states,
+                     std::vector<std::size_t>& actions,
+                     std::vector<double>& rewards) const;
+
   std::size_t capacity_;
   std::size_t state_dim_;
   std::size_t head_ = 0;
@@ -51,6 +68,7 @@ class QReplayBuffer {
   std::vector<float> next_states_;
   std::vector<std::uint8_t> actions_;
   std::vector<float> rewards_;
+  ReplaySampler sampler_;  // lint: ckpt-skip(scratch: identity between draws)
 };
 
 }  // namespace fedpower::rl

@@ -1,7 +1,6 @@
 #include "rl/replay_buffer.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "util/assert.hpp"
 
@@ -43,27 +42,63 @@ Transition ReplayBuffer::at(std::size_t index) const {
   return t;
 }
 
+std::size_t ReplayBuffer::gather(ReplaySampler& sampler, std::size_t n,
+                                 util::Rng& rng, nn::Matrix& states,
+                                 std::vector<std::size_t>& actions,
+                                 std::vector<double>& rewards) const {
+  const std::size_t count = std::min(n, size_);
+  states.resize(count, state_dim_);
+  actions.resize(count);
+  rewards.resize(count);
+  // Oldest element sits at head_ when full, at 0 otherwise (as in at()).
+  const std::size_t base = size_ == capacity_ ? head_ : 0;
+  return sampler.draw(count, size_, rng, [&](std::size_t row,
+                                             std::size_t index) {
+    const std::size_t slot = (base + index) % capacity_;
+    const float* src = &states_[slot * state_dim_];
+    double* dst = &states.data()[row * state_dim_];
+    for (std::size_t i = 0; i < state_dim_; ++i)
+      dst[i] = static_cast<double>(src[i]);
+    actions[row] = actions_[slot];
+    rewards[row] = static_cast<double>(rewards_[slot]);
+  });
+}
+
+std::size_t ReplayBuffer::sample_into(std::size_t n, util::Rng& rng,
+                                      nn::Matrix& states,
+                                      std::vector<std::size_t>& actions,
+                                      std::vector<double>& rewards) {
+  return gather(sampler_, n, rng, states, actions, rewards);
+}
+
 std::vector<Transition> ReplayBuffer::sample(std::size_t n,
                                              util::Rng& rng) const {
-  const std::size_t count = std::min(n, size_);
-  std::vector<std::size_t> indices(size_);
-  std::iota(indices.begin(), indices.end(), std::size_t{0});
-  // Partial Fisher-Yates: the first `count` positions become a uniform
-  // sample without replacement.
+  ReplaySampler sampler;
+  nn::Matrix states;
+  std::vector<std::size_t> actions;
+  std::vector<double> rewards;
+  const std::size_t count =
+      gather(sampler, n, rng, states, actions, rewards);
+  std::vector<Transition> batch(count);
   for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t j =
-        i + static_cast<std::size_t>(rng.uniform_index(size_ - i));
-    std::swap(indices[i], indices[j]);
+    const auto row = states.data().begin() +
+                     static_cast<std::ptrdiff_t>(i * state_dim_);
+    batch[i].state.assign(row, row + static_cast<std::ptrdiff_t>(state_dim_));
+    batch[i].action = actions[i];
+    batch[i].reward = rewards[i];
   }
-  std::vector<Transition> batch;
-  batch.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) batch.push_back(at(indices[i]));
   return batch;
 }
 
 std::size_t ReplayBuffer::storage_bytes() const noexcept {
   return capacity_ * (state_dim_ * sizeof(float) + sizeof(std::uint8_t) +
                       sizeof(float));
+}
+
+std::size_t ReplayBuffer::max_action() const noexcept {
+  // Live entries always occupy slots [0, size).
+  const auto live = actions_.begin() + static_cast<std::ptrdiff_t>(size_);
+  return size_ == 0 ? 0 : *std::max_element(actions_.begin(), live);
 }
 
 void ReplayBuffer::clear() noexcept {
@@ -100,7 +135,11 @@ void ReplayBuffer::restore_state(ckpt::Reader& in) {
   states_ = in.vec_f32();
   actions_ = in.vec_u8();
   rewards_ = in.vec_f32();
+  // Until the ring first fills, entries occupy slots [0, size) and the
+  // next write goes to slot size; any other head would sample never-written
+  // slots as live ones.
   if (head_ >= capacity_ || size_ > capacity_ ||
+      (size_ < capacity_ && head_ != size_) ||
       states_.size() != capacity_ * state_dim_ ||
       actions_.size() != capacity_ || rewards_.size() != capacity_)
     throw ckpt::StateMismatchError(

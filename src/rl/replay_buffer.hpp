@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "ckpt/binary_io.hpp"
+#include "nn/matrix.hpp"
+#include "rl/replay_sampler.hpp"
 #include "util/rng.hpp"
 
 namespace fedpower::rl {
@@ -39,12 +41,24 @@ class ReplayBuffer {
   /// Uniform sample of min(n, size()) distinct transitions.
   std::vector<Transition> sample(std::size_t n, util::Rng& rng) const;
 
+  /// sample() gathered straight into caller-owned storage: row i of states,
+  /// actions[i] and rewards[i] hold the i-th draw (the same draws, from the
+  /// same RNG stream, as sample()). The outputs are resized to the sample
+  /// count, reusing their storage, so a warm call allocates nothing.
+  /// Returns the sample count.
+  std::size_t sample_into(std::size_t n, util::Rng& rng, nn::Matrix& states,
+                          std::vector<std::size_t>& actions,
+                          std::vector<double>& rewards);
+
   /// Transition by age-order index (0 = oldest retained).
   Transition at(std::size_t index) const;
 
   /// Storage footprint of the buffer contents at full capacity, in bytes
   /// (float32 states + uint8 action + float32 reward per entry).
   std::size_t storage_bytes() const noexcept;
+
+  /// Largest action among the stored transitions (0 when empty).
+  std::size_t max_action() const noexcept;
 
   void clear() noexcept;
 
@@ -57,6 +71,10 @@ class ReplayBuffer {
   void restore_state(ckpt::Reader& in);
 
  private:
+  std::size_t gather(ReplaySampler& sampler, std::size_t n, util::Rng& rng,
+                     nn::Matrix& states, std::vector<std::size_t>& actions,
+                     std::vector<double>& rewards) const;
+
   std::size_t capacity_;
   std::size_t state_dim_;
   std::size_t head_ = 0;  // next slot to write
@@ -64,6 +82,7 @@ class ReplayBuffer {
   std::vector<float> states_;    // capacity * state_dim, ring layout
   std::vector<std::uint8_t> actions_;
   std::vector<float> rewards_;
+  ReplaySampler sampler_;  // lint: ckpt-skip(scratch: identity between draws)
 };
 
 }  // namespace fedpower::rl

@@ -12,7 +12,10 @@
 #include "fed/federation.hpp"
 #include "nn/optimizer.hpp"
 #include "rl/drift.hpp"
+#include "ckpt/state_io.hpp"
 #include "rl/neural_agent.hpp"
+#include "rl/neural_q_agent.hpp"
+#include "rl/q_replay_buffer.hpp"
 #include "rl/replay_buffer.hpp"
 #include "sim/processor.hpp"
 #include "sim/splash2.hpp"
@@ -134,6 +137,48 @@ TEST(ComponentState, ReplayBufferRejectsWrongGeometry) {
   EXPECT_THROW(wrong_dim.restore_state(in2), ckpt::StateMismatchError);
 }
 
+// A hostile snapshot of a ring that never filled: size < capacity but the
+// write cursor is not at slot `size`. Restoring it must raise a typed error,
+// not leave never-written slots to be sampled as live ones.
+
+/// Overwrites the little-endian u64 at `offset` of a snapshot.
+void patch_u64(std::vector<std::uint8_t>& bytes, std::size_t offset,
+               std::uint64_t value) {
+  for (std::size_t i = 0; i < 8; ++i)
+    bytes[offset + i] = static_cast<std::uint8_t>(value >> (8 * i));
+}
+
+// Both replay layouts start: tag (4 bytes), capacity, state_dim, head, size.
+constexpr std::size_t kReplayHeadOffset = 4 + 8 + 8;
+
+TEST(ComponentState, ReplayBufferRejectsHeadOffTheFillLine) {
+  rl::ReplayBuffer original(4, 2);
+  original.push(std::vector<double>{1.0, 2.0}, 0, 0.5);
+  original.push(std::vector<double>{3.0, 4.0}, 1, 0.7);
+  auto bytes = saved_bytes(original);
+  patch_u64(bytes, kReplayHeadOffset, 2);  // the genuine head: restores
+  rl::ReplayBuffer genuine(4, 2);
+  ckpt::Reader ok(bytes);
+  genuine.restore_state(ok);
+  EXPECT_EQ(genuine.size(), 2u);
+
+  patch_u64(bytes, kReplayHeadOffset, 1);
+  rl::ReplayBuffer restored(4, 2);
+  ckpt::Reader in(bytes);
+  EXPECT_THROW(restored.restore_state(in), ckpt::StateMismatchError);
+}
+
+TEST(ComponentState, QReplayBufferRejectsHeadOffTheFillLine) {
+  rl::QReplayBuffer original(4, 2);
+  original.push(std::vector<double>{1.0, 2.0}, 0, 0.5,
+                std::vector<double>{2.0, 3.0});
+  auto bytes = saved_bytes(original);
+  patch_u64(bytes, kReplayHeadOffset, 3);
+  rl::QReplayBuffer restored(4, 2);
+  ckpt::Reader in(bytes);
+  EXPECT_THROW(restored.restore_state(in), ckpt::StateMismatchError);
+}
+
 // ---------------------------------------------------------------------------
 // Drift monitor
 // ---------------------------------------------------------------------------
@@ -213,6 +258,80 @@ TEST(ComponentState, NeuralAgentRejectsWrongArchitecture) {
   rl::NeuralBanditAgent other(bigger, util::Rng{7});
   ckpt::Reader in(bytes);
   EXPECT_THROW(other.restore_state(in), ckpt::CkptError);
+}
+
+// A hostile agent snapshot whose replay holds an action the agent does not
+// have. The buffer itself stores any action up to 255, so the agent checks
+// the range; without that, the first training batch aborts the process in
+// the loss's precondition. The snapshots are composed field by field in
+// the agents' save_state order, with a valid action as the control.
+
+std::vector<std::uint8_t> bandit_snapshot_replaying(std::size_t action) {
+  const rl::NeuralAgentConfig config = small_agent_config();
+  const rl::NeuralBanditAgent agent(config, util::Rng{7});
+  rl::ReplayBuffer replay(config.replay_capacity, config.state_dim);
+  replay.push(std::vector<double>(config.state_dim, 0.5), action, 1.0);
+  ckpt::Writer out;
+  ckpt::write_tag(out, ckpt::Tag{'A', 'G', 'N', 'T'});
+  ckpt::save_rng(out, util::Rng{7});
+  out.vec_f64(agent.parameters());
+  nn::Adam(config.learning_rate).save_state(out);
+  replay.save_state(out);
+  out.vec_f64(std::vector<double>{});  // no FedProx anchor
+  out.u64(1);                           // step
+  out.u64(0);                           // updates
+  out.f64(0.0);                         // last loss
+  return out.take();
+}
+
+TEST(ComponentState, NeuralAgentRejectsReplayedActionOutOfRange) {
+  const rl::NeuralAgentConfig config = small_agent_config();
+  rl::NeuralBanditAgent control(config, util::Rng{1});
+  const auto valid = bandit_snapshot_replaying(config.action_count - 1);
+  ckpt::Reader ok(valid);
+  control.restore_state(ok);
+  EXPECT_TRUE(ok.exhausted());
+
+  rl::NeuralBanditAgent agent(config, util::Rng{1});
+  const auto bytes = bandit_snapshot_replaying(config.action_count);
+  ckpt::Reader in(bytes);
+  EXPECT_THROW(agent.restore_state(in), ckpt::StateMismatchError);
+}
+
+std::vector<std::uint8_t> q_snapshot_replaying(std::size_t action) {
+  rl::NeuralQConfig config;
+  config.base = small_agent_config();
+  const rl::NeuralQAgent agent(config, util::Rng{7});
+  rl::QReplayBuffer replay(config.base.replay_capacity,
+                           config.base.state_dim);
+  const std::vector<double> state(config.base.state_dim, 0.5);
+  replay.push(state, action, 1.0, state);
+  ckpt::Writer out;
+  ckpt::write_tag(out, ckpt::Tag{'Q', 'A', 'G', 'T'});
+  ckpt::save_rng(out, util::Rng{7});
+  out.vec_f64(agent.parameters());  // online
+  out.vec_f64(agent.parameters());  // target
+  nn::Adam(config.base.learning_rate).save_state(out);
+  replay.save_state(out);
+  out.u64(1);    // step
+  out.u64(0);    // updates
+  out.f64(0.0);  // last loss
+  return out.take();
+}
+
+TEST(ComponentState, NeuralQAgentRejectsReplayedActionOutOfRange) {
+  rl::NeuralQConfig config;
+  config.base = small_agent_config();
+  rl::NeuralQAgent control(config, util::Rng{1});
+  const auto valid = q_snapshot_replaying(config.base.action_count - 1);
+  ckpt::Reader ok(valid);
+  control.restore_state(ok);
+  EXPECT_TRUE(ok.exhausted());
+
+  rl::NeuralQAgent agent(config, util::Rng{1});
+  const auto bytes = q_snapshot_replaying(200);
+  ckpt::Reader in(bytes);
+  EXPECT_THROW(agent.restore_state(in), ckpt::StateMismatchError);
 }
 
 // ---------------------------------------------------------------------------

@@ -28,7 +28,19 @@ std::vector<std::vector<double>> random_models(std::size_t n,
                                                 std::size_t dim,
                                                 std::uint64_t seed);
 
-class AggregationProperties : public ::testing::TestWithParam<Aggregator> {
+// Prints as the rule's name, so the test names CTest derives from the
+// parameter value are the same in every build (a bare function pointer
+// would print as its address).
+struct NamedRule {
+  const char* name;
+  Aggregator apply;
+
+  friend void PrintTo(const NamedRule& rule, std::ostream* os) {
+    *os << rule.name;
+  }
+};
+
+class AggregationProperties : public ::testing::TestWithParam<NamedRule> {
  protected:
   static std::vector<std::vector<double>> make_models(std::size_t n,
                                                         std::size_t dim,
@@ -49,11 +61,11 @@ std::vector<std::vector<double>> random_models(std::size_t n,
 
 TEST_P(AggregationProperties, PermutationInvariant) {
   auto models = AggregationProperties::make_models(5, 16, 1);
-  const auto expected = GetParam()(models);
+  const auto expected = GetParam().apply(models);
   util::Rng rng(2);
   for (int trial = 0; trial < 5; ++trial) {
     rng.shuffle(models);
-    const auto permuted = GetParam()(models);
+    const auto permuted = GetParam().apply(models);
     ASSERT_EQ(permuted.size(), expected.size());
     // Floating-point summation is not exactly reorder-invariant; allow
     // round-off-level differences.
@@ -65,14 +77,14 @@ TEST_P(AggregationProperties, PermutationInvariant) {
 TEST_P(AggregationProperties, IdenticalModelsAreFixedPoint) {
   const std::vector<double> model = {0.25, -1.5, 3.0, 0.0};
   const std::vector<std::vector<double>> models(4, model);
-  const auto global = GetParam()(models);
+  const auto global = GetParam().apply(models);
   for (std::size_t i = 0; i < model.size(); ++i)
     EXPECT_NEAR(global[i], model[i], 1e-12);
 }
 
 TEST_P(AggregationProperties, ResultWithinClientEnvelope) {
   const auto models = AggregationProperties::make_models(7, 32, 3);
-  const auto global = GetParam()(models);
+  const auto global = GetParam().apply(models);
   for (std::size_t i = 0; i < global.size(); ++i) {
     double lo = models[0][i];
     double hi = models[0][i];
@@ -88,26 +100,20 @@ TEST_P(AggregationProperties, ResultWithinClientEnvelope) {
 TEST_P(AggregationProperties, TranslationEquivariant) {
   // agg(models + c) == agg(models) + c, coordinate-wise.
   auto models = AggregationProperties::make_models(5, 8, 4);
-  const auto base = GetParam()(models);
+  const auto base = GetParam().apply(models);
   const double shift = 0.37;
   for (auto& model : models)
     for (double& p : model) p += shift;
-  const auto shifted = GetParam()(models);
+  const auto shifted = GetParam().apply(models);
   for (std::size_t i = 0; i < base.size(); ++i)
     EXPECT_NEAR(shifted[i], base[i] + shift, 1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Rules, AggregationProperties,
-    ::testing::Values(static_cast<Aggregator>(&average_unweighted),
-                      &median_wrapper, &trimmed_wrapper),
-    [](const ::testing::TestParamInfo<Aggregator>& param_info) {
-      switch (param_info.index) {
-        case 0: return std::string("mean");
-        case 1: return std::string("median");
-        default: return std::string("trimmed");
-      }
-    });
+    ::testing::Values(NamedRule{"mean", &average_unweighted},
+                      NamedRule{"median", &median_wrapper},
+                      NamedRule{"trimmed", &trimmed_wrapper}));
 
 TEST(AveragingContraction, MeanReducesClientSpread) {
   // After replacing every model by the average, the pairwise spread is 0 —

@@ -61,10 +61,11 @@ TEST(Softmax, TemperatureMatchesPaperEquation3) {
 TEST(SampleSoftmax, RespectsDistribution) {
   const std::vector<double> values = {0.0, 1.0};
   util::Rng rng(1);
+  std::vector<double> probs;
   int ones = 0;
   const int n = 20000;
   for (int i = 0; i < n; ++i)
-    if (sample_softmax(values, 1.0, rng) == 1) ++ones;
+    if (sample_softmax(values, 1.0, rng, probs) == 1) ++ones;
   const double expected = 1.0 / (1.0 + std::exp(-1.0));
   EXPECT_NEAR(static_cast<double>(ones) / n, expected, 0.02);
 }
