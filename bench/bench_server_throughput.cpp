@@ -20,10 +20,6 @@
 // client dropped.
 //
 // Results land in BENCH_server_throughput.json.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -41,10 +37,10 @@
 #include "fed/codec.hpp"
 #include "fed/fault_injection.hpp"
 #include "fed/federation.hpp"
-#include "fed/tcp_transport.hpp"
 #include "serve/epoll_server.hpp"
 #include "serve/serve_federation.hpp"
 #include "serve/server.hpp"
+#include "serve/socket_io.hpp"
 #include "serve/wire.hpp"
 
 namespace {
@@ -153,25 +149,11 @@ GateCase run_gate_case(std::size_t workers, bool faults) {
 // ---------------------------------------------------------------------------
 // Part 2: TCP throughput through the epoll front end.
 
-/// Minimal blocking frame client (the front end is not an echo peer, so
-/// TcpTransport does not apply).
+/// Minimal blocking frame client over the shared socket primitives.
 class BenchClient {
  public:
-  explicit BenchClient(std::uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return;
-    const int nodelay = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof nodelay);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof addr) != 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-  }
+  explicit BenchClient(std::uint16_t port)
+      : fd_(serve::connect_tcp("127.0.0.1", port, 5.0)) {}
   ~BenchClient() { close(); }
   BenchClient(const BenchClient&) = delete;
   BenchClient& operator=(const BenchClient&) = delete;
@@ -186,26 +168,16 @@ class BenchClient {
   }
 
   bool send_bytes(const std::uint8_t* data, std::size_t size) {
-    std::size_t sent = 0;
-    while (sent < size) {
-      const ssize_t n = ::send(fd_, data + sent, size - sent, 0);
-      if (n <= 0) return false;
-      sent += static_cast<std::size_t>(n);
-    }
-    return true;
+    return serve::write_all(fd_, data, size);
   }
 
   /// Sends an uplink frame and blocks for the 1-byte enqueue ack.
   bool upload(const std::vector<std::uint8_t>& frame) {
     if (!send_bytes(frame.data(), frame.size())) return false;
     std::uint8_t reply[6];  // u32 len + direction + status byte
-    std::size_t got = 0;
-    while (got < sizeof reply) {
-      const ssize_t n = ::recv(fd_, reply + got, sizeof reply - got, 0);
-      if (n <= 0) return false;
-      got += static_cast<std::size_t>(n);
-    }
-    return reply[5] == 0;
+    return serve::read_exact(fd_, reply, sizeof reply) ==
+               serve::ReadStatus::kOk &&
+           reply[5] == 0;
   }
 
  private:
@@ -218,8 +190,8 @@ std::vector<std::uint8_t> uplink_frame(std::uint32_t client,
   serve::UplinkHeader header;
   header.client = client;
   header.base_version = base_version;
-  return fed::encode_frame(fed::Direction::kUplink,
-                           serve::encode_uplink(header, model));
+  return serve::encode_frame(serve::kUplinkDirection,
+                             serve::encode_uplink(header, model));
 }
 
 double percentile(std::vector<double>& sorted_samples, double q) {

@@ -64,7 +64,6 @@
 #include "ckpt/rotation.hpp"
 #include "core/experiment.hpp"
 #include "fed/codec.hpp"
-#include "fed/tcp_transport.hpp"
 #include "serve/client.hpp"
 #include "serve/epoll_server.hpp"
 #include "serve/server.hpp"

@@ -62,7 +62,8 @@ echo "soak report archived at build/BENCH_soak.json"
 echo "== tcp chaos smoke (socket-fault proxy, reconnect/resume, bit-identity) =="
 scripts/tcp_chaos_smoke.sh ./build/bench/bench_soak
 cp build/bench/BENCH_tcp_soak.json build/BENCH_tcp_soak.json
-echo "tcp soak report archived at build/BENCH_tcp_soak.json"
+cp build/bench/BENCH_tcp_soak.json BENCH_tcp_soak.json
+echo "tcp soak report archived at build/BENCH_tcp_soak.json and ./BENCH_tcp_soak.json"
 
 for preset in "${run_sanitizer_presets[@]}"; do
   echo "== sanitizer suite (preset: ${preset}) =="

@@ -1,6 +1,5 @@
 #include "chaos/tcp_chaos_proxy.hpp"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -11,60 +10,29 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <string>
 #include <utility>
 
-#include "fed/tcp_transport.hpp"
+#include "fed/transport.hpp"
+#include "serve/socket_io.hpp"
+#include "serve/wire.hpp"
 #include "util/assert.hpp"
 
 namespace fedpower::chaos {
 
 namespace {
 
-[[noreturn]] void throw_errno(const char* what, int err) {
-  throw fed::TransportError(std::string("tcp chaos proxy: ") + what + ": " +
-                            std::strerror(err));
-}
+using serve::read_exact;
+using serve::read_some;
+using serve::ReadStatus;
+using serve::write_all;
 
 /// Children are fork+exec'd while the proxy runs; none of its descriptors
-/// may leak into them. accept4(SOCK_CLOEXEC) would be atomic but is not in
-/// the L7 syscall allowlist for this TU, so set the flag right after the
-/// descriptor appears — single-purpose bench processes exec nothing in the
-/// window.
+/// may leak into them. accept4(SOCK_CLOEXEC) would be atomic but is
+/// confined to the epoll front end by lint L7, so set the flag right after
+/// the descriptor appears — single-purpose bench processes exec nothing in
+/// the window.
 void set_cloexec(int fd) noexcept { ::fcntl(fd, F_SETFD, FD_CLOEXEC); }
-
-/// One recv(); returns bytes read, 0 on orderly close, -1 on error. EINTR
-/// restarts.
-ssize_t read_some(int fd, std::uint8_t* data, std::size_t size) noexcept {
-  for (;;) {
-    const ssize_t n = ::recv(fd, data, size, 0);
-    if (n < 0 && errno == EINTR) continue;
-    return n;
-  }
-}
-
-/// recv() exactly `size` bytes; false on close/error.
-bool read_exact(int fd, std::uint8_t* data, std::size_t size) noexcept {
-  while (size > 0) {
-    const ssize_t n = read_some(fd, data, size);
-    if (n <= 0) return false;
-    data += n;
-    size -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// send() the whole buffer; false on error. MSG_NOSIGNAL keeps a closed
-/// peer from killing the process with SIGPIPE.
-bool write_all(int fd, const std::uint8_t* data, std::size_t size) noexcept {
-  while (size > 0) {
-    const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    data += n;
-    size -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
 
 void shutdown_both(int a, int b) noexcept {
   ::shutdown(a, SHUT_RDWR);
@@ -133,22 +101,11 @@ ConnectionPlan TcpChaosSchedule::at(std::size_t index) const {
 TcpChaosProxy::TcpChaosProxy(std::uint16_t upstream_port,
                              TcpChaosConfig config)
     : config_(config), upstream_port_(upstream_port), schedule_(config) {
-  listener_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listener_ < 0) throw_errno("socket failed", errno);
-  set_cloexec(listener_);
-  const int reuse = 1;
-  ::setsockopt(listener_, SOL_SOCKET, SO_REUSEADDR, &reuse, sizeof reuse);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;  // ephemeral
-  if (::bind(listener_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
-      0)
-    throw_errno("bind failed", errno);
-  socklen_t len = sizeof addr;
-  ::getsockname(listener_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-  if (::listen(listener_, 64) != 0) throw_errno("listen failed", errno);
+  listener_ = serve::listen_loopback(64, port_);
+  if (listener_ < 0)
+    throw fed::TransportError(
+        std::string("tcp chaos proxy: listen failed: ") +
+        std::strerror(errno));
   running_ = true;
   accept_thread_ = std::thread([this] { accept_loop(); });
 }
@@ -205,10 +162,15 @@ void TcpChaosProxy::reap_finished_locked() {
   handlers_.resize(live);
 }
 
+std::size_t TcpChaosProxy::live_handler_count() {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  reap_finished_locked();
+  return handlers_.size();
+}
+
 void TcpChaosProxy::accept_loop() {
   while (running_) {
-    // accept4 is L7-confined to the transport TUs; plain accept + fcntl
-    // is equivalent here (see set_cloexec).
+    // Plain accept + fcntl: see set_cloexec.
     const int client_fd = ::accept(listener_, nullptr, nullptr);
     if (client_fd < 0) {
       if (!running_) break;  // listener closed by stop()
@@ -237,28 +199,16 @@ void TcpChaosProxy::accept_loop() {
       continue;
     }
 
-    // Blocking loopback connect to the upstream front end; if the
-    // upstream is gone the client just sees another failed connection.
-    const int server_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    // Loopback connect to the upstream front end (no bound: loopback
+    // answers at once); if the upstream is gone the client just sees
+    // another failed connection.
+    const int server_fd = serve::connect_tcp("127.0.0.1", upstream_port_, 0.0);
     if (server_fd < 0) {
-      ::close(client_fd);
-      continue;
-    }
-    set_cloexec(server_fd);
-    sockaddr_in upstream{};
-    upstream.sin_family = AF_INET;
-    upstream.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    upstream.sin_port = htons(upstream_port_);
-    if (::connect(server_fd, reinterpret_cast<sockaddr*>(&upstream),
-                  sizeof upstream) != 0) {
-      ::close(server_fd);
       ::close(client_fd);
       continue;
     }
     const int nodelay = 1;
     ::setsockopt(client_fd, IPPROTO_TCP, TCP_NODELAY, &nodelay,
-                 sizeof nodelay);
-    ::setsockopt(server_fd, IPPROTO_TCP, TCP_NODELAY, &nodelay,
                  sizeof nodelay);
 
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -305,11 +255,13 @@ void TcpChaosProxy::handle(int client_fd, int server_fd,
     // exactly the truncated_frames() path under test.
     for (;;) {
       std::uint8_t header[4];
-      if (!read_exact(client_fd, header, sizeof header)) break;
-      const std::uint32_t frame_len = fed::load_u32_le(header);
-      if (frame_len == 0 || frame_len > fed::kMaxFrameBytes) break;
+      if (read_exact(client_fd, header, sizeof header) != ReadStatus::kOk)
+        break;
+      const std::uint32_t frame_len = serve::load_u32_le(header);
+      if (frame_len == 0 || frame_len > serve::kMaxFrameBytes) break;
       std::vector<std::uint8_t> body(frame_len);
-      if (!read_exact(client_fd, body.data(), body.size())) break;
+      if (read_exact(client_fd, body.data(), body.size()) != ReadStatus::kOk)
+        break;
       if (seen >= plan.fault_after_bytes) {
         truncations_.fetch_add(1);
         if (write_all(server_fd, header, sizeof header))

@@ -25,13 +25,14 @@
 // first-arrival dedup, stalls by bounded waits. Fault *counts* are
 // deterministic; fault *victims* are not; committed bytes are.
 //
-// Threading mirrors TcpReflector: an accept-loop thread plus two pump
-// threads per live connection (client->server applies the fault;
-// server->client relays verbatim). Finished handlers are reaped on the
-// accept path, so a churny soak holds threads per live connection, not
-// per accept. No epoll here — the thread-per-connection shape is fine for
-// a test harness and keeps the raw-epoll surface confined to the two L7
-// allowlisted TUs.
+// Threading: an accept-loop thread plus two pump threads per live
+// connection (client->server applies the fault; server->client relays
+// verbatim). Finished handlers are reaped on the accept path, so a churny
+// soak holds threads per live connection, not per accept. No epoll here —
+// the thread-per-connection shape is fine for a test harness and keeps the
+// raw-epoll surface confined to the one L7-allowlisted TU. The pumps move
+// bytes through the shared blocking-socket primitives
+// (serve/socket_io.hpp).
 #pragma once
 
 #include <atomic>
@@ -146,6 +147,12 @@ class TcpChaosProxy {
   /// Scheduled fate of every accepted connection, in accept order; the
   /// replay-contract test checks this against a fresh schedule.
   [[nodiscard]] std::vector<SocketFault> scheduled_fates() const;
+
+  /// Handler threads still alive (reaps finished ones first). Bounded by
+  /// the number of live relays: the accept loop also reaps before
+  /// admitting a connection, so a churny soak holds one handler per live
+  /// connection, not one per connection ever accepted.
+  std::size_t live_handler_count();
 
  private:
   struct Handler {

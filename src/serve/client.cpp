@@ -1,21 +1,16 @@
 #include "serve/client.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <string>
 #include <thread>
 
-#include "fed/tcp_transport.hpp"
+#include "fed/transport.hpp"
+#include "serve/socket_io.hpp"
 #include "util/assert.hpp"
 
 namespace fedpower::serve {
@@ -24,56 +19,33 @@ namespace {
 
 using fed::TransportError;
 
-[[noreturn]] void throw_errno(const char* what, int err) {
-  throw TransportError(std::string("serve client: ") + what + ": " +
-                       std::strerror(err));
+/// Maps a failed socket primitive (cause in errno) onto TransportError; an
+/// expired SO_RCVTIMEO/SO_SNDTIMEO bound reads as a timeout.
+[[noreturn]] void throw_io(const char* what) {
+  const int err = errno;
+  if (err == EAGAIN || err == EWOULDBLOCK)
+    throw TransportError(std::string("serve client: ") + what + " timed out");
+  throw TransportError(std::string("serve client: ") + what +
+                       " failed: " + std::strerror(err));
 }
 
-/// send() the whole buffer; MSG_NOSIGNAL turns a peer close into EPIPE
-/// (catchable) instead of SIGPIPE, EINTR restarts the syscall.
-void write_all(int fd, const void* data, std::size_t size) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  while (size > 0) {
-    const ssize_t n = ::send(fd, p, size, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK)
-        throw TransportError("serve client: send timed out");
-      throw_errno("send failed", errno);
-    }
-    if (n == 0) throw TransportError("serve client: send made no progress");
-    p += n;
-    size -= static_cast<std::size_t>(n);
+/// Reads `size` bytes of a reply frame. Only at a frame boundary
+/// (`frame_start`) is an orderly close a plain peer close; anywhere else
+/// the peer cut the frame short.
+void read_reply(int fd, std::uint8_t* data, std::size_t size,
+                bool frame_start) {
+  switch (read_exact(fd, data, size)) {
+    case ReadStatus::kOk:
+      return;
+    case ReadStatus::kError:
+      throw_io("read");
+    case ReadStatus::kClosed:
+      if (frame_start) throw TransportError("serve client: peer closed");
+      break;
+    case ReadStatus::kTruncated:
+      break;
   }
-}
-
-/// recv() the whole buffer; throws on error/timeout and on a peer close
-/// mid-buffer — the caller always expects a complete reply, so a clean
-/// close here still means the operation failed and must be retried.
-void read_exact(int fd, void* data, std::size_t size) {
-  auto* p = static_cast<std::uint8_t*>(data);
-  while (size > 0) {
-    const ssize_t n = ::recv(fd, p, size, 0);
-    if (n == 0) throw TransportError("serve client: peer closed");
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK)
-        throw TransportError("serve client: read timed out");
-      throw_errno("read failed", errno);
-    }
-    p += n;
-    size -= static_cast<std::size_t>(n);
-  }
-}
-
-void set_io_timeouts(int fd, double timeout_s) {
-  if (timeout_s <= 0.0) return;
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(timeout_s);
-  tv.tv_usec = static_cast<suseconds_t>(
-      (timeout_s - static_cast<double>(tv.tv_sec)) * 1e6);
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
+  throw TransportError("serve client: truncated frame");
 }
 
 }  // namespace
@@ -96,74 +68,37 @@ void ServeClient::close_socket() noexcept {
 }
 
 void ServeClient::connect_socket() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw_errno("socket failed", errno);
-  ::fcntl(fd, F_SETFD, FD_CLOEXEC);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    throw TransportError("serve client: bad address " + config_.host);
-  }
-
-  // Non-blocking connect bounded by poll(): a refused connect (chaos
-  // proxy's kRefuse fate, or a dead server) fails after connect_timeout_s
-  // instead of the kernel's minutes-long default.
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    if (errno != EINPROGRESS && errno != EINTR) {
-      const int err = errno;
-      ::close(fd);
-      throw_errno("connect failed", err);
-    }
-    pollfd pfd{};
-    pfd.fd = fd;
-    pfd.events = POLLOUT;
-    const int timeout_ms =
-        config_.connect_timeout_s > 0.0
-            ? std::max(1, static_cast<int>(config_.connect_timeout_s * 1e3))
-            : -1;
-    int rc = 0;
-    do {
-      rc = ::poll(&pfd, 1, timeout_ms);
-    } while (rc < 0 && errno == EINTR);
-    if (rc <= 0) {
-      ::close(fd);
+  const int fd = connect_tcp(config_.host, config_.port,
+                             config_.connect_timeout_s);
+  if (fd < 0) {
+    if (errno == EINVAL)
+      throw TransportError("serve client: bad address " + config_.host);
+    if (errno == ETIMEDOUT)
       throw TransportError("serve client: connect timed out");
-    }
-    int err = 0;
-    socklen_t err_len = sizeof err;
-    ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &err_len);
-    if (err != 0) {
-      ::close(fd);
-      throw_errno("connect failed", err);
-    }
+    throw_io("connect");
   }
-  ::fcntl(fd, F_SETFL, flags);  // back to blocking for framed I/O
-
-  set_io_timeouts(fd, config_.io_timeout_s);
-  const int nodelay = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof nodelay);
+  if (!set_io_timeouts(fd, config_.io_timeout_s)) {
+    const int err = errno;
+    ::close(fd);
+    errno = err;
+    throw_io("set timeouts");
+  }
   if (ever_connected_) ++reconnects_;
   ever_connected_ = true;
   socket_ = fd;
 }
 
-void ServeClient::send_all(const std::vector<std::uint8_t>& frame) {
-  write_all(socket_, frame.data(), frame.size());
-}
-
 std::vector<std::uint8_t> ServeClient::read_frame(
     std::uint8_t expect_direction) {
   std::uint8_t header[4];
-  read_exact(socket_, header, sizeof header);
-  const std::uint32_t frame_len = fed::load_u32_le(header);
-  if (frame_len == 0 || frame_len > fed::kMaxFrameBytes)
-    throw TransportError("serve client: bad frame length");
+  read_reply(socket_, header, sizeof header, true);
+  const std::uint32_t frame_len = load_u32_le(header);
+  // Checked before the length is trusted for allocation.
+  if (frame_len > kMaxFrameBytes)
+    throw TransportError("serve client: oversized frame");
+  if (frame_len == 0) throw TransportError("serve client: empty frame");
   std::vector<std::uint8_t> body(frame_len);
-  read_exact(socket_, body.data(), body.size());
+  read_reply(socket_, body.data(), body.size(), false);
   if (body[0] != expect_direction)
     throw TransportError("serve client: direction mismatch");
   return {body.begin() + 1, body.end()};
@@ -171,7 +106,8 @@ std::vector<std::uint8_t> ServeClient::read_frame(
 
 std::vector<std::uint8_t> ServeClient::request(
     std::uint8_t direction, std::span<const std::uint8_t> payload) {
-  send_all(encode_serve_frame(direction, payload));
+  const std::vector<std::uint8_t> frame = encode_frame(direction, payload);
+  if (!write_all(socket_, frame.data(), frame.size())) throw_io("send");
   return read_frame(direction);
 }
 
@@ -250,7 +186,7 @@ bool ServeClient::upload(std::uint64_t base_version, std::uint32_t weight,
   header.base_version = base_version;
   header.weight = weight;
   const std::vector<std::uint8_t> payload = encode_uplink(header, model);
-  if (payload.size() + 1 > fed::kMaxFrameBytes)
+  if (payload.size() + 1 > kMaxFrameBytes)
     throw TransportError("serve client: uplink too large");
 
   for (std::size_t attempt = 1;; ++attempt) {

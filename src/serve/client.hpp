@@ -1,10 +1,8 @@
-// Serve-wire client with reconnect/resume (DESIGN.md §14).
+// Serve-wire client with reconnect/resume (DESIGN.md §6, §14).
 //
-// TcpTransport cannot talk to the epoll front end — its exchange() insists
-// on echo semantics (the reply must repeat the sent frame), while the
-// front end answers an uplink with a 1-byte ack and a fetch with the
-// version + global model. This client speaks the serve wire protocol
-// natively and adds the resilience layer the TCP chaos stack leans on:
+// The client speaks the serve wire protocol (wire.hpp) to the epoll front
+// end over the shared blocking-socket primitives (socket_io.hpp), and adds
+// the resilience layer the TCP chaos stack leans on:
 //
 //  * every operation retries over a fresh connection on transport error,
 //    with bounded exponential backoff and seeded jitter (util::Rng — the
@@ -18,9 +16,11 @@
 //    shows the server version has moved past the uplink's base version,
 //    the round is already committed and the re-send is skipped.
 //
-// Failure model matches TcpTransport: every connection-level fault
-// surfaces as fed::TransportError (after the retry budget), never process
-// death. Not thread-safe — one client per federation participant.
+// Failure model: every connection-level fault (refused or timed-out
+// connect, peer close, EPIPE, I/O timeout, a malformed, oversized or
+// truncated reply frame) surfaces as fed::TransportError after the retry
+// budget, never as process death. Not thread-safe — one client per
+// federation participant.
 #pragma once
 
 #include <cstdint>
@@ -37,9 +37,11 @@ struct ServeClientConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
   std::uint32_t client_id = 0;
-  /// Wall-clock bound on establishing a connection; <= 0 waits forever.
+  /// Wall-clock bound on establishing a connection; <= 0 waits forever,
+  /// a positive bound counts as at least 1 ms and at most INT_MAX ms.
   double connect_timeout_s = 5.0;
-  /// Per-syscall read/write bound via SO_RCVTIMEO/SO_SNDTIMEO; <= 0 off.
+  /// Per-syscall read/write bound via SO_RCVTIMEO/SO_SNDTIMEO; <= 0 off,
+  /// a positive bound counts as at least 1 µs and at most INT_MAX ms.
   double io_timeout_s = 5.0;
   /// Total delivery tries per operation (1 = fail on the first fault).
   std::size_t max_attempts = 16;
@@ -103,7 +105,6 @@ class ServeClient {
   /// Connects if needed and performs the resume handshake.
   ResumeReply ensure_session();
   void backoff(std::size_t attempt);
-  void send_all(const std::vector<std::uint8_t>& frame);
   /// Reads one complete frame; checks the direction byte. Returns payload.
   std::vector<std::uint8_t> read_frame(std::uint8_t expect_direction);
   std::vector<std::uint8_t> request(std::uint8_t direction,

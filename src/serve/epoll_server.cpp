@@ -1,6 +1,6 @@
 #include "serve/epoll_server.hpp"
 
-#include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -15,8 +15,8 @@
 #include <stdexcept>
 #include <utility>
 
-#include "fed/tcp_transport.hpp"
 #include "fed/transport.hpp"
+#include "serve/socket_io.hpp"
 #include "serve/wire.hpp"
 #include "util/assert.hpp"
 
@@ -48,31 +48,16 @@ EpollFrontEnd::EpollFrontEnd(ShardedServer* server) : server_(server) {
     throw_errno("eventfd failed", err);
   }
 
-  listener_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (listener_ < 0) {
+  // Non-blocking, so a connection reset between readiness and accept4()
+  // cannot stall the loop.
+  listener_ = listen_loopback(1024, port_);
+  if (listener_ < 0 || ::fcntl(listener_, F_SETFL, O_NONBLOCK) != 0) {
     const int err = errno;
+    if (listener_ >= 0) ::close(listener_);
     ::close(wake_fd_);
     ::close(epoll_fd_);
-    throw_errno("socket failed", err);
+    throw_errno("listener failed", err);
   }
-  const int reuse = 1;
-  ::setsockopt(listener_, SOL_SOCKET, SO_REUSEADDR, &reuse, sizeof reuse);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;  // ephemeral
-  if (::bind(listener_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
-          0 ||
-      ::listen(listener_, 1024) != 0) {
-    const int err = errno;
-    ::close(listener_);
-    ::close(wake_fd_);
-    ::close(epoll_fd_);
-    throw_errno("bind/listen failed", err);
-  }
-  socklen_t len = sizeof addr;
-  ::getsockname(listener_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
 
   epoll_event ev{};
   ev.events = EPOLLIN;
@@ -319,8 +304,8 @@ void EpollFrontEnd::connection_readable(int fd) {
   // anything.
   std::size_t offset = 0;
   while (conn.in.size() - offset >= 4) {
-    const std::uint32_t frame_len = fed::load_u32_le(conn.in.data() + offset);
-    if (frame_len == 0 || frame_len > fed::kMaxFrameBytes) {
+    const std::uint32_t frame_len = load_u32_le(conn.in.data() + offset);
+    if (frame_len == 0 || frame_len > kMaxFrameBytes) {
       protocol_errors_.fetch_add(1);
       close_connection(fd);
       return;
@@ -356,8 +341,7 @@ bool EpollFrontEnd::handle_frame(int fd, Connection& conn,
     // Ack once enqueued; the commit decides acceptance, the ack only
     // bounds the client's uplink latency measurement.
     const std::vector<std::uint8_t> status{0};
-    queue_reply(fd, conn,
-                fed::encode_frame(fed::Direction::kUplink, status));
+    queue_reply(fd, conn, encode_frame(kUplinkDirection, status));
     return true;
   }
   if (direction == 1) {  // fetch: reply version + global model
@@ -367,9 +351,9 @@ bool EpollFrontEnd::handle_frame(int fd, Connection& conn,
     }
     fetches_served_.fetch_add(1);
     queue_reply(fd, conn,
-                fed::encode_frame(fed::Direction::kDownlink,
-                                  encode_fetch_reply(cached_version_,
-                                                     cached_global_)));
+                encode_frame(kFetchDirection,
+                             encode_fetch_reply(cached_version_,
+                                                cached_global_)));
     return true;
   }
   if (direction == kResumeDirection) {  // session-resume handshake
@@ -382,8 +366,7 @@ bool EpollFrontEnd::handle_frame(int fd, Connection& conn,
     reply.version = server_->version();
     reply.rounds_committed = server_->rounds_committed();
     queue_reply(fd, conn,
-                encode_serve_frame(kResumeDirection,
-                                   encode_resume_reply(reply)));
+                encode_frame(kResumeDirection, encode_resume_reply(reply)));
     return true;
   }
   return false;  // unknown direction byte

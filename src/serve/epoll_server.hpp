@@ -4,17 +4,17 @@
 // One event-loop thread owns every socket: a non-blocking listener plus
 // all accepted connections, multiplexed through a single epoll instance —
 // thousands of concurrent clients cost file descriptors, not OS threads
-// (contrast TcpReflector's thread-per-accept). The loop is also the
+// (contrast the chaos proxy's thread-per-connection). The loop is also the
 // ShardedServer's single orchestrator: it injects decoded uplink frames
 // into the shard queues and executes round commands (begin/commit) that
 // other threads post through an eventfd-signalled command queue, so the
 // server's no-locks-on-the-hot-path contract holds by construction.
 //
-// Framing is the existing u32-LE length + direction byte (fed/
-// tcp_transport.hpp), with kMaxFrameBytes enforced at decode: an oversized
-// or zero length closes the connection and counts in protocol_errors();
-// EOF mid-frame counts in truncated_frames(). An uplink frame (direction
-// 0) carries the serve wire header (wire.hpp) and is acknowledged with a
+// Framing is the serve wire's u32-LE length + direction byte (wire.hpp),
+// with kMaxFrameBytes enforced at decode: an oversized or zero length
+// closes the connection and counts in protocol_errors(); EOF mid-frame
+// counts in truncated_frames(). An uplink frame (direction 0) carries the
+// uplink header and is acknowledged with a
 // 1-byte status frame once enqueued; a fetch frame (direction 1) is
 // answered with the current server version + encoded global model; a
 // resume frame (direction 2) is the session-resume handshake (DESIGN.md

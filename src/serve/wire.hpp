@@ -1,5 +1,9 @@
-// Serve-subsystem wire format, layered on the existing TCP framing
-// (u32 LE length + direction byte + payload, fed/tcp_transport.hpp).
+// Serve-subsystem wire format.
+//
+// Every frame on the wire is a u32 LE length, a direction byte and the
+// payload; the length counts the direction byte plus the payload, and no
+// peer accepts a length above kMaxFrameBytes. All integers are explicit
+// little-endian, independent of host byte order.
 //
 // An uplink frame's payload carries a 16-byte header in front of the codec
 // bytes so the front end can route the frame to the right shard without
@@ -30,9 +34,10 @@
 #include <span>
 #include <vector>
 
-#include "fed/tcp_transport.hpp"
-
 namespace fedpower::serve {
+
+/// Largest frame either side will accept (protocol sanity bound).
+inline constexpr std::size_t kMaxFrameBytes = 64 * 1024 * 1024;
 
 inline constexpr std::size_t kUplinkHeaderBytes = 16;
 
@@ -44,6 +49,19 @@ inline constexpr std::uint8_t kResumeDirection = 2;
 
 inline constexpr std::size_t kResumeRequestBytes = 12;  ///< u32 + u64
 inline constexpr std::size_t kResumeReplyBytes = 16;    ///< u64 + u64
+
+inline void store_u32_le(std::uint32_t v, std::uint8_t* out) noexcept {
+  for (std::size_t i = 0; i < 4; ++i)
+    out[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF);
+}
+
+[[nodiscard]] inline std::uint32_t load_u32_le(
+    const std::uint8_t* in) noexcept {
+  std::uint32_t v = 0;
+  for (std::size_t i = 0; i < 4; ++i)
+    v |= static_cast<std::uint32_t>(in[i]) << (8 * i);
+  return v;
+}
 
 inline void store_u64_le(std::uint64_t v, std::uint8_t* out) noexcept {
   for (std::size_t i = 0; i < 8; ++i)
@@ -68,9 +86,9 @@ struct UplinkHeader {
 [[nodiscard]] inline std::vector<std::uint8_t> encode_uplink(
     const UplinkHeader& header, std::span<const std::uint8_t> model) {
   std::vector<std::uint8_t> payload(kUplinkHeaderBytes + model.size());
-  fed::store_u32_le(header.client, payload.data());
+  store_u32_le(header.client, payload.data());
   store_u64_le(header.base_version, payload.data() + 4);
-  fed::store_u32_le(header.weight, payload.data() + 12);
+  store_u32_le(header.weight, payload.data() + 12);
   std::copy(model.begin(), model.end(),
             payload.begin() + kUplinkHeaderBytes);
   return payload;
@@ -81,21 +99,19 @@ struct UplinkHeader {
 [[nodiscard]] inline bool decode_uplink_header(
     std::span<const std::uint8_t> payload, UplinkHeader& header) noexcept {
   if (payload.size() < kUplinkHeaderBytes) return false;
-  header.client = fed::load_u32_le(payload.data());
+  header.client = load_u32_le(payload.data());
   header.base_version = load_u64_le(payload.data() + 4);
-  header.weight = fed::load_u32_le(payload.data() + 12);
+  header.weight = load_u32_le(payload.data() + 12);
   return true;
 }
 
-/// Builds a complete wire frame for an arbitrary direction byte. The
-/// fed::encode_frame helper only speaks the two fed::Direction values;
-/// this one admits the serve-only resume direction as well.
-[[nodiscard]] inline std::vector<std::uint8_t> encode_serve_frame(
+/// Builds a complete wire frame: the u32 LE length of (direction byte +
+/// payload), the direction byte, the payload.
+[[nodiscard]] inline std::vector<std::uint8_t> encode_frame(
     std::uint8_t direction, std::span<const std::uint8_t> payload) {
   std::vector<std::uint8_t> frame(4);
   frame.reserve(4 + 1 + payload.size());
-  fed::store_u32_le(static_cast<std::uint32_t>(1 + payload.size()),
-                    frame.data());
+  store_u32_le(static_cast<std::uint32_t>(1 + payload.size()), frame.data());
   frame.push_back(direction);
   frame.insert(frame.end(), payload.begin(), payload.end());
   return frame;
@@ -111,7 +127,7 @@ struct ResumeRequest {
 [[nodiscard]] inline std::vector<std::uint8_t> encode_resume_request(
     const ResumeRequest& request) {
   std::vector<std::uint8_t> payload(kResumeRequestBytes);
-  fed::store_u32_le(request.client, payload.data());
+  store_u32_le(request.client, payload.data());
   store_u64_le(request.last_acked_round, payload.data() + 4);
   return payload;
 }
@@ -121,7 +137,7 @@ struct ResumeRequest {
 [[nodiscard]] inline bool decode_resume_request(
     std::span<const std::uint8_t> payload, ResumeRequest& request) noexcept {
   if (payload.size() != kResumeRequestBytes) return false;
-  request.client = fed::load_u32_le(payload.data());
+  request.client = load_u32_le(payload.data());
   request.last_acked_round = load_u64_le(payload.data() + 4);
   return true;
 }

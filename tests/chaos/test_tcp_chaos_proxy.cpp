@@ -2,24 +2,23 @@
 // schedule contract (same-seed replay, random access, probability-
 // independent stream offsets, agreement with the raw rng stream), fate
 // bookkeeping, and a live proxy forwarding clean / stalled / refused
-// connections in front of a real EpollFrontEnd.
+// connections in front of a real EpollFrontEnd, serving concurrent
+// connections and reaping finished handler threads.
 #include "chaos/tcp_chaos_proxy.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
+#include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <gtest/gtest.h>
-
+#include <chrono>
 #include <cstdint>
-#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "fed/codec.hpp"
 #include "serve/client.hpp"
 #include "serve/epoll_server.hpp"
 #include "serve/server.hpp"
+#include "serve/socket_io.hpp"
 #include "util/rng.hpp"
 
 namespace fedpower::chaos {
@@ -205,17 +204,10 @@ TEST(TcpChaosProxy, RefusalClosesWithoutTouchingTheUpstream) {
   config.refuse_probability = 1.0;
   TcpChaosProxy proxy(front.port(), config);
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = serve::connect_tcp("127.0.0.1", proxy.port(), 5.0);
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(proxy.port());
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(
-      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr),
-      0);
   std::uint8_t byte = 0;
-  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);  // immediate orderly close
+  EXPECT_EQ(serve::read_some(fd, &byte, 1), 0);  // immediate orderly close
   ::close(fd);
 
   proxy.stop();
@@ -224,6 +216,60 @@ TEST(TcpChaosProxy, RefusalClosesWithoutTouchingTheUpstream) {
   EXPECT_EQ(front.connections_accepted(), 0u);  // upstream never dialed
   ASSERT_EQ(proxy.scheduled_fates().size(), 1u);
   EXPECT_EQ(proxy.scheduled_fates()[0], SocketFault::kRefuse);
+}
+
+// Two clients hold live relays at once and interleave operations; a
+// proxy that served one connection at a time would leave the second
+// client stuck behind the first.
+TEST(TcpChaosProxy, ServesConcurrentConnections) {
+  serve::ShardedServer server(2);
+  server.initialize({0.5});
+  serve::EpollFrontEnd front(&server);
+  TcpChaosConfig config;  // all probabilities zero: a pure relay
+  TcpChaosProxy proxy(front.port(), config);
+
+  serve::ServeClient first(client_config(proxy.port()));
+  serve::ServeClient second(client_config(proxy.port()));
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(first.fetch().version, 0u);
+    EXPECT_EQ(second.fetch().version, 0u);
+  }
+  EXPECT_EQ(first.reconnects() + second.reconnects(), 0u);
+  EXPECT_EQ(front.fetches_served(), 20u);
+  proxy.stop();
+  EXPECT_EQ(proxy.connections(), 2u);
+}
+
+// A long-lived proxy holds one handler per live connection, not one per
+// connection ever accepted: eight sequential clients connect, handshake
+// and disconnect, and once their closes land no handler is left.
+TEST(TcpChaosProxy, ReapsFinishedHandlerThreads) {
+  serve::ShardedServer server(1);
+  server.initialize({0.0});
+  serve::EpollFrontEnd front(&server);
+  TcpChaosConfig config;
+  TcpChaosProxy proxy(front.port(), config);
+  for (int i = 0; i < 8; ++i) {
+    serve::ServeClient client(client_config(proxy.port()));
+    EXPECT_EQ(client.resume().version, 0u);
+  }
+  std::size_t live = proxy.live_handler_count();
+  for (int spin = 0; spin < 400 && live > 0; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    live = proxy.live_handler_count();
+  }
+  EXPECT_EQ(live, 0u);
+  EXPECT_EQ(proxy.connections(), 8u);
+  EXPECT_EQ(front.sessions_resumed(), 8u);
+}
+
+TEST(TcpChaosProxy, StopIsIdempotent) {
+  TcpChaosConfig config;
+  TcpChaosProxy proxy(1, config);  // never dialed: no client connects
+  proxy.stop();
+  proxy.stop();
+  EXPECT_EQ(proxy.connections(), 0u);
+  EXPECT_EQ(proxy.live_handler_count(), 0u);
 }
 
 }  // namespace

@@ -4,135 +4,25 @@
 // identical committed models at 1/2/4 workers.
 #include "serve/epoll_server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
-#include <array>
-#include <chrono>
 #include <cstdint>
 #include <memory>
-#include <span>
-#include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "fed/codec.hpp"
 #include "fed/federation.hpp"
-#include "fed/tcp_transport.hpp"
+#include "raw_client.hpp"
 #include "serve/server.hpp"
 #include "serve/wire.hpp"
 
 namespace fedpower::serve {
 namespace {
 
-/// Minimal blocking TCP client speaking the raw frame protocol — the
-/// front end is not an echo peer, so TcpTransport cannot drive it.
-class RawClient {
- public:
-  explicit RawClient(std::uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) throw std::runtime_error("raw client: socket");
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof addr) != 0)
-      throw std::runtime_error("raw client: connect");
-  }
-  ~RawClient() { close(); }
-  RawClient(const RawClient&) = delete;
-  RawClient& operator=(const RawClient&) = delete;
-
-  void close() {
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-  }
-
-  void send_bytes(std::span<const std::uint8_t> data) {
-    std::size_t sent = 0;
-    while (sent < data.size()) {
-      const ssize_t n =
-          ::send(fd_, data.data() + sent, data.size() - sent, 0);
-      if (n <= 0) throw std::runtime_error("raw client: send");
-      sent += static_cast<std::size_t>(n);
-    }
-  }
-
-  /// Reads one reply frame; returns its payload (direction byte stripped).
-  std::vector<std::uint8_t> recv_frame(std::uint8_t& direction) {
-    std::array<std::uint8_t, 4> head{};
-    recv_exact(head.data(), head.size());
-    const std::uint32_t len = fed::load_u32_le(head.data());
-    if (len == 0) throw std::runtime_error("raw client: zero frame");
-    std::vector<std::uint8_t> body(len);
-    recv_exact(body.data(), body.size());
-    direction = body[0];
-    return {body.begin() + 1, body.end()};
-  }
-
-  /// Blocks until the peer closes the connection (EOF).
-  bool peer_closed() {
-    std::uint8_t byte = 0;
-    return ::recv(fd_, &byte, 1, 0) == 0;
-  }
-
- private:
-  void recv_exact(std::uint8_t* out, std::size_t n) {
-    std::size_t got = 0;
-    while (got < n) {
-      const ssize_t r = ::recv(fd_, out + got, n - got, 0);
-      if (r <= 0) throw std::runtime_error("raw client: recv");
-      got += static_cast<std::size_t>(r);
-    }
-  }
-
-  int fd_ = -1;
-};
-
-std::vector<std::uint8_t> uplink_frame(std::uint32_t client,
-                                       std::uint64_t base_version,
-                                       const std::vector<double>& model,
-                                       std::uint32_t weight = 1) {
-  UplinkHeader header;
-  header.client = client;
-  header.base_version = base_version;
-  header.weight = weight;
-  return fed::encode_frame(
-      fed::Direction::kUplink,
-      encode_uplink(header, fed::Float32Codec::instance().encode(model)));
-}
-
-std::vector<std::uint8_t> fetch_frame() {
-  return fed::encode_frame(fed::Direction::kDownlink, {});
-}
-
-/// Sends one uplink and waits for the 1-byte enqueue ack, which the loop
-/// writes only after the frame reached the shard queues.
-void upload_and_ack(RawClient& client, std::uint32_t index,
-                    std::uint64_t base_version,
-                    const std::vector<double>& model) {
-  client.send_bytes(uplink_frame(index, base_version, model));
-  std::uint8_t direction = 0xFF;
-  const std::vector<std::uint8_t> ack = client.recv_frame(direction);
-  ASSERT_EQ(direction, 0);
-  ASSERT_EQ(ack, (std::vector<std::uint8_t>{0}));
-}
-
-template <typename Predicate>
-bool eventually(Predicate&& pred) {
-  for (int i = 0; i < 800; ++i) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  return pred();
-}
+using testkit::eventually;
+using testkit::fetch_frame;
+using testkit::RawClient;
+using testkit::upload_and_ack;
 
 TEST(EpollFrontEnd, UplinksAreAckedRoutedAndCommitted) {
   ShardedServer server(2);

@@ -3,24 +3,14 @@
 // session-resume handshake (valid + malformed), idle half-open reaping,
 // the commit_then_begin no-gap contract, and client reconnect through a
 // scheduled connection reset.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
-#include <array>
-#include <chrono>
 #include <cstdint>
-#include <span>
-#include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "chaos/tcp_chaos_proxy.hpp"
 #include "fed/codec.hpp"
-#include "fed/tcp_transport.hpp"
+#include "raw_client.hpp"
 #include "serve/client.hpp"
 #include "serve/epoll_server.hpp"
 #include "serve/server.hpp"
@@ -29,100 +19,9 @@
 namespace fedpower::serve {
 namespace {
 
-/// Minimal blocking client speaking raw frames (the front end is not an
-/// echo peer, so TcpTransport cannot drive it).
-class RawClient {
- public:
-  explicit RawClient(std::uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) throw std::runtime_error("raw client: socket");
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof addr) != 0)
-      throw std::runtime_error("raw client: connect");
-  }
-  ~RawClient() { close(); }
-  RawClient(const RawClient&) = delete;
-  RawClient& operator=(const RawClient&) = delete;
-
-  void close() {
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-  }
-
-  void send_bytes(std::span<const std::uint8_t> data) {
-    std::size_t sent = 0;
-    while (sent < data.size()) {
-      const ssize_t n =
-          ::send(fd_, data.data() + sent, data.size() - sent, 0);
-      if (n <= 0) throw std::runtime_error("raw client: send");
-      sent += static_cast<std::size_t>(n);
-    }
-  }
-
-  std::vector<std::uint8_t> recv_frame(std::uint8_t& direction) {
-    std::array<std::uint8_t, 4> head{};
-    recv_exact(head.data(), head.size());
-    const std::uint32_t len = fed::load_u32_le(head.data());
-    if (len == 0) throw std::runtime_error("raw client: zero frame");
-    std::vector<std::uint8_t> body(len);
-    recv_exact(body.data(), body.size());
-    direction = body[0];
-    return {body.begin() + 1, body.end()};
-  }
-
-  bool peer_closed() {
-    std::uint8_t byte = 0;
-    return ::recv(fd_, &byte, 1, 0) == 0;
-  }
-
- private:
-  void recv_exact(std::uint8_t* out, std::size_t n) {
-    std::size_t got = 0;
-    while (got < n) {
-      const ssize_t r = ::recv(fd_, out + got, n - got, 0);
-      if (r <= 0) throw std::runtime_error("raw client: recv");
-      got += static_cast<std::size_t>(r);
-    }
-  }
-
-  int fd_ = -1;
-};
-
-std::vector<std::uint8_t> uplink_frame(std::uint32_t client,
-                                       std::uint64_t base_version,
-                                       const std::vector<double>& model) {
-  UplinkHeader header;
-  header.client = client;
-  header.base_version = base_version;
-  return fed::encode_frame(
-      fed::Direction::kUplink,
-      encode_uplink(header, fed::Float32Codec::instance().encode(model)));
-}
-
-void upload_and_ack(RawClient& client, std::uint32_t index,
-                    std::uint64_t base_version,
-                    const std::vector<double>& model) {
-  client.send_bytes(uplink_frame(index, base_version, model));
-  std::uint8_t direction = 0xFF;
-  const std::vector<std::uint8_t> ack = client.recv_frame(direction);
-  ASSERT_EQ(direction, 0);
-  ASSERT_EQ(ack, (std::vector<std::uint8_t>{0}));
-}
-
-template <typename Predicate>
-bool eventually(Predicate&& pred) {
-  for (int i = 0; i < 800; ++i) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  return pred();
-}
+using testkit::eventually;
+using testkit::RawClient;
+using testkit::upload_and_ack;
 
 // A re-sent uplink (the reconnect protocol re-sends after a mid-ack
 // transport error) folds to the first arrival: one verdict, the dedup
@@ -193,7 +92,7 @@ TEST(TcpResilience, ResumeHandshakeIsServedAndCounted) {
   request.client = 2;
   request.last_acked_round = 0;
   client.send_bytes(
-      encode_serve_frame(kResumeDirection, encode_resume_request(request)));
+      encode_frame(kResumeDirection, encode_resume_request(request)));
   std::uint8_t direction = 0xFF;
   const std::vector<std::uint8_t> payload = client.recv_frame(direction);
   EXPECT_EQ(direction, kResumeDirection);
@@ -213,7 +112,7 @@ TEST(TcpResilience, MalformedResumeFramesAreProtocolErrors) {
   EpollFrontEnd front(&server);
   {  // wrong payload size: strict decode rejects it
     RawClient client(front.port());
-    client.send_bytes(encode_serve_frame(kResumeDirection, {}));
+    client.send_bytes(encode_frame(kResumeDirection, {}));
     EXPECT_TRUE(client.peer_closed());
   }
   EXPECT_TRUE(eventually([&] { return front.protocol_errors() == 1; }));
@@ -222,7 +121,7 @@ TEST(TcpResilience, MalformedResumeFramesAreProtocolErrors) {
     ResumeRequest request;
     request.client = 99;
     client.send_bytes(
-        encode_serve_frame(kResumeDirection, encode_resume_request(request)));
+        encode_frame(kResumeDirection, encode_resume_request(request)));
     EXPECT_TRUE(client.peer_closed());
   }
   EXPECT_TRUE(eventually([&] { return front.protocol_errors() == 2; }));

@@ -69,7 +69,10 @@ TEST(LintNondet, AllowlistedFilesAreExempt) {
   const std::string src = "int a() { return rand(); }\n";
   EXPECT_FALSE(lint_source("src/core/x.cpp", src).empty());
   EXPECT_TRUE(lint_source("src/util/rng.cpp", src).empty());
-  EXPECT_TRUE(lint_source("src/fed/tcp_transport.cpp", src).empty());
+  // The RNG is the only exemption left: no transport file is exempt.
+  EXPECT_EQ(Options{}.nondet_allowlist,
+            std::vector<std::string>{"src/util/rng.cpp"});
+  EXPECT_FALSE(lint_source("src/serve/socket_io.cpp", src).empty());
 }
 
 TEST(LintNondet, SameLineWaiverSuppresses) {
@@ -347,7 +350,11 @@ TEST(LintSyscall, EventLoopTranslationUnitsAreExempt) {
   const std::string src = "int a() { return epoll_create1(0); }\n";
   EXPECT_FALSE(lint_source("src/serve/server.cpp", src).empty());
   EXPECT_TRUE(lint_source("src/serve/epoll_server.cpp", src).empty());
-  EXPECT_TRUE(lint_source("src/fed/tcp_transport.cpp", src).empty());
+  // The epoll front end is the only exemption left; the shared blocking
+  // socket primitives are not exempt.
+  EXPECT_EQ(Options{}.syscall_allowlist,
+            std::vector<std::string>{"src/serve/epoll_server.cpp"});
+  EXPECT_FALSE(lint_source("src/serve/socket_io.cpp", src).empty());
 }
 
 TEST(LintSyscall, OutsideSrcAndMembersAndMentionsAreClean) {

@@ -334,9 +334,9 @@ class Checker {
   }
 
   // L7: raw event-loop syscalls in src/. epoll/eventfd/accept4 plumbing is
-  // confined to the designated event-loop translation units (the blocking
-  // transport and the serve front end) so reviewers can audit every place
-  // the process touches the readiness machinery.
+  // confined to the designated event-loop translation unit (the serve
+  // front end) so reviewers can audit every place the process touches the
+  // readiness machinery.
   void check_syscall() {
     static const std::set<std::string> syscall_fns = {
         "epoll_create", "epoll_create1", "epoll_ctl", "epoll_wait",
@@ -349,9 +349,9 @@ class Checker {
           continue;
         report(li, "syscall", "L7-raw-syscall",
                toks[i].text +
-                   "() belongs in a designated event-loop translation unit "
-                   "(fed/tcp_transport.cpp, serve/epoll_server.cpp); route "
-                   "through the serve front end or waive with "
+                   "() belongs in the designated event-loop translation "
+                   "unit (serve/epoll_server.cpp); route through the serve "
+                   "front end or waive with "
                    "`// lint: syscall-ok(reason)`");
       }
     }

@@ -70,12 +70,10 @@ struct Finding {
 /// Rule scoping. Paths are repository-relative with forward slashes; a file
 /// matches a dir entry when it lives underneath it.
 struct Options {
-  /// Files exempt from L1 (the determinism contract's designated owners:
-  /// the RNG implementation itself and the transport timeout code).
+  /// Files exempt from L1 (the determinism contract's designated owner:
+  /// the RNG implementation itself).
   std::vector<std::string> nondet_allowlist = {
       "src/util/rng.cpp",
-      "src/fed/tcp_transport.cpp",
-      "src/fed/tcp_transport.hpp",
   };
   /// Dirs where hash-container iteration order could leak into results.
   std::vector<std::string> determinism_dirs = {
@@ -98,10 +96,9 @@ struct Options {
   /// Dirs covered by the raw-syscall rule (L7).
   std::vector<std::string> syscall_dirs = {"src"};
   /// Translation units allowed to issue event-loop syscalls directly: the
-  /// blocking TCP transport and the serve subsystem's epoll front end.
-  /// Everything else talks to sockets through those layers.
+  /// serve subsystem's epoll front end. Blocking peers use the shared
+  /// socket primitives (serve/socket_io.hpp), which need none.
   std::vector<std::string> syscall_allowlist = {
-      "src/fed/tcp_transport.cpp",
       "src/serve/epoll_server.cpp",
   };
   /// Dirs covered by the checkpoint-contract rules (L8/L9). Classes whose
