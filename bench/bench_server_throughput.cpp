@@ -1,12 +1,12 @@
 // Async-server bench (DESIGN.md §12): the deterministic-commit gate and
 // the epoll front end's uplink throughput.
 //
-// Part 1 is an acceptance gate, not a measurement: ServeFederation in
-// deterministic commit mode must produce EXACTLY the bytes the
-// synchronous FederatedAveraging server produces, at 1/2/4 workers, with
-// and without seeded transport faults. Any divergence fails the bench
-// (exit 1) loudly — this is the contract that makes the sharded pipeline
-// a drop-in replacement for the paper's server.
+// Part 1 is an acceptance gate, not a measurement: FederatedAveraging
+// committing through a ShardedServer in deterministic commit mode must
+// produce EXACTLY the bytes inline aggregation produces, at 1/2/4
+// workers, with and without seeded transport faults. Any divergence fails
+// the bench (exit 1) loudly — this is the contract that makes the
+// sharded pipeline a drop-in replacement for the paper's server.
 //
 // Part 2 sweeps workers x clients over real loopback TCP through the
 // EpollFrontEnd: every client holds its own connection, each uplink is
@@ -38,7 +38,6 @@
 #include "fed/fault_injection.hpp"
 #include "fed/federation.hpp"
 #include "serve/epoll_server.hpp"
-#include "serve/serve_federation.hpp"
 #include "serve/server.hpp"
 #include "serve/socket_io.hpp"
 #include "serve/wire.hpp"
@@ -104,7 +103,8 @@ GateCase run_gate_case(std::size_t workers, bool faults) {
   fed::FederatedAveraging sync_server(sync_ptrs, &sync_faulty);
   serve::ServeConfig config;
   config.workers = workers;
-  serve::ServeFederation serve_server(serve_ptrs, &serve_faulty, config);
+  serve::ShardedServer sharded(serve_ptrs.size(), config);
+  fed::FederatedAveraging serve_server(serve_ptrs, &serve_faulty, &sharded);
 
   fed::SamplingConfig sampling;
   sampling.fraction = 0.75;

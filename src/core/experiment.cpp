@@ -13,7 +13,7 @@
 #include "ckpt/snapshot.hpp"
 #include "fed/federation.hpp"
 #include "runtime/fleet_runtime.hpp"
-#include "serve/serve_federation.hpp"
+#include "serve/server.hpp"
 #include "sim/workload.hpp"
 #include "util/jsonl.hpp"
 #include "util/rng.hpp"
@@ -199,6 +199,10 @@ FederatedRunResult run_federated(
     const std::vector<std::vector<sim::AppProfile>>& device_apps,
     const std::vector<sim::AppProfile>& eval_apps, bool eval_each_round) {
   FEDPOWER_EXPECTS(!eval_apps.empty() || !eval_each_round);
+  if (config.serve.enabled && config.defense.enabled)
+    throw std::invalid_argument(
+        "serve.enabled is incompatible with defense.enabled: the serve "
+        "pipeline does not route uploads through the defense screen");
 
   // Fault plan: compromised devices get their controller configs poisoned
   // and their hardware/uplink faults armed before training starts, so
@@ -244,16 +248,10 @@ FederatedRunResult run_federated(
     for (std::size_t d = 0; d < fleet.size(); ++d)
       churn_links.push_back(std::make_unique<chaos::ChurnTransport>(wire));
   }
-  // Exactly one server drives the rounds: the synchronous
-  // FederatedAveraging (with the full defense pipeline available) or the
-  // sharded serve pipeline (DESIGN.md §12). The two are config-compatible
-  // except for defense, which only the synchronous path routes.
-  if (config.serve.enabled && config.defense.enabled)
-    throw std::invalid_argument(
-        "serve.enabled is incompatible with defense.enabled: the serve "
-        "pipeline does not route uploads through the defense screen");
-  std::optional<fed::FederatedAveraging> sync_server;
-  std::optional<serve::ServeFederation> serve_server;
+  // One driver runs the rounds. It aggregates inline (with the full
+  // defense pipeline available) or commits through the sharded serve
+  // pipeline (DESIGN.md §12); serve+defense is rejected above.
+  std::optional<serve::ShardedServer> sharded;
   if (config.serve.enabled) {
     serve::ServeConfig serve_config;
     serve_config.workers = config.serve.workers;
@@ -266,54 +264,23 @@ FederatedRunResult run_federated(
     serve_config.mixing_rate = config.serve.mixing_rate;
     serve_config.staleness_power = config.serve.staleness_power;
     serve_config.idle_timeout_s = config.serve.idle_timeout_s;
-    serve_server.emplace(fleet.clients(), wire, serve_config);
-    serve_server->set_local_executor(fleet.executor());
-    // Sampling before any resume below: restore_state overrides the
-    // participation stream position, the config itself is not state.
-    serve_server->set_sampling(config.sampling);
-    serve_server->set_quorum(config.quorum);
-    serve_server->initialize(fleet.controller(0).local_parameters());
-  } else {
-    sync_server.emplace(fleet.clients(), wire, config.aggregation);
-    sync_server->set_local_executor(fleet.executor());
-    sync_server->enable_defense(config.defense);
-    sync_server->set_sampling(config.sampling);
-    sync_server->set_quorum(config.quorum);
-    sync_server->initialize(fleet.controller(0).local_parameters());
+    sharded.emplace(fleet.size(), serve_config);
   }
-  const auto run_round = [&] {
-    return serve_server ? serve_server->run_round()
-                        : sync_server->run_round();
-  };
-  const auto global_model = [&]() -> const std::vector<double>& {
-    return serve_server ? serve_server->global_model()
-                        : sync_server->global_model();
-  };
-  const auto save_server = [&](ckpt::Writer& out) {
-    if (serve_server)
-      serve_server->save_state(out);
-    else
-      sync_server->save_state(out);
-  };
-  const auto restore_server = [&](ckpt::Reader& in) {
-    if (serve_server)
-      serve_server->restore_state(in);
-    else
-      sync_server->restore_state(in);
-  };
+  fed::FederatedAveraging server =
+      sharded ? fed::FederatedAveraging(fleet.clients(), wire, &*sharded)
+              : fed::FederatedAveraging(fleet.clients(), wire,
+                                        config.aggregation);
+  server.set_local_executor(fleet.executor());
+  server.enable_defense(config.defense);
+  // Sampling before any resume below: restore_state overrides the
+  // participation stream position, the config itself is not state.
+  server.set_sampling(config.sampling);
+  server.set_quorum(config.quorum);
+  server.initialize(fleet.controller(0).local_parameters());
   if (chaos_engine)
-    for (std::size_t d = 0; d < fleet.size(); ++d) {
-      if (serve_server)
-        serve_server->set_client_transport(d, churn_links[d].get());
-      else
-        sync_server->set_client_transport(d, churn_links[d].get());
-    }
-  if (config.deadline_s > 0.0) {
-    if (serve_server)
-      serve_server->set_round_deadline(config.deadline_s);
-    else
-      sync_server->set_round_deadline(config.deadline_s);
-  }
+    for (std::size_t d = 0; d < fleet.size(); ++d)
+      server.set_client_transport(d, churn_links[d].get());
+  if (config.deadline_s > 0.0) server.set_round_deadline(config.deadline_s);
 
   const Evaluator evaluator = make_evaluator(config);
   FederatedRunResult result;
@@ -339,7 +306,7 @@ FederatedRunResult run_federated(
     ckpt::expect_tag(in, kFedExpTag, "federated experiment");
     start_round = in.u64();
     fleet.restore_state(in);
-    restore_server(in);
+    server.restore_state(in);
     restore_device_curves(in, result.devices);
     result.fleet = restore_curve(in);
     result.eval_app_per_round = restore_app_names(in);
@@ -390,7 +357,7 @@ FederatedRunResult run_federated(
           fleet.processor(*plan.shock_device).reset_app();
       }
       try {
-        committed = run_round();
+        committed = server.run_round();
       } catch (const fed::QuorumError&) {
         // The aborted round committed nothing — the server's round counter
         // and defense state are untouched — but the sampling, fault and
@@ -417,7 +384,8 @@ FederatedRunResult run_federated(
       // schedule.
       std::vector<EvalResult> evals(fleet.size());
       fleet.for_each_device([&](std::size_t d) {
-        const PolicyFn policy = evaluator.neural_policy(global_model());
+        const PolicyFn policy =
+            evaluator.neural_policy(server.global_model());
         evals[d] = evaluator.run_episode(policy, app,
                                          mix_seed(config.seed, round, d));
       });
@@ -458,7 +426,7 @@ FederatedRunResult run_federated(
       ckpt::write_tag(out, kFedExpTag);
       out.u64(round + 1);  // next round to run
       fleet.save_state(out);
-      save_server(out);
+      server.save_state(out);
       save_device_curves(out, result.devices);
       save_curve(out, result.fleet);
       save_app_names(out, result.eval_app_per_round);
@@ -479,7 +447,7 @@ FederatedRunResult run_federated(
     }
   }
 
-  result.global_params = global_model();
+  result.global_params = server.global_model();
   result.traffic = merge_traffic(traffic_baseline, transport.stats());
   robustness.compromised = compromised;
   for (const std::uint64_t v : robustness.screened_per_round)
@@ -493,8 +461,7 @@ FederatedRunResult run_federated(
   for (const std::uint64_t v : robustness.quarantined_per_round)
     robustness.max_quarantined =
         std::max<std::size_t>(robustness.max_quarantined, v);
-  if (const fed::DefensePipeline* defense =
-          sync_server ? sync_server->defense() : nullptr) {
+  if (const fed::DefensePipeline* defense = server.defense()) {
     robustness.final_reputation.reserve(fleet.size());
     for (std::size_t d = 0; d < fleet.size(); ++d)
       robustness.final_reputation.push_back(defense->reputation(d));
@@ -509,6 +476,10 @@ LocalRunResult run_local_only(
     const std::vector<std::vector<sim::AppProfile>>& device_apps,
     const std::vector<sim::AppProfile>& eval_apps, bool eval_each_round) {
   FEDPOWER_EXPECTS(!eval_apps.empty() || !eval_each_round);
+  if (config.serve.enabled && config.defense.enabled)
+    throw std::invalid_argument(
+        "serve.enabled is incompatible with defense.enabled: the serve "
+        "pipeline does not route uploads through the defense screen");
   runtime::FleetRuntime fleet(
       {config.controller}, config.processor, device_apps, config.seed,
       runtime::FleetOptions{config.num_threads, config.lazy_fleet});

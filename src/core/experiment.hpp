@@ -90,13 +90,15 @@ struct FaultPlanConfig {
   std::vector<std::size_t> compromised_devices(std::size_t fleet_size) const;
 };
 
-/// Routing the federated rounds through the sharded serve pipeline
-/// (serve::ServeFederation; run_federated only). Plain data here so the
-/// experiment header does not pull in the serve subsystem. Deterministic
-/// commit mode reproduces the synchronous server bit-identically at any
-/// worker count; throughput mode merges FedAsync-style with staleness
-/// discounting. Mutually exclusive with the defense pipeline (the serve
-/// driver does not route uploads through defense screening).
+/// Committing the federated rounds through the sharded serve pipeline:
+/// run_federated's one fed::FederatedAveraging driver hands its uploads to
+/// a serve::ShardedServer it owns (run_federated only). Plain data here so
+/// the experiment header does not pull in the serve subsystem.
+/// Deterministic commit mode reproduces inline aggregation bit-identically
+/// at any worker count; throughput mode merges FedAsync-style with
+/// staleness discounting. Mutually exclusive with the defense pipeline
+/// (the shards do not route uploads through defense screening);
+/// run_federated rejects the pair before building the fleet.
 struct ServeExperimentConfig {
   bool enabled = false;
   std::size_t workers = 1;

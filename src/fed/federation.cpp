@@ -53,9 +53,22 @@ FederatedAveraging::FederatedAveraging(std::vector<FederatedClient*> clients,
   client_transports_.assign(clients_.size(), nullptr);
 }
 
+FederatedAveraging::FederatedAveraging(std::vector<FederatedClient*> clients,
+                                       Transport* transport,
+                                       RoundCommitter* committer)
+    : FederatedAveraging(std::move(clients), transport,
+                         AggregationMode::kUnweightedMean,
+                         committer != nullptr ? &committer->codec() : nullptr) {
+  FEDPOWER_EXPECTS(committer != nullptr);
+  committer_ = committer;
+}
+
 void FederatedAveraging::initialize(std::vector<double> global) {
   FEDPOWER_EXPECTS(!global.empty());
-  global_ = std::move(global);
+  if (committer_ != nullptr)
+    committer_->initialize(std::move(global));
+  else
+    global_ = std::move(global);
 }
 
 void FederatedAveraging::set_sampling(const SamplingConfig& config) {
@@ -92,6 +105,7 @@ void FederatedAveraging::enable_defense(const DefenseConfig& config) {
     return;
   }
   FEDPOWER_EXPECTS(rounds_completed_ == 0);
+  FEDPOWER_EXPECTS(committer_ == nullptr);
   defense_.emplace(config, clients_.size());
 }
 
@@ -107,6 +121,7 @@ void FederatedAveraging::set_trim_count(std::size_t trim_count) {
 
 void FederatedAveraging::set_local_executor(util::ParallelFor executor) {
   executor_ = std::move(executor);
+  if (committer_ != nullptr) committer_->set_executor(executor_);
 }
 
 Transport& FederatedAveraging::transport_for(std::size_t client) noexcept {
@@ -179,13 +194,19 @@ std::vector<std::size_t> FederatedAveraging::draw_participants() {
 }
 
 RoundResult FederatedAveraging::run_round() {
-  FEDPOWER_EXPECTS(!global_.empty());
+  const std::vector<double>& global = global_model();
+  FEDPOWER_EXPECTS(!global.empty());
   RoundResult result;
   // The counter is bumped only after aggregation: a round that throws
   // (transport fault cascade below quorum) leaves it untouched.
   result.round = rounds_completed_ + 1;
   result.participants = draw_participants();
   const std::size_t retries_before = total_transport_retries();
+  std::uint64_t base_version = 0;
+  if (committer_ != nullptr) {
+    committer_->begin_round(result.participants);
+    base_version = committer_->version();
+  }
 
   // Broadcast theta_r to every participating client (Algorithm 2 line 3).
   // Each client receives its own transfer, as over a real network; a
@@ -198,7 +219,7 @@ RoundResult FederatedAveraging::run_round() {
   // when clients share a link.
   const bool deadline_armed = deadline_s_ > 0.0;
   std::vector<double> link_latency(deadline_armed ? clients_.size() : 0, 0.0);
-  const std::vector<std::uint8_t> broadcast = codec_->encode(global_);
+  const std::vector<std::uint8_t> broadcast = codec_->encode(global);
   for (const std::size_t i : result.participants) {
     const double latency_before =
         deadline_armed ? transport_for(i).cumulative_latency_s() : 0.0;
@@ -235,7 +256,7 @@ RoundResult FederatedAveraging::run_round() {
   // thread-safe, fault-injection streams must see one deterministic
   // transfer sequence, and the defense screens below accumulate history in
   // client order (DESIGN.md §7). Aggregation is synchronous over the
-  // survivors.
+  // survivors, inline or in the committer.
   std::vector<std::vector<double>> locals;
   std::vector<double> weights;
   std::vector<char> straggler(clients_.size(), 0);
@@ -252,7 +273,7 @@ RoundResult FederatedAveraging::run_round() {
     try {
       const double latency_before =
           deadline_armed ? transport_for(i).cumulative_latency_s() : 0.0;
-      const auto payload = transport_for(i).transfer(
+      auto payload = transport_for(i).transfer(
           Direction::kUplink,
           codec_->encode(clients_[i]->local_parameters()));
       if (deadline_armed) {
@@ -260,7 +281,8 @@ RoundResult FederatedAveraging::run_round() {
         // the round budget is a dropout, not a suspect — its upload is
         // discarded before decoding or screening, so no defense
         // observation is recorded and an honest-but-slow client keeps its
-        // reputation (DESIGN.md §13).
+        // reputation (DESIGN.md §13). A committer never sees the upload
+        // and books the client as a dropout.
         const double round_latency =
             link_latency[i] +
             (transport_for(i).cumulative_latency_s() - latency_before);
@@ -270,8 +292,14 @@ RoundResult FederatedAveraging::run_round() {
           continue;
         }
       }
+      if (committer_ != nullptr) {
+        committer_->submit(
+            i, base_version, std::move(payload),
+            static_cast<double>(clients_[i]->local_sample_count()));
+        continue;
+      }
       auto local = codec_->decode(payload);
-      if (local.size() != global_.size()) {
+      if (local.size() != global.size()) {
         lost[i] = 1;  // decoded to the wrong shape: treat as corrupt
         continue;
       }
@@ -288,7 +316,7 @@ RoundResult FederatedAveraging::run_round() {
       if (defense_) {
         // Screening may clip `local` in place; the verdict only feeds the
         // reputation update after the quorum holds (commit_round below).
-        const ScreenObservation obs = defense_->screen(i, local, global_);
+        const ScreenObservation obs = defense_->screen(i, local, global);
         observations.push_back(obs);
         const bool clean = obs.verdict == ScreenVerdict::kAccepted ||
                            obs.verdict == ScreenVerdict::kClipped;
@@ -308,6 +336,18 @@ RoundResult FederatedAveraging::run_round() {
     } catch (const std::invalid_argument&) {
       lost[i] = 1;
     }
+  }
+
+  if (committer_ != nullptr) {
+    // The committer reports dropouts, verdicts and bytes; the driver adds
+    // what only it saw — deadline demotions, downlink and retries.
+    RoundResult committed = committer_->commit_round(quorum_);
+    for (const std::size_t i : result.participants)
+      if (straggler[i]) committed.stragglers.push_back(i);
+    committed.downlink_bytes = result.downlink_bytes;
+    committed.transport_retries = total_transport_retries() - retries_before;
+    ++rounds_completed_;
+    return committed;
   }
 
   for (const std::size_t i : result.participants) {
@@ -362,13 +402,18 @@ void FederatedAveraging::run(std::size_t rounds) {
 
 namespace {
 constexpr ckpt::Tag kFedTag{'F', 'A', 'V', 'G'};
+constexpr ckpt::Tag kCommitterFedTag{'S', 'F', 'E', 'D'};
 }  // namespace
 
 void FederatedAveraging::save_state(ckpt::Writer& out) const {
-  write_tag(out, kFedTag);
+  write_tag(out, committer_ != nullptr ? kCommitterFedTag : kFedTag);
   out.u64(clients_.size());
   out.u64(rounds_completed_);
   ckpt::save_rng(out, participation_rng_);
+  if (committer_ != nullptr) {
+    committer_->save_state(out);
+    return;
+  }
   out.vec_f64(global_);
   // Appended only when the defense pipeline is armed: clean-run snapshots
   // keep the pre-defense byte format.
@@ -376,7 +421,9 @@ void FederatedAveraging::save_state(ckpt::Writer& out) const {
 }
 
 void FederatedAveraging::restore_state(ckpt::Reader& in) {
-  expect_tag(in, kFedTag, "federated averaging server");
+  expect_tag(in, committer_ != nullptr ? kCommitterFedTag : kFedTag,
+             committer_ != nullptr ? "federation driver with a committer"
+                                   : "federated averaging server");
   const std::uint64_t client_count = in.u64();
   if (client_count != clients_.size())
     throw ckpt::StateMismatchError(
@@ -384,17 +431,21 @@ void FederatedAveraging::restore_state(ckpt::Reader& in) {
         " client(s), this federation has " + std::to_string(clients_.size()));
   rounds_completed_ = in.u64();
   ckpt::restore_rng(in, participation_rng_);
-  global_ = in.vec_f64();
+  if (committer_ != nullptr)
+    committer_->restore_state(in);
+  else
+    global_ = in.vec_f64();
   // An uninitialized client reports an empty model, which says nothing
   // about shape; only a client that already holds parameters can expose a
   // snapshot/fleet mismatch.
+  const std::size_t model_params = global_model().size();
   const std::size_t client_params =
       clients_.front()->local_parameters().size();
-  if (!global_.empty() && client_params != 0 &&
-      global_.size() != client_params)
+  if (model_params != 0 && client_params != 0 &&
+      model_params != client_params)
     throw ckpt::StateMismatchError(
         "federation snapshot global model has " +
-        std::to_string(global_.size()) +
+        std::to_string(model_params) +
         " parameter(s), the clients' models have " +
         std::to_string(client_params));
   if (defense_) defense_->restore_state(in);

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -157,6 +158,41 @@ class QuorumError final : public std::runtime_error {
   std::size_t required_;
 };
 
+/// The commit seam behind FederatedAveraging (DESIGN.md §12): where a
+/// round's uploads go once the driver has drawn, broadcast, trained and
+/// collected them. Without a committer the driver decodes, screens and
+/// aggregates inline; with one (serve::ShardedServer) every on-time
+/// upload payload is handed to submit() and the round closes with
+/// commit_round(). The committer owns the global model, the wire codec
+/// and its own snapshot section.
+class RoundCommitter {
+ public:
+  RoundCommitter() = default;
+  virtual ~RoundCommitter() = default;
+  RoundCommitter(const RoundCommitter&) = delete;
+  RoundCommitter& operator=(const RoundCommitter&) = delete;
+
+  /// Installs the initial global model.
+  virtual void initialize(std::vector<double> global) = 0;
+  /// Executor for the commit-time aggregation; empty means serial.
+  virtual void set_executor(util::ParallelFor executor) = 0;
+  /// Opens a round for the drawn participants.
+  virtual void begin_round(std::vector<std::size_t> participants) = 0;
+  /// Model version the round's clients train from.
+  virtual std::uint64_t version() const noexcept = 0;
+  /// Hands over one encoded upload; `weight` is the client's sample count.
+  virtual void submit(std::size_t client, std::uint64_t base_version,
+                      std::vector<std::uint8_t> payload, double weight) = 0;
+  /// Closes the round; throws QuorumError (global model untouched) when
+  /// fewer than `quorum` uploads survived. Participants that never
+  /// submitted are dropouts.
+  virtual RoundResult commit_round(std::size_t quorum) = 0;
+  virtual const std::vector<double>& global_model() const noexcept = 0;
+  virtual const ModelCodec& codec() const noexcept = 0;
+  virtual void save_state(ckpt::Writer& out) const = 0;
+  virtual void restore_state(ckpt::Reader& in) = 0;
+};
+
 class FederatedAveraging {
  public:
   /// Clients, transport and codec are non-owning and must outlive the
@@ -165,6 +201,13 @@ class FederatedAveraging {
                      Transport* transport,
                      AggregationMode mode = AggregationMode::kUnweightedMean,
                      const ModelCodec* codec = nullptr);
+
+  /// Routes every round's uploads to `committer` (non-owning; must outlive
+  /// the federation) instead of aggregating inline. Uplinks are encoded
+  /// with the committer's codec, and the aggregation rule is the
+  /// committer's. The defense pipeline cannot be armed on this path.
+  FederatedAveraging(std::vector<FederatedClient*> clients,
+                     Transport* transport, RoundCommitter* committer);
 
   /// Sets the initial global model theta_1 (Algorithm 2 line 1).
   void initialize(std::vector<double> global);
@@ -213,8 +256,9 @@ class FederatedAveraging {
   /// Arms the server-side Byzantine defense pipeline (defense.hpp): norm
   /// clipping and screening, cosine screening against the previous global
   /// model, and reputation-based quarantine. No-op when config.enabled is
-  /// false. Must be called before the first round; the pipeline's state is
-  /// then part of save_state/restore_state.
+  /// false. Must be called before the first round and without a
+  /// committer; the pipeline's state is then part of
+  /// save_state/restore_state.
   void enable_defense(const DefenseConfig& config);
 
   /// The armed defense pipeline, or nullptr when defense is disabled.
@@ -231,13 +275,14 @@ class FederatedAveraging {
 
   /// Runs the clients' local training through the given executor (e.g. a
   /// runtime::ThreadPool), one client = one work item, with a barrier
-  /// before the uplink phase; large aggregations also shard their
-  /// coordinate reduction across it. Clients must not share mutable state
-  /// for this to be legal — PowerController fleets satisfy that (each owns
-  /// its processor, workload and split RNG), which also makes the result
-  /// bit-identical to the serial default (empty executor). Transfers always
-  /// stay serial in client-index order, so transport fault injection and
-  /// traffic accounting are schedule-independent.
+  /// before the uplink phase; large aggregations (inline or in the
+  /// committer) also shard their coordinate reduction across it. Clients
+  /// must not share mutable state for this to be legal — PowerController
+  /// fleets satisfy that (each owns its processor, workload and split RNG),
+  /// which also makes the result bit-identical to the serial default
+  /// (empty executor). Transfers always stay serial in client-index order,
+  /// so transport fault injection and traffic accounting are
+  /// schedule-independent.
   void set_local_executor(util::ParallelFor executor);
 
   /// Runs one full round: broadcast, parallel local training, aggregation.
@@ -246,13 +291,17 @@ class FederatedAveraging {
   /// RoundResult::dropped and excluded from the aggregate; an upload that
   /// decodes to the wrong shape or contains non-finite values is screened
   /// out server-side (RoundResult::rejected) exactly like a dropout. The
-  /// round completes with the survivors as long as the quorum holds.
+  /// round completes with the survivors as long as the quorum holds. With
+  /// a committer, the committer screens the uploads and reports the
+  /// verdicts.
   RoundResult run_round();
 
   /// Runs the given number of rounds back to back.
   void run(std::size_t rounds);
 
-  const std::vector<double>& global_model() const noexcept { return global_; }
+  const std::vector<double>& global_model() const noexcept {
+    return committer_ != nullptr ? committer_->global_model() : global_;
+  }
   std::size_t rounds_completed() const noexcept { return rounds_completed_; }
   std::size_t client_count() const noexcept { return clients_.size(); }
   const ModelCodec& codec() const noexcept { return *codec_; }
@@ -261,7 +310,11 @@ class FederatedAveraging {
   /// the participation RNG stream (so a resumed run selects the same
   /// clients the uninterrupted run would have). When the defense pipeline
   /// is armed its reputation/quarantine state follows (tag DFNS); snapshots
-  /// and federations must agree on whether defense is enabled.
+  /// and federations must agree on whether defense is enabled. The tag
+  /// says which driver wrote it: FAVG inline; SFED (client count, round
+  /// counter, participation stream) followed by the committer's own
+  /// section with a committer. Restoring a snapshot whose global model
+  /// does not fit the clients' models throws ckpt::StateMismatchError.
   void save_state(ckpt::Writer& out) const;
   void restore_state(ckpt::Reader& in);
 
@@ -282,6 +335,7 @@ class FederatedAveraging {
   mutable bool transport_dedup_stale_ = true;  // lint: ckpt-skip(lazy cache flag; stale default makes resume rebuild)
   AggregationMode mode_;     // lint: ckpt-skip(construction config, fixed for the run)
   const ModelCodec* codec_;  // lint: ckpt-skip(non-owning strategy object; re-wired on resume)
+  RoundCommitter* committer_ = nullptr;  ///< null = inline aggregation
   /// Empty = serial local rounds. lint: ckpt-skip(thread pool handle; rounds are width-invariant)
   util::ParallelFor executor_;
   std::vector<double> global_;

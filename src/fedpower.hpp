@@ -42,7 +42,6 @@
 #include "runtime/fleet_runtime.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serve/epoll_server.hpp"
-#include "serve/serve_federation.hpp"
 #include "serve/server.hpp"
 #include "serve/spsc_queue.hpp"
 #include "serve/wire.hpp"

@@ -112,27 +112,30 @@ struct ClientRecord {
   std::array<double, kNormWindow> norms{};  ///< recent upload L2 norms
 };
 
-class ShardedServer {
+/// The committer behind fed::FederatedAveraging on the serve path, and the
+/// server the epoll front end drives directly. `final`, so direct callers
+/// pay no virtual dispatch.
+class ShardedServer final : public fed::RoundCommitter {
  public:
   ShardedServer(std::size_t client_count, ServeConfig config = {},
                 const fed::ModelCodec* codec = nullptr);
-  ~ShardedServer();
+  ~ShardedServer() override;
 
   ShardedServer(const ShardedServer&) = delete;
   ShardedServer& operator=(const ShardedServer&) = delete;
 
   /// Installs the initial global model. Must run before the first submit.
-  void initialize(std::vector<double> global);
+  void initialize(std::vector<double> global) override;
 
   /// Executor for the commit-time aggregation (and large throughput
   /// merges); empty means serial. Same bit-identity contract as
   /// fed::aggregate.hpp.
-  void set_executor(util::ParallelFor executor);
+  void set_executor(util::ParallelFor executor) override;
 
   /// Opens a round: records the drawn participant set and clears the
   /// per-round upload log. Frames collected while no round is open are
   /// counted in stats() but belong to no round.
-  void begin_round(std::vector<std::size_t> participants);
+  void begin_round(std::vector<std::size_t> participants) override;
 
   /// Routes one uplink payload to its shard. `base_version` is the server
   /// version the client trained from (staleness bookkeeping); `weight` is
@@ -140,7 +143,7 @@ class ShardedServer {
   /// drops: a full shard queue defers the frame to an injector-side
   /// overflow list (stats().deferred) that flushes ahead of newer frames.
   void submit(std::size_t client, std::uint64_t base_version,
-              std::vector<std::uint8_t> payload, double weight);
+              std::vector<std::uint8_t> payload, double weight) override;
 
   /// Opportunistic progress: flushes deferred frames and collects finished
   /// worker verdicts (merging them immediately in throughput mode).
@@ -154,12 +157,15 @@ class ShardedServer {
   /// server); throughput mode has already merged and only reports. Throws
   /// fed::QuorumError — leaving the global model and round counter
   /// untouched — when fewer than `quorum` uploads survived.
-  fed::RoundResult commit_round(std::size_t quorum);
+  fed::RoundResult commit_round(std::size_t quorum) override;
 
-  [[nodiscard]] const std::vector<double>& global_model() const noexcept {
+  [[nodiscard]] const std::vector<double>& global_model()
+      const noexcept override {
     return global_;
   }
-  [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
+  [[nodiscard]] std::uint64_t version() const noexcept override {
+    return version_;
+  }
   [[nodiscard]] std::size_t rounds_committed() const noexcept {
     return rounds_committed_;
   }
@@ -173,7 +179,7 @@ class ShardedServer {
     return submitted_total_;
   }
   [[nodiscard]] const ServeStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const fed::ModelCodec& codec() const noexcept {
+  [[nodiscard]] const fed::ModelCodec& codec() const noexcept override {
     return *codec_;
   }
   [[nodiscard]] CommitMode mode() const noexcept { return config_.mode; }
@@ -203,8 +209,8 @@ class ShardedServer {
   /// snapshot bytes are identical at any worker count (per-client state
   /// depends only on that client's upload sequence, never on the shard
   /// schedule).
-  void save_state(ckpt::Writer& out) const;
-  void restore_state(ckpt::Reader& in);
+  void save_state(ckpt::Writer& out) const override;
+  void restore_state(ckpt::Reader& in) override;
 
  private:
   enum class Verdict : std::uint8_t {

@@ -13,7 +13,7 @@
 
 #include "fed/federation.hpp"
 #include "fed/transport.hpp"
-#include "serve/serve_federation.hpp"
+#include "serve/server.hpp"
 
 namespace fedpower::fed {
 namespace {
@@ -196,9 +196,10 @@ TEST(RoundDeadline, ServePipelineDemotesTheSameClientsAtEveryWorkerCount) {
         &sync_wire);
     serve::ServeConfig config;
     config.workers = workers;
-    serve::ServeFederation serve(
+    serve::ShardedServer server(serve_fleet.size(), config);
+    FederatedAveraging serve(
         {&serve_fleet[0], &serve_fleet[1], &serve_fleet[2], &serve_fleet[3]},
-        &serve_wire, config);
+        &serve_wire, &server);
     sync_server.set_client_transport(1, &sync_slow);
     serve.set_client_transport(1, &serve_slow);
     sync_server.set_round_deadline(0.05);

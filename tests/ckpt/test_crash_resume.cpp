@@ -72,15 +72,11 @@ void expect_same_result(const FederatedRunResult& a,
   EXPECT_EQ(a.traffic.downlink_bytes, b.traffic.downlink_bytes);
 }
 
-/// Runs 8 rounds with snapshots, then resumes to 20, at the given thread
-/// count, and compares against the uninterrupted 20-round run.
-void check_resume_bit_identical(std::size_t num_threads) {
-  const TempDir dir("fed_" + std::to_string(num_threads));
-  ExperimentConfig config = resume_config();
-  config.num_threads = num_threads;
-  const auto straight = run_federated(config, two_devices(),
-                                      sim::splash2_suite(), true);
-
+/// Runs `config` for 8 rounds with snapshots every 4, then resumes it from
+/// the newest snapshot to its full 20 rounds.
+FederatedRunResult resume_after_round_8(const ExperimentConfig& config,
+                                        const std::string& name) {
+  const TempDir dir(name);
   ExperimentConfig first = config;
   first.rounds = 8;
   first.checkpoint.every_rounds = 4;
@@ -92,9 +88,36 @@ void check_resume_bit_identical(std::size_t num_threads) {
 
   ExperimentConfig second = config;
   second.checkpoint.resume_from = dir.path.string();
-  const auto resumed = run_federated(second, two_devices(),
-                                     sim::splash2_suite(), true);
-  expect_same_result(resumed, straight);
+  return run_federated(second, two_devices(), sim::splash2_suite(), true);
+}
+
+/// Runs 8 rounds with snapshots, then resumes to 20, at the given thread
+/// count, and compares against the uninterrupted 20-round run.
+void check_resume_bit_identical(std::size_t num_threads) {
+  ExperimentConfig config = resume_config();
+  config.num_threads = num_threads;
+  const auto straight = run_federated(config, two_devices(),
+                                      sim::splash2_suite(), true);
+  expect_same_result(
+      resume_after_round_8(config, "fed_" + std::to_string(num_threads)),
+      straight);
+}
+
+/// The same kill/resume through the sharded serve pipeline (SFED+SRVR
+/// sections) at the given worker count: the resumed run matches the
+/// uninterrupted serve run, whose committed model matches the sync run's.
+void check_serve_resume_bit_identical(std::size_t workers) {
+  ExperimentConfig config = resume_config();
+  const auto sync = run_federated(config, two_devices(),
+                                  sim::splash2_suite(), true);
+  config.serve.enabled = true;
+  config.serve.workers = workers;
+  const auto straight = run_federated(config, two_devices(),
+                                      sim::splash2_suite(), true);
+  expect_same_result(
+      resume_after_round_8(config, "serve_" + std::to_string(workers)),
+      straight);
+  EXPECT_EQ(straight.global_params, sync.global_params);
 }
 
 TEST(CrashResume, FederatedResumeIsBitIdenticalSerial) {
@@ -103,6 +126,14 @@ TEST(CrashResume, FederatedResumeIsBitIdenticalSerial) {
 
 TEST(CrashResume, FederatedResumeIsBitIdenticalFourThreads) {
   check_resume_bit_identical(4);
+}
+
+TEST(CrashResume, ServeResumeIsBitIdenticalOneWorker) {
+  check_serve_resume_bit_identical(1);
+}
+
+TEST(CrashResume, ServeResumeIsBitIdenticalFourWorkers) {
+  check_serve_resume_bit_identical(4);
 }
 
 TEST(CrashResume, CorruptNewestSnapshotFallsBackToOlderEntry) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/scenario.hpp"
 #include "sim/splash2.hpp"
 
@@ -62,6 +64,19 @@ TEST(Experiment, LocalOnlyKeepsDevicesIndependent) {
   ASSERT_EQ(result.devices.size(), 2u);
   ASSERT_EQ(result.final_params.size(), 2u);
   EXPECT_NE(result.final_params[0], result.final_params[1]);
+}
+
+TEST(Experiment, ServeWithDefenseIsRejected) {
+  ExperimentConfig config = tiny_config();
+  config.serve.enabled = true;
+  config.defense.enabled = true;
+  EXPECT_THROW((void)run_federated(config, scenario2_apps(),
+                                   sim::splash2_suite(), false),
+               std::invalid_argument);
+  // The check runs before anything is built: an empty fleet would
+  // otherwise fail FleetRuntime's precondition and abort the process.
+  EXPECT_THROW((void)run_federated(config, {}, sim::splash2_suite(), false),
+               std::invalid_argument);
 }
 
 TEST(Experiment, FederatedIsDeterministicGivenSeed) {

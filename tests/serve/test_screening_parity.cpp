@@ -17,7 +17,7 @@
 #include "fed/fault_injection.hpp"
 #include "fed/federation.hpp"
 #include "fed/transport.hpp"
-#include "serve/serve_federation.hpp"
+#include "serve/server.hpp"
 
 namespace fedpower::serve {
 namespace {
@@ -98,8 +98,9 @@ TEST(ScreeningParity, NonFiniteVerdictsMatchTheSyncServerAtAnyWorkerCount) {
                                         &sync_wire);
     ServeConfig config;
     config.workers = workers;
-    ServeFederation serve({&serve_a, &serve_nan, &serve_b}, &serve_wire,
-                          config);
+    ShardedServer server(3, config);
+    fed::FederatedAveraging serve({&serve_a, &serve_nan, &serve_b},
+                                  &serve_wire, &server);
     sync_server.initialize(kInit);
     serve.initialize(kInit);
     for (int round = 0; round < 5; ++round) {
@@ -111,7 +112,7 @@ TEST(ScreeningParity, NonFiniteVerdictsMatchTheSyncServerAtAnyWorkerCount) {
       EXPECT_EQ(v.dropped, s.dropped);
       EXPECT_EQ(sync_server.global_model(), serve.global_model());
     }
-    EXPECT_EQ(serve.server_stats().uplinks_rejected, 5u);
+    EXPECT_EQ(server.stats().uplinks_rejected, 5u);
   }
 }
 
@@ -135,8 +136,9 @@ TEST(ScreeningParity, VerdictsMatchUnderSeededFaultsWithANanClient) {
       {&sync_a, &sync_nan, &sync_b, &sync_c}, &sync_faulty);
   ServeConfig config;
   config.workers = 2;
-  ServeFederation serve({&serve_a, &serve_nan, &serve_b, &serve_c},
-                        &serve_faulty, config);
+  ShardedServer server(4, config);
+  fed::FederatedAveraging serve({&serve_a, &serve_nan, &serve_b, &serve_c},
+                                &serve_faulty, &server);
   sync_server.initialize(kInit);
   serve.initialize(kInit);
   std::size_t committed = 0;
@@ -166,13 +168,14 @@ TEST(NormScreen, DisarmedByDefaultAndBlindBeforeHistoryArms) {
   ScriptedClient a(0.01), b(0.01);
   InflatingClient bloated(0.01, /*inflate_from=*/2, /*factor=*/50.0);
   fed::InProcessTransport wire;
-  ServeFederation serve({&a, &b, &bloated}, &wire);
+  ShardedServer server(3);
+  fed::FederatedAveraging serve({&a, &b, &bloated}, &wire, &server);
   serve.initialize(kInit);
   for (int round = 0; round < 6; ++round) {
     const fed::RoundResult result = serve.run_round();
     EXPECT_TRUE(result.screened.empty());
   }
-  EXPECT_EQ(serve.server_stats().uplinks_screened, 0u);
+  EXPECT_EQ(server.stats().uplinks_screened, 0u);
 }
 
 TEST(NormScreen, ScreensTheEnvelopeJumpOnceHistoryArms) {
@@ -182,7 +185,8 @@ TEST(NormScreen, ScreensTheEnvelopeJumpOnceHistoryArms) {
   ServeConfig config;
   config.norm_screen_multiplier = 3.0;
   config.norm_min_samples = 4;
-  ServeFederation serve({&a, &b, &bloated}, &wire, config);
+  ShardedServer server(3, config);
+  fed::FederatedAveraging serve({&a, &b, &bloated}, &wire, &server);
   serve.initialize(kInit);
   // Rounds 1-5: honest uploads bank norm history; nothing screens.
   for (int round = 1; round <= 5; ++round)
@@ -193,11 +197,11 @@ TEST(NormScreen, ScreensTheEnvelopeJumpOnceHistoryArms) {
     EXPECT_EQ(result.screened, (std::vector<std::size_t>{2}))
         << "round " << round;
   }
-  EXPECT_EQ(serve.server_stats().uplinks_screened, 3u);
-  EXPECT_EQ(serve.server().client_record(2).screened, 3u);
+  EXPECT_EQ(server.stats().uplinks_screened, 3u);
+  EXPECT_EQ(server.client_record(2).screened, 3u);
   // The screened uploads never reached the aggregate: both honest clients
   // drift identically, so the global tracks them exactly.
-  EXPECT_EQ(serve.server().client_record(2).accepted, 5u);
+  EXPECT_EQ(server.client_record(2).accepted, 5u);
 }
 
 TEST(NormScreen, VerdictsAndModelAreWorkerCountInvariant) {
@@ -213,7 +217,8 @@ TEST(NormScreen, VerdictsAndModelAreWorkerCountInvariant) {
     config.workers = workers;
     config.norm_screen_multiplier = 3.0;
     config.norm_min_samples = 4;
-    ServeFederation serve({&a, &b, &bloated, &c}, &wire, config);
+    ShardedServer server(4, config);
+    fed::FederatedAveraging serve({&a, &b, &bloated, &c}, &wire, &server);
     serve.initialize(kInit);
     std::vector<std::vector<std::size_t>> screened;
     for (int round = 0; round < 9; ++round)
@@ -232,41 +237,49 @@ TEST(NormScreen, VerdictsAndModelAreWorkerCountInvariant) {
 }
 
 TEST(NormScreen, ScreeningCountersSurviveACheckpointRoundtrip) {
+  /// One serve-path federation: the driver and the committer it owns.
+  struct Rig {
+    ShardedServer server;
+    fed::FederatedAveraging driver;
+    Rig(std::vector<fed::FederatedClient*> clients, fed::Transport* wire,
+        const ServeConfig& config)
+        : server(clients.size(), config),
+          driver(std::move(clients), wire, &server) {}
+  };
   const auto build = [](std::vector<fed::FederatedClient*> clients,
                         fed::Transport* wire) {
     ServeConfig config;
     config.workers = 2;
     config.norm_screen_multiplier = 3.0;
     config.norm_min_samples = 4;
-    auto serve = std::make_unique<ServeFederation>(std::move(clients), wire,
-                                                   config);
-    serve->initialize(kInit);
+    auto serve = std::make_unique<Rig>(std::move(clients), wire, config);
+    serve->driver.initialize(kInit);
     return serve;
   };
   ScriptedClient a(0.01), b(0.01);
   InflatingClient bloated(0.01, /*inflate_from=*/6, /*factor=*/50.0);
   fed::InProcessTransport wire;
   auto serve = build({&a, &b, &bloated}, &wire);
-  serve->run(7);  // through the first screened round
-  ASSERT_GT(serve->server_stats().uplinks_screened, 0u);
+  serve->driver.run(7);  // through the first screened round
+  ASSERT_GT(serve->server.stats().uplinks_screened, 0u);
   ckpt::Writer snapshot;
-  serve->save_state(snapshot);
+  serve->driver.save_state(snapshot);
 
   ScriptedClient a2(0.01), b2(0.01);
   InflatingClient bloated2(0.01, 6, 50.0);
   fed::InProcessTransport wire2;
   auto resumed = build({&a2, &b2, &bloated2}, &wire2);
   ckpt::Reader in(snapshot.data());
-  resumed->restore_state(in);
+  resumed->driver.restore_state(in);
   EXPECT_TRUE(in.exhausted());
   // The new counters rode the SRVR section: stats, per-client record and
   // a bit-identical re-serialization.
-  EXPECT_EQ(resumed->server_stats().uplinks_screened,
-            serve->server_stats().uplinks_screened);
-  EXPECT_EQ(resumed->server().client_record(2).screened,
-            serve->server().client_record(2).screened);
+  EXPECT_EQ(resumed->server.stats().uplinks_screened,
+            serve->server.stats().uplinks_screened);
+  EXPECT_EQ(resumed->server.client_record(2).screened,
+            serve->server.client_record(2).screened);
   ckpt::Writer again;
-  resumed->save_state(again);
+  resumed->driver.save_state(again);
   EXPECT_EQ(again.data(), snapshot.data());
 }
 

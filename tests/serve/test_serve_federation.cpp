@@ -1,10 +1,10 @@
-// The PR's headline contract (DESIGN.md §12): ServeFederation in
-// deterministic commit mode is bit-identical to the synchronous
-// FederatedAveraging server at any worker count — same globals, same
-// RoundResult verdicts, same QuorumError pattern — including under
+// The serve path's headline contract (DESIGN.md §12): FederatedAveraging
+// committing through a ShardedServer in deterministic commit mode is
+// bit-identical to inline aggregation at any worker count — same globals,
+// same RoundResult verdicts, same QuorumError pattern — including under
 // client sampling, robust aggregation and seeded transport faults. Plus
-// the SFED+SRVR checkpoint resume equivalence.
-#include "serve/serve_federation.hpp"
+// the SFED+SRVR checkpoint resume equivalence and its model-size check.
+#include "serve/server.hpp"
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "ckpt/binary_io.hpp"
+#include "ckpt/errors.hpp"
 #include "fed/fault_injection.hpp"
 #include "fed/federation.hpp"
 
@@ -81,7 +82,9 @@ TEST(ServeFederation, BitIdenticalToSyncAtOneTwoFourWorkers) {
     fed::FederatedAveraging sync_server(ptrs(sync_fleet), &sync_transport);
     ServeConfig config;
     config.workers = workers;
-    ServeFederation serve(ptrs(serve_fleet), &serve_transport, config);
+    ShardedServer server(serve_fleet.size(), config);
+    fed::FederatedAveraging serve(ptrs(serve_fleet), &serve_transport,
+                                  &server);
     sync_server.initialize(kInit);
     serve.initialize(kInit);
     for (int round = 0; round < 5; ++round) {
@@ -109,7 +112,8 @@ TEST(ServeFederation, BitIdenticalUnderClientSampling) {
   fed::FederatedAveraging sync_server(ptrs(sync_fleet), &sync_transport);
   ServeConfig config;
   config.workers = 2;
-  ServeFederation serve(ptrs(serve_fleet), &serve_transport, config);
+  ShardedServer server(serve_fleet.size(), config);
+  fed::FederatedAveraging serve(ptrs(serve_fleet), &serve_transport, &server);
   sync_server.set_sampling(sampling);
   serve.set_sampling(sampling);
   sync_server.initialize(kInit);
@@ -147,7 +151,9 @@ TEST(ServeFederation, BitIdenticalWithRobustAggregation) {
     config.workers = 4;
     config.aggregation = c.mode;
     config.trim_override = c.trim_override;
-    ServeFederation serve(ptrs(serve_fleet), &serve_transport, config);
+    ShardedServer server(serve_fleet.size(), config);
+    fed::FederatedAveraging serve(ptrs(serve_fleet), &serve_transport,
+                                  &server);
     if (c.trim_override) sync_server.set_trim_count(*c.trim_override);
     sync_server.initialize(kInit);
     serve.initialize(kInit);
@@ -176,7 +182,8 @@ TEST(ServeFederation, BitIdenticalUnderSeededTransportFaults) {
   fed::FederatedAveraging sync_server(ptrs(sync_fleet), &sync_faulty);
   ServeConfig config;
   config.workers = 2;
-  ServeFederation serve(ptrs(serve_fleet), &serve_faulty, config);
+  ShardedServer server(serve_fleet.size(), config);
+  fed::FederatedAveraging serve(ptrs(serve_fleet), &serve_faulty, &server);
   sync_server.initialize(kInit);
   serve.initialize(kInit);
   std::size_t committed = 0;
@@ -212,7 +219,8 @@ TEST(ServeFederation, QuorumErrorLeavesRoundCounterAndGlobalUntouched) {
   fed::FaultInjectionConfig faults;
   faults.drop_probability = 1.0;  // every transfer dies
   fed::FaultInjectingTransport faulty(&inner, faults);
-  ServeFederation serve(ptrs(fleet), &faulty);
+  ShardedServer server(fleet.size());
+  fed::FederatedAveraging serve(ptrs(fleet), &faulty, &server);
   serve.set_quorum(2);
   serve.initialize({4.0});
   EXPECT_THROW(serve.run_round(), fed::QuorumError);
@@ -225,46 +233,93 @@ TEST(ServeFederation, CheckpointResumeMatchesUninterruptedRun) {
   sampling.fraction = 0.5;
   sampling.min_clients = 2;
   sampling.seed = 11;
+  /// One serve-path federation: the driver and the committer it owns.
+  struct Rig {
+    ShardedServer server;
+    fed::FederatedAveraging serve;
+    Rig(Fleet& fleet, fed::Transport* transport, const ServeConfig& config)
+        : server(fleet.size(), config),
+          serve(ptrs(fleet), transport, &server) {}
+  };
   const auto build = [&](Fleet& fleet, fed::Transport* transport) {
     ServeConfig config;
     config.workers = 2;
-    auto serve =
-        std::make_unique<ServeFederation>(ptrs(fleet), transport, config);
-    serve->set_sampling(sampling);
-    serve->initialize(kInit);
-    return serve;
+    auto rig = std::make_unique<Rig>(fleet, transport, config);
+    rig->serve.set_sampling(sampling);
+    rig->serve.initialize(kInit);
+    return rig;
   };
   // Reference: 6 uninterrupted rounds.
   Fleet fleet_a = make_fleet(kDeltas);
   fed::InProcessTransport transport_a;
   auto reference = build(fleet_a, &transport_a);
-  reference->run(6);
+  reference->serve.run(6);
   // Interrupted: 3 rounds, snapshot, restore into a fresh federation
   // (fresh clients too — their state is rebuilt by the next broadcast),
   // then 3 more rounds.
   Fleet fleet_b = make_fleet(kDeltas);
   fed::InProcessTransport transport_b;
   auto first_half = build(fleet_b, &transport_b);
-  first_half->run(3);
+  first_half->serve.run(3);
   ckpt::Writer snapshot;
-  first_half->save_state(snapshot);
+  first_half->serve.save_state(snapshot);
   Fleet fleet_c = make_fleet(kDeltas);
   fed::InProcessTransport transport_c;
   auto resumed = build(fleet_c, &transport_c);
   ckpt::Reader in(snapshot.data());
-  resumed->restore_state(in);
+  resumed->serve.restore_state(in);
   EXPECT_TRUE(in.exhausted());
-  EXPECT_EQ(resumed->rounds_completed(), 3u);
-  resumed->run(3);
-  EXPECT_EQ(resumed->rounds_completed(), 6u);
+  EXPECT_EQ(resumed->serve.rounds_completed(), 3u);
+  resumed->serve.run(3);
+  EXPECT_EQ(resumed->serve.rounds_completed(), 6u);
   // Bit-identical to the uninterrupted run: global model AND the
   // participation stream (a drifted stream would pick other clients).
-  EXPECT_EQ(resumed->global_model(), reference->global_model());
+  EXPECT_EQ(resumed->serve.global_model(), reference->serve.global_model());
   ckpt::Writer resumed_bytes;
   ckpt::Writer reference_bytes;
-  resumed->save_state(resumed_bytes);
-  reference->save_state(reference_bytes);
+  resumed->serve.save_state(resumed_bytes);
+  reference->serve.save_state(reference_bytes);
   EXPECT_EQ(resumed_bytes.data(), reference_bytes.data());
+}
+
+TEST(ServeFederation, DefenseCannotBeArmedWithACommitter) {
+  // The shards do not route uploads through the defense screen, so arming
+  // it on the serve path is a caller bug, not a silent no-op.
+  fed::DefenseConfig defense;
+  defense.enabled = true;
+  EXPECT_DEATH(
+      {
+        Fleet fleet = make_fleet(kDeltas);
+        fed::InProcessTransport transport;
+        ShardedServer server(fleet.size());
+        fed::FederatedAveraging serve(ptrs(fleet), &transport, &server);
+        serve.enable_defense(defense);
+      },
+      "precondition");
+}
+
+TEST(ServeFederation, SnapshotOfTheWrongModelSizeIsRejected) {
+  // A 3-parameter serve snapshot restored into a fleet whose clients hold
+  // 4 parameters must fail as a state mismatch at restore time, not abort
+  // the process at the next broadcast.
+  Fleet small_fleet = make_fleet(kDeltas);
+  fed::InProcessTransport small_transport;
+  ShardedServer small_server(small_fleet.size());
+  fed::FederatedAveraging small(ptrs(small_fleet), &small_transport,
+                                &small_server);
+  small.initialize(kInit);
+  small.run(2);
+  ckpt::Writer snapshot;
+  small.save_state(snapshot);
+
+  Fleet fleet = make_fleet(kDeltas);
+  fed::InProcessTransport transport;
+  ShardedServer server(fleet.size());
+  fed::FederatedAveraging serve(ptrs(fleet), &transport, &server);
+  serve.initialize({1.0, 2.0, 3.0, 4.0});
+  serve.run(1);  // every client now holds 4 parameters
+  ckpt::Reader in(snapshot.data());
+  EXPECT_THROW(serve.restore_state(in), ckpt::StateMismatchError);
 }
 
 TEST(ServeFederation, ThroughputModeMergesEveryAcceptedUpload) {
@@ -274,12 +329,13 @@ TEST(ServeFederation, ThroughputModeMergesEveryAcceptedUpload) {
   config.mode = CommitMode::kThroughput;
   config.workers = 2;
   config.mixing_rate = 0.5;
-  ServeFederation serve(ptrs(fleet), &transport, config);
+  ShardedServer server(fleet.size(), config);
+  fed::FederatedAveraging serve(ptrs(fleet), &transport, &server);
   serve.initialize(kInit);
   serve.run(3);
   EXPECT_EQ(serve.rounds_completed(), 3u);
-  EXPECT_EQ(serve.server_stats().merges, 18u);  // 6 clients x 3 rounds
-  EXPECT_EQ(serve.server().version(), 18u);     // one bump per merge
+  EXPECT_EQ(server.stats().merges, 18u);  // 6 clients x 3 rounds
+  EXPECT_EQ(server.version(), 18u);       // one bump per merge
 }
 
 }  // namespace
