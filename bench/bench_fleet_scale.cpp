@@ -9,7 +9,15 @@
 // eager 100k-device fleet would need tens of gigabytes (extrapolated here
 // from a small eager fleet), the lazy one stays within a few hundred MB.
 //
-// Part 2 guards the total_transport_retries() fix: with one private
+// Part 2 is the long-horizon sweep: 10k devices at C = 0.01 for 300
+// rounds, after which ~95 % of the fleet has trained and gone cold. A
+// short sweep says little about cold-state cost, because almost every
+// device is still pristine; here the cold records are the footprint. It
+// gates the whole process's resident memory (an upper bound on the
+// fleet's) at a quarter of the eager estimate, and reports the size of the
+// cold blob a device leaves after one 4-step round.
+//
+// Part 3 guards the total_transport_retries() fix: with one private
 // transport per client the historic per-round accounting scan was
 // O(clients^2) pointer comparisons (~seconds per round at 20k clients);
 // the sort-based dedup makes it O(n log n) once and O(n) per round.
@@ -26,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/binary_io.hpp"
 #include "fleet.hpp"
 #include "sim/splash2.hpp"
 
@@ -47,6 +56,13 @@ std::size_t current_rss_kib() {
   }
   std::fclose(status);
   return rss;
+}
+
+/// Growth of the resident set since `before`, in KiB; 0 when it shrank
+/// (freed heap returned to the kernel).
+std::size_t rss_growth_kib(std::size_t before) {
+  const std::size_t now = current_rss_kib();
+  return now > before ? now - before : 0;
 }
 
 /// Peak resident set size in KiB over the process lifetime.
@@ -99,7 +115,7 @@ SweepResult run_sweep(std::size_t devices, double fraction,
       std::chrono::duration<double>(
           std::chrono::steady_clock::now() - build_start)  // lint: nondet-ok(timing)
           .count();
-  result.rss_after_build_kib = current_rss_kib() - rss_before;
+  result.rss_after_build_kib = rss_growth_kib(rss_before);
 
   fed::InProcessTransport transport;
   fed::FederatedAveraging server(fleet.clients(), &transport);
@@ -123,7 +139,7 @@ SweepResult run_sweep(std::size_t devices, double fraction,
           .count() /
       static_cast<double>(kRounds);
   result.hot_after_round = fleet.hot_count();
-  result.rss_after_rounds_kib = current_rss_kib() - rss_before;
+  result.rss_after_rounds_kib = rss_growth_kib(rss_before);
 
   // Bounded-memory acceptance: the working set stays hot, the fleet does
   // not. Demand (a) the hot set tracks the sample, and (b) resident memory
@@ -131,6 +147,74 @@ SweepResult run_sweep(std::size_t devices, double fraction,
   const std::size_t eager_estimate_kib = devices * eager_kib_per_device;
   result.bounded = result.hot_after_round <= result.participants &&
                    result.rss_after_rounds_kib < eager_estimate_kib / 4;
+  return result;
+}
+
+struct LongHorizonResult {
+  std::size_t devices = 0;
+  double fraction = 0.0;
+  std::size_t rounds = 0;
+  std::size_t trained = 0;  ///< devices that took part at least once
+  std::size_t hot_after = 0;
+  std::size_t process_rss_kib = 0;
+  std::size_t cold_blob_bytes = 0;  ///< one 4-step device's cold record
+  double round_seconds = 0.0;
+  bool bounded = false;
+};
+
+/// Bytes of the state blob a device leaves when it dehydrates after one
+/// local round: the FLT2 snapshot of a one-device lazy fleet minus its
+/// framing (tag, device count, record kind, blob length prefix).
+std::size_t cold_blob_bytes_after_one_round() {
+  benchutil::Fleet fleet =
+      benchutil::make_fleet({bench_controller()}, sim::ProcessorConfig{},
+                            fleet_apps(1), /*seed=*/2026,
+                            runtime::FleetOptions{1, /*lazy=*/true});
+  fleet.clients()[0]->run_local_round();
+  fleet.dehydrate(0);
+  ckpt::Writer out;
+  fleet.save_state(out);
+  constexpr std::size_t kFlt2Framing = 4 + 8 + 1 + 8;
+  return out.size() - kFlt2Framing;
+}
+
+LongHorizonResult run_long_horizon(std::size_t eager_kib_per_device) {
+  LongHorizonResult result;
+  result.devices = 10000;
+  result.fraction = 0.01;
+  result.rounds = 300;
+
+  benchutil::Fleet fleet =
+      benchutil::make_fleet({bench_controller()}, sim::ProcessorConfig{},
+                            fleet_apps(result.devices), /*seed=*/2026,
+                            runtime::FleetOptions{1, /*lazy=*/true});
+  fed::InProcessTransport transport;
+  fed::FederatedAveraging server(fleet.clients(), &transport);
+  fed::SamplingConfig sampling;
+  sampling.fraction = result.fraction;
+  sampling.seed = 11;
+  server.set_sampling(sampling);
+  server.initialize(fleet.controller(0).local_parameters());
+
+  std::vector<bool> trained(result.devices, false);
+  // lint: nondet-ok(timing)
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t r = 0; r < result.rounds; ++r) {
+    const fed::RoundResult round = server.run_round();
+    for (const std::size_t d : round.participants) trained[d] = true;
+    fleet.dehydrate_inactive(round.participants);
+  }
+  result.round_seconds =
+      std::chrono::duration<double>(
+          std::chrono::steady_clock::now() - start)  // lint: nondet-ok(timing)
+          .count() /
+      static_cast<double>(result.rounds);
+  for (const bool t : trained) result.trained += t ? 1 : 0;
+  result.hot_after = fleet.hot_count();
+  result.process_rss_kib = current_rss_kib();
+  result.cold_blob_bytes = cold_blob_bytes_after_one_round();
+  result.bounded = result.process_rss_kib <=
+                   result.devices * eager_kib_per_device / 4;
   return result;
 }
 
@@ -217,6 +301,20 @@ int main() {
   const std::size_t eager_kib = measure_eager_kib_per_device();
   std::printf("eager footprint probe: ~%zu KiB/device\n", eager_kib);
 
+  // First after the probe: later sweeps would leave freed heap resident
+  // and inflate the process-wide RSS this sweep gates on.
+  const LongHorizonResult horizon = run_long_horizon(eager_kib);
+  std::printf(
+      "long horizon: devices=%zu C=%.3f rounds=%zu  trained=%zu (%.1f%%)  "
+      "hot=%zu  process rss=%zu KiB (bound %zu KiB = eager/4)  "
+      "cold blob after one 4-step round=%zu B  round=%.3fs  bounded=%s\n",
+      horizon.devices, horizon.fraction, horizon.rounds, horizon.trained,
+      100.0 * static_cast<double>(horizon.trained) /
+          static_cast<double>(horizon.devices),
+      horizon.hot_after, horizon.process_rss_kib,
+      horizon.devices * eager_kib / 4, horizon.cold_blob_bytes,
+      horizon.round_seconds, horizon.bounded ? "yes" : "NO");
+
   std::vector<SweepResult> sweeps;
   const std::size_t sweep_devices[] = {10000, 100000};
   const double sweep_fractions[] = {0.001, 0.01};
@@ -241,7 +339,7 @@ int main() {
       "%s\n",
       guard.clients, guard.round_seconds, guard.passed ? "ok" : "REGRESSED");
 
-  bool all_bounded = true;
+  bool all_bounded = horizon.bounded;
   for (const SweepResult& s : sweeps) all_bounded = all_bounded && s.bounded;
 
   std::FILE* out = std::fopen("BENCH_fleet_scale.json", "w");
@@ -268,6 +366,16 @@ int main() {
                    i + 1 < sweeps.size() ? "," : "");
     }
     std::fprintf(out, "  ],\n");
+    std::fprintf(out,
+                 "  \"long_horizon\": {\"devices\": %zu, \"fraction\": %.3f, "
+                 "\"rounds\": %zu, \"trained\": %zu, \"hot_after\": %zu, "
+                 "\"process_rss_kib\": %zu, \"rss_bound_kib\": %zu, "
+                 "\"cold_blob_bytes\": %zu, \"round_seconds\": %.4f, "
+                 "\"bounded\": %s},\n",
+                 horizon.devices, horizon.fraction, horizon.rounds,
+                 horizon.trained, horizon.hot_after, horizon.process_rss_kib,
+                 horizon.devices * eager_kib / 4, horizon.cold_blob_bytes,
+                 horizon.round_seconds, horizon.bounded ? "true" : "false");
     std::fprintf(out,
                  "  \"retries_guard\": {\"clients\": %zu, "
                  "\"round_seconds\": %.4f, \"budget_seconds\": 0.1, "

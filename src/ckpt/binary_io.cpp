@@ -1,6 +1,7 @@
 #include "ckpt/binary_io.hpp"
 
 #include <bit>
+#include <cstring>
 #include <limits>
 
 #include "util/assert.hpp"
@@ -44,25 +45,25 @@ void Writer::raw(std::span<const std::uint8_t> data) {
   buffer_.insert(buffer_.end(), data.begin(), data.end());
 }
 
-void Writer::vec_f64(std::span<const double> v) {
+// The bulk vector paths copy host memory verbatim, which is the
+// little-endian encoding only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "ckpt bulk vector I/O assumes a little-endian host");
+
+template <class T>
+void Writer::append_vec(std::span<const T> v) {
   u64(v.size());
-  for (const double x : v) f64(x);
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(v.data());
+  buffer_.insert(buffer_.end(), bytes, bytes + v.size_bytes());
 }
 
-void Writer::vec_f32(std::span<const float> v) {
-  u64(v.size());
-  for (const float x : v) f32(x);
-}
+void Writer::vec_f64(std::span<const double> v) { append_vec(v); }
 
-void Writer::vec_u8(std::span<const std::uint8_t> v) {
-  u64(v.size());
-  buffer_.insert(buffer_.end(), v.begin(), v.end());
-}
+void Writer::vec_f32(std::span<const float> v) { append_vec(v); }
 
-void Writer::vec_u64(std::span<const std::uint64_t> v) {
-  u64(v.size());
-  for (const std::uint64_t x : v) u64(x);
-}
+void Writer::vec_u8(std::span<const std::uint8_t> v) { append_vec(v); }
+
+void Writer::vec_u64(std::span<const std::uint64_t> v) { append_vec(v); }
 
 void Reader::require(std::size_t n) const {
   if (remaining() < n)
@@ -141,55 +142,71 @@ void check_count(std::uint64_t n, std::size_t elem_size,
 
 }  // namespace
 
-std::vector<double> Reader::vec_f64() {
+template <class T>
+std::vector<T> Reader::read_vec() {
   const std::uint64_t n = u64();
-  check_count(n, 8, remaining());
-  std::vector<double> out;
-  out.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(f64());
+  check_count(n, sizeof(T), remaining());
+  std::vector<T> out(static_cast<std::size_t>(n));
+  copy_out(std::span<T>(out));
   return out;
 }
 
-std::vector<float> Reader::vec_f32() {
+template <class T>
+void Reader::read_vec_into(std::span<T> out) {
   const std::uint64_t n = u64();
-  check_count(n, 4, remaining());
-  std::vector<float> out;
-  out.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(f32());
-  return out;
+  if (n != out.size())
+    throw CorruptSnapshotError("snapshot vector holds " + std::to_string(n) +
+                               " element(s), expected " +
+                               std::to_string(out.size()));
+  copy_out(out);
 }
+
+template <class T>
+void Reader::copy_out(std::span<T> out) {
+  require(out.size_bytes());
+  if (out.empty()) return;
+  std::memcpy(out.data(), data_.data() + pos_, out.size_bytes());
+  pos_ += out.size_bytes();
+}
+
+std::vector<double> Reader::vec_f64() { return read_vec<double>(); }
+
+std::vector<float> Reader::vec_f32() { return read_vec<float>(); }
 
 std::vector<std::uint8_t> Reader::vec_u8() {
-  const std::uint64_t n = u64();
-  require(n);
-  std::vector<std::uint8_t> out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                data_.begin() +
-                                    static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return out;
+  return read_vec<std::uint8_t>();
 }
 
 std::vector<std::uint64_t> Reader::vec_u64() {
-  const std::uint64_t n = u64();
-  check_count(n, 8, remaining());
-  std::vector<std::uint64_t> out;
-  out.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(u64());
-  return out;
+  return read_vec<std::uint64_t>();
 }
+
+void Reader::vec_f32_into(std::span<float> out) { read_vec_into(out); }
+
+void Reader::vec_u8_into(std::span<std::uint8_t> out) { read_vec_into(out); }
 
 void write_tag(Writer& out, const Tag& tag) {
   for (const char c : tag) out.u8(static_cast<std::uint8_t>(c));
 }
 
 void expect_tag(Reader& in, const Tag& tag, const char* component) {
+  (void)expect_tag_of(in, {tag}, component);
+}
+
+std::size_t expect_tag_of(Reader& in, std::initializer_list<Tag> tags,
+                          const char* component) {
   Tag got{};
   for (char& c : got) c = static_cast<char>(in.u8());
-  if (got != tag)
-    throw CorruptSnapshotError(
-        std::string("snapshot section mismatch: expected '") +
-        std::string(tag.data(), tag.size()) + "' (" + component + "), found '" +
-        std::string(got.data(), got.size()) + "'");
+  std::string expected;
+  std::size_t index = 0;
+  for (const Tag& tag : tags) {
+    if (got == tag) return index;
+    expected += (index++ == 0 ? "'" : " or '") +
+                std::string(tag.data(), tag.size()) + "'";
+  }
+  throw CorruptSnapshotError("snapshot section mismatch: expected " +
+                             expected + " (" + component + "), found '" +
+                             std::string(got.data(), got.size()) + "'");
 }
 
 }  // namespace fedpower::ckpt

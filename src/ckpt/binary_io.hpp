@@ -4,8 +4,9 @@
 // with bounds checking and throws CorruptSnapshotError instead of reading
 // past the end, so a truncated or bit-flipped payload that somehow slips
 // past the container CRC still cannot make restore_state() read garbage.
-// Every multi-byte value is little-endian regardless of host order, so a
-// snapshot written on one machine restores on any other.
+// Every multi-byte value is little-endian, so a snapshot written on one
+// machine restores on any other; the homogeneous vectors are copied in bulk,
+// which is why the build requires a little-endian host (binary_io.cpp).
 //
 // Components frame their state with a 4-byte tag (write_tag/expect_tag):
 // the tag turns "restore read the wrong bytes" into a named error ("expected
@@ -15,6 +16,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <string>
 #include <vector>
@@ -53,7 +55,14 @@ class Writer {
   }
   [[nodiscard]] std::size_t size() const noexcept { return buffer_.size(); }
 
+  /// Empties the buffer but keeps its capacity, so a writer reused for a
+  /// stream of payloads stops reallocating once it has seen the largest.
+  void clear() noexcept { buffer_.clear(); }
+
  private:
+  template <class T>
+  void append_vec(std::span<const T> v);
+
   std::vector<std::uint8_t> buffer_;
 };
 
@@ -81,6 +90,11 @@ class Reader {
   [[nodiscard]] std::vector<std::uint8_t> vec_u8();
   [[nodiscard]] std::vector<std::uint64_t> vec_u64();
 
+  /// Reads a vector straight into caller-owned storage; throws
+  /// CorruptSnapshotError unless it holds exactly out.size() elements.
+  void vec_f32_into(std::span<float> out);
+  void vec_u8_into(std::span<std::uint8_t> out);
+
   [[nodiscard]] std::size_t remaining() const noexcept {
     return data_.size() - pos_;
   }
@@ -89,6 +103,14 @@ class Reader {
  private:
   /// Throws CorruptSnapshotError when fewer than n bytes remain.
   void require(std::size_t n) const;
+
+  template <class T>
+  std::vector<T> read_vec();
+  template <class T>
+  void read_vec_into(std::span<T> out);
+  /// Fills out from the next out.size_bytes() bytes.
+  template <class T>
+  void copy_out(std::span<T> out);
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
@@ -102,5 +124,11 @@ void write_tag(Writer& out, const Tag& tag);
 /// Consumes 4 bytes and throws CorruptSnapshotError naming `component` when
 /// they differ from the expected tag.
 void expect_tag(Reader& in, const Tag& tag, const char* component);
+
+/// Consumes 4 bytes and returns the index of the tag in `tags` they match;
+/// throws CorruptSnapshotError naming `component` when they match none. The
+/// read side of a section with more than one layout.
+std::size_t expect_tag_of(Reader& in, std::initializer_list<Tag> tags,
+                          const char* component);
 
 }  // namespace fedpower::ckpt

@@ -117,7 +117,9 @@ void QReplayBuffer::clear() noexcept {
 }
 
 namespace {
-constexpr ckpt::Tag kQReplayTag{'Q', 'R', 'P', 'L'};
+constexpr ckpt::Tag kQReplayTag{'Q', 'R', 'P', '2'};
+/// The full-ring layout of older builds; restore still reads it.
+constexpr ckpt::Tag kLegacyQReplayTag{'Q', 'R', 'P', 'L'};
 }  // namespace
 
 void QReplayBuffer::save_state(ckpt::Writer& out) const {
@@ -126,14 +128,17 @@ void QReplayBuffer::save_state(ckpt::Writer& out) const {
   out.u64(state_dim_);
   out.u64(head_);
   out.u64(size_);
-  out.vec_f32(states_);
-  out.vec_f32(next_states_);
-  out.vec_u8(actions_);
-  out.vec_f32(rewards_);
+  // Live entries always occupy slots [0, size); the rest is never read.
+  out.vec_f32(std::span(states_).first(size_ * state_dim_));
+  out.vec_f32(std::span(next_states_).first(size_ * state_dim_));
+  out.vec_u8(std::span(actions_).first(size_));
+  out.vec_f32(std::span(rewards_).first(size_));
 }
 
 void QReplayBuffer::restore_state(ckpt::Reader& in) {
-  expect_tag(in, kQReplayTag, "Q replay buffer");
+  const bool legacy =
+      ckpt::expect_tag_of(in, {kQReplayTag, kLegacyQReplayTag},
+                          "Q replay buffer") == 1;
   const std::uint64_t capacity = in.u64();
   const std::uint64_t state_dim = in.u64();
   if (capacity != capacity_ || state_dim != state_dim_)
@@ -141,22 +146,21 @@ void QReplayBuffer::restore_state(ckpt::Reader& in) {
         "Q replay buffer snapshot geometry " + std::to_string(capacity) + "x" +
         std::to_string(state_dim) + " does not match configured " +
         std::to_string(capacity_) + "x" + std::to_string(state_dim_));
-  head_ = in.u64();
-  size_ = in.u64();
-  states_ = in.vec_f32();
-  next_states_ = in.vec_f32();
-  actions_ = in.vec_u8();
-  rewards_ = in.vec_f32();
-  // Until the ring first fills, entries occupy slots [0, size) and the
-  // next write goes to slot size; any other head would sample never-written
-  // slots as live ones.
-  if (head_ >= capacity_ || size_ > capacity_ ||
-      (size_ < capacity_ && head_ != size_) ||
-      states_.size() != capacity_ * state_dim_ ||
-      next_states_.size() != capacity_ * state_dim_ ||
-      actions_.size() != capacity_ || rewards_.size() != capacity_)
+  const std::uint64_t head = in.u64();
+  const std::uint64_t size = in.u64();
+  // Same cursor invariant as ReplayBuffer::restore_state.
+  if (head >= capacity_ || size > capacity_ ||
+      (size < capacity_ && head != size))
     throw ckpt::StateMismatchError(
-        "Q replay buffer snapshot has inconsistent cursors or array sizes");
+        "Q replay buffer snapshot has inconsistent cursors");
+  // Legacy: the whole ring; current: the live slots. Restored in place.
+  const std::size_t slots = legacy ? capacity_ : size;
+  in.vec_f32_into(std::span(states_).first(slots * state_dim_));
+  in.vec_f32_into(std::span(next_states_).first(slots * state_dim_));
+  in.vec_u8_into(std::span(actions_).first(slots));
+  in.vec_f32_into(std::span(rewards_).first(slots));
+  head_ = head;
+  size_ = size;
 }
 
 }  // namespace fedpower::rl

@@ -50,7 +50,9 @@ class QReplayBuffer {
 
   void clear() noexcept;
 
-  /// Checkpointing; same contract as ReplayBuffer::save_state/restore_state.
+  /// Checkpointing; same contract as ReplayBuffer::save_state/restore_state:
+  /// QRP2 writes the cursors and the size() live slots, and restore also
+  /// reads the full-ring QRPL layout of older builds.
   void save_state(ckpt::Writer& out) const;
   void restore_state(ckpt::Reader& in);
 

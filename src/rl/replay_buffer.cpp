@@ -107,7 +107,9 @@ void ReplayBuffer::clear() noexcept {
 }
 
 namespace {
-constexpr ckpt::Tag kReplayTag{'R', 'P', 'L', 'Y'};
+constexpr ckpt::Tag kReplayTag{'R', 'P', 'L', '2'};
+/// The full-ring layout of older builds; restore still reads it.
+constexpr ckpt::Tag kLegacyReplayTag{'R', 'P', 'L', 'Y'};
 }  // namespace
 
 void ReplayBuffer::save_state(ckpt::Writer& out) const {
@@ -116,13 +118,16 @@ void ReplayBuffer::save_state(ckpt::Writer& out) const {
   out.u64(state_dim_);
   out.u64(head_);
   out.u64(size_);
-  out.vec_f32(states_);
-  out.vec_u8(actions_);
-  out.vec_f32(rewards_);
+  // Live entries always occupy slots [0, size); the rest is never read.
+  out.vec_f32(std::span(states_).first(size_ * state_dim_));
+  out.vec_u8(std::span(actions_).first(size_));
+  out.vec_f32(std::span(rewards_).first(size_));
 }
 
 void ReplayBuffer::restore_state(ckpt::Reader& in) {
-  expect_tag(in, kReplayTag, "replay buffer");
+  const bool legacy =
+      ckpt::expect_tag_of(in, {kReplayTag, kLegacyReplayTag},
+                          "replay buffer") == 1;
   const std::uint64_t capacity = in.u64();
   const std::uint64_t state_dim = in.u64();
   if (capacity != capacity_ || state_dim != state_dim_)
@@ -130,20 +135,23 @@ void ReplayBuffer::restore_state(ckpt::Reader& in) {
         "replay buffer snapshot geometry " + std::to_string(capacity) + "x" +
         std::to_string(state_dim) + " does not match configured " +
         std::to_string(capacity_) + "x" + std::to_string(state_dim_));
-  head_ = in.u64();
-  size_ = in.u64();
-  states_ = in.vec_f32();
-  actions_ = in.vec_u8();
-  rewards_ = in.vec_f32();
+  const std::uint64_t head = in.u64();
+  const std::uint64_t size = in.u64();
   // Until the ring first fills, entries occupy slots [0, size) and the
   // next write goes to slot size; any other head would sample never-written
   // slots as live ones.
-  if (head_ >= capacity_ || size_ > capacity_ ||
-      (size_ < capacity_ && head_ != size_) ||
-      states_.size() != capacity_ * state_dim_ ||
-      actions_.size() != capacity_ || rewards_.size() != capacity_)
+  if (head >= capacity_ || size > capacity_ ||
+      (size < capacity_ && head != size))
     throw ckpt::StateMismatchError(
-        "replay buffer snapshot has inconsistent cursors or array sizes");
+        "replay buffer snapshot has inconsistent cursors");
+  // The legacy layout carries the whole ring, the current one the live
+  // slots; either way they land in place, in the constructor-sized arrays.
+  const std::size_t slots = legacy ? capacity_ : size;
+  in.vec_f32_into(std::span(states_).first(slots * state_dim_));
+  in.vec_u8_into(std::span(actions_).first(slots));
+  in.vec_f32_into(std::span(rewards_).first(slots));
+  head_ = head;
+  size_ = size;
 }
 
 }  // namespace fedpower::rl

@@ -62,12 +62,17 @@ class ReplayBuffer {
 
   void clear() noexcept;
 
-  /// Serializes the ring contents plus head/size cursors verbatim.
+  /// Serializes the head/size cursors and only the size() live slots
+  /// (RPL2), so a buffer that has seen a few steps snapshots in a few
+  /// hundred bytes instead of the full ring.
   void save_state(ckpt::Writer& out) const;
 
-  /// Restores a snapshot taken from a buffer with the same capacity and
-  /// state_dim; throws StateMismatchError when the shapes differ (the
-  /// config, not the snapshot, decides buffer geometry).
+  /// Restores an RPL2 snapshot, or a full-ring RPLY snapshot of older
+  /// builds, taken from a buffer with the same capacity and state_dim, in
+  /// place into the existing arrays. Throws StateMismatchError when the
+  /// shapes or cursors do not fit (the config, not the snapshot, decides
+  /// buffer geometry) and CorruptSnapshotError when the arrays disagree
+  /// with the cursors.
   void restore_state(ckpt::Reader& in);
 
  private:

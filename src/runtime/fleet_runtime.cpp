@@ -143,13 +143,20 @@ void FleetRuntime::hydrate(std::size_t device) {
 }
 
 void FleetRuntime::dehydrate(std::size_t device) {
+  ckpt::Writer scratch;
+  dehydrate_with(device, scratch);
+}
+
+void FleetRuntime::dehydrate_with(std::size_t device, ckpt::Writer& scratch) {
   FEDPOWER_EXPECTS(device < hardware_.size());
   if (!lazy_ || !hot(device)) return;
-  ckpt::Writer out;
-  hardware_[device].processor->save_state(out);
-  controllers_[device]->save_state(out);
-  if (attackers_[device]) attackers_[device]->save_state(out);
-  cold_[device].blob = out.take();
+  scratch.clear();
+  hardware_[device].processor->save_state(scratch);
+  controllers_[device]->save_state(scratch);
+  if (attackers_[device]) attackers_[device]->save_state(scratch);
+  // An exact-sized copy: the scratch keeps its growth slack for the next
+  // device, the blob that stays resident does not.
+  cold_[device].blob.assign(scratch.data().begin(), scratch.data().end());
   // Destruction order mirrors the dependency chain: the attacker wraps the
   // controller, the controller drives the processor, the processor reads
   // the workload.
@@ -160,10 +167,11 @@ void FleetRuntime::dehydrate(std::size_t device) {
 }
 
 void FleetRuntime::dehydrate_inactive(std::span<const std::size_t> keep_hot) {
+  ckpt::Writer scratch;
   for (std::size_t d = 0; d < hardware_.size(); ++d) {
     if (!hot(d)) continue;
     if (!std::binary_search(keep_hot.begin(), keep_hot.end(), d))
-      dehydrate(d);
+      dehydrate_with(d, scratch);
   }
 }
 
@@ -259,10 +267,9 @@ std::array<std::uint64_t, 4> read_rng_state(ckpt::Reader& in) {
 }
 }  // namespace
 
-// Save always writes the FLT1/FLT2 tag up front; restore peeks it as raw
-// bytes to dispatch between the eager and lazy layouts, so the first typed
-// call differs by design.
-// lint: ckpt-sym-ok(dual-format dispatch: restore peeks the tag as raw bytes)
+// Save writes one of two layouts behind the FLT1/FLT2 tag; restore
+// dispatches on the tag it reads, so the typed sequences differ by design.
+// lint: ckpt-sym-ok(dual-format dispatch: restore branches on the tag it reads)
 void FleetRuntime::save_state(ckpt::Writer& out) const {
   if (!lazy_) {
     // The historic eager layout, byte for byte.
@@ -300,15 +307,9 @@ void FleetRuntime::save_state(ckpt::Writer& out) const {
 }
 
 void FleetRuntime::restore_state(ckpt::Reader& in) {
-  const std::vector<std::uint8_t> raw_tag = in.raw(4);
-  ckpt::Tag tag{};
-  for (std::size_t i = 0; i < 4; ++i)
-    tag[i] = static_cast<char>(raw_tag[i]);
-  const bool lazy_format = tag == kFleetTagLazy;
-  if (tag != kFleetTag && !lazy_format)
-    throw ckpt::CorruptSnapshotError(
-        "expected a fleet runtime section (FLT1 or FLT2), found \"" +
-        std::string(tag.begin(), tag.end()) + "\"");
+  const bool lazy_format =
+      ckpt::expect_tag_of(in, {kFleetTag, kFleetTagLazy}, "fleet runtime") ==
+      1;
   const std::uint64_t device_count = in.u64();
   if (device_count != controllers_.size())
     throw ckpt::StateMismatchError(

@@ -265,6 +265,9 @@ class FleetRuntime {
   void construct_device(std::size_t d,
                         const std::array<std::uint64_t, 4>& processor_rng,
                         const std::array<std::uint64_t, 4>& brain_rng);
+  /// dehydrate() serializing through a caller-owned scratch writer, so a
+  /// sweep over many devices reuses one buffer.
+  void dehydrate_with(std::size_t device, ckpt::Writer& scratch);
   /// Restores device d's components from an FLT1-style inline record.
   void restore_device(std::size_t d, ckpt::Reader& in);
   /// The device's federated-client view (attacker wrapper when armed).

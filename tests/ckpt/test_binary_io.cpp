@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -109,6 +111,175 @@ TEST(BinaryIo, ForgedHugeVectorCountThrowsInsteadOfAllocating) {
   out.f64(1.0);
   Reader in(out.data());
   EXPECT_THROW((void)in.vec_f64(), CorruptSnapshotError);
+}
+
+// --- bulk vectors ----------------------------------------------------------
+
+/// The per-element little-endian reference encoding of a length-prefixed
+/// vector, built from shifts alone so it is independent of the host.
+template <class U, class T>
+std::vector<std::uint8_t> reference_encoding(const std::vector<T>& v) {
+  std::vector<std::uint8_t> out;
+  const auto put = [&out](std::uint64_t word, std::size_t width) {
+    for (std::size_t i = 0; i < width; ++i)
+      out.push_back(static_cast<std::uint8_t>(word >> (8 * i)));
+  };
+  put(v.size(), 8);
+  for (const T x : v) put(std::bit_cast<U>(x), sizeof(U));
+  return out;
+}
+
+template <class U, class T>
+std::vector<U> bits_of(const std::vector<T>& v) {
+  std::vector<U> out;
+  for (const T x : v) out.push_back(std::bit_cast<U>(x));
+  return out;
+}
+
+std::vector<double> awkward_doubles() {
+  using L = std::numeric_limits<double>;
+  return {-0.0,
+          0.0,
+          L::quiet_NaN(),
+          std::bit_cast<double>(0x7ff8dead0000beefULL),  // quiet, payload
+          std::bit_cast<double>(0x7ff0000000000001ULL),  // signalling
+          std::bit_cast<double>(0xfff4000000c0ffeeULL),  // -signalling
+          L::denorm_min(),
+          -L::denorm_min(),
+          std::bit_cast<double>(0x000fffffffffffffULL),  // largest denormal
+          L::infinity(),
+          -L::infinity(),
+          L::max(),
+          L::lowest(),
+          1.0 / 3.0};
+}
+
+std::vector<float> awkward_floats() {
+  using L = std::numeric_limits<float>;
+  return {-0.0f,
+          L::quiet_NaN(),
+          std::bit_cast<float>(0x7fc0beefU),  // quiet, payload
+          std::bit_cast<float>(0x7f800001U),  // signalling
+          std::bit_cast<float>(0xffa00badU),  // -signalling
+          L::denorm_min(),
+          -L::denorm_min(),
+          std::bit_cast<float>(0x007fffffU),  // largest denormal
+          L::infinity(),
+          -L::infinity(),
+          L::max(),
+          0.1f};
+}
+
+std::vector<std::uint64_t> awkward_words() {
+  return {0, 1, 0x8000000000000000ULL, 0xfedcba9876543210ULL,
+          std::numeric_limits<std::uint64_t>::max()};
+}
+
+TEST(BinaryIo, BulkVectorsMatchThePerElementEncodingBitForBit) {
+  for (const bool empty : {false, true}) {
+    const auto doubles = empty ? std::vector<double>{} : awkward_doubles();
+    const auto floats = empty ? std::vector<float>{} : awkward_floats();
+    const auto words = empty ? std::vector<std::uint64_t>{} : awkward_words();
+
+    Writer f64s;
+    f64s.vec_f64(doubles);
+    EXPECT_EQ(f64s.data(), (reference_encoding<std::uint64_t>(doubles)));
+    Writer f32s;
+    f32s.vec_f32(floats);
+    EXPECT_EQ(f32s.data(), (reference_encoding<std::uint32_t>(floats)));
+    Writer u64s;
+    u64s.vec_u64(words);
+    EXPECT_EQ(u64s.data(), (reference_encoding<std::uint64_t>(words)));
+
+    // The round trip is bit-exact: NaN payloads, signalling bits, the sign
+    // of zero and denormals all survive.
+    Writer out;
+    out.vec_f64(doubles);
+    out.vec_f32(floats);
+    out.vec_u64(words);
+    out.vec_f32(floats);
+    Reader in(out.data());
+    EXPECT_EQ(bits_of<std::uint64_t>(in.vec_f64()),
+              bits_of<std::uint64_t>(doubles));
+    EXPECT_EQ(bits_of<std::uint32_t>(in.vec_f32()),
+              bits_of<std::uint32_t>(floats));
+    EXPECT_EQ(in.vec_u64(), words);
+    std::vector<float> in_place(floats.size(), 7.0f);
+    in.vec_f32_into(in_place);
+    EXPECT_EQ(bits_of<std::uint32_t>(in_place),
+              bits_of<std::uint32_t>(floats));
+    EXPECT_TRUE(in.exhausted());
+  }
+}
+
+TEST(BinaryIo, InPlaceReadsRejectACountOtherThanTheTarget) {
+  Writer out;
+  out.vec_f32(std::vector<float>{1.0f, 2.0f, 3.0f});
+  out.vec_u8(std::vector<std::uint8_t>{4, 5});
+  std::vector<float> two(2, 0.0f);
+  Reader short_target(out.data());
+  EXPECT_THROW(short_target.vec_f32_into(two), CorruptSnapshotError);
+  EXPECT_EQ(two, (std::vector<float>{0.0f, 0.0f}));  // untouched
+
+  Reader in(out.data());
+  std::vector<float> three(3);
+  in.vec_f32_into(three);
+  std::vector<std::uint8_t> one(1);
+  EXPECT_THROW(in.vec_u8_into(one), CorruptSnapshotError);
+}
+
+TEST(BinaryIo, BulkReadsRejectTruncatedAndForgedCounts) {
+  // A count the payload cannot hold — truncated by one element, or forged
+  // near 2^64 where count * element size wraps around — is rejected before
+  // any allocation or copy.
+  for (const std::uint64_t count :
+       {std::uint64_t{3}, std::uint64_t{5},
+        std::numeric_limits<std::uint64_t>::max(),
+        std::numeric_limits<std::uint64_t>::max() / 8 + 1,
+        std::numeric_limits<std::uint64_t>::max() / 4 + 1,
+        std::uint64_t{1} << 63}) {
+    Writer out;
+    out.u64(count);
+    for (int i = 0; i < 2; ++i) out.f64(1.0);  // 16 bytes of payload
+    const auto& bytes = out.data();
+    Reader f64s(bytes);
+    EXPECT_THROW((void)f64s.vec_f64(), CorruptSnapshotError) << count;
+    Reader u64s(bytes);
+    EXPECT_THROW((void)u64s.vec_u64(), CorruptSnapshotError) << count;
+    if (count > 4) {
+      Reader f32s(bytes);
+      EXPECT_THROW((void)f32s.vec_f32(), CorruptSnapshotError) << count;
+    }
+    if (count > 16) {
+      Reader u8s(bytes);
+      EXPECT_THROW((void)u8s.vec_u8(), CorruptSnapshotError) << count;
+    }
+    // A five-float target: the count either disagrees with it or, at 5,
+    // needs 20 bytes where 16 remain.
+    std::vector<float> target(5);
+    Reader into(bytes);
+    EXPECT_THROW(into.vec_f32_into(target), CorruptSnapshotError) << count;
+  }
+}
+
+TEST(BinaryIo, ExpectTagOfReportsWhichLayoutMatched) {
+  const Tag current{'R', 'P', 'L', '2'};
+  const Tag legacy{'R', 'P', 'L', 'Y'};
+  Writer out;
+  write_tag(out, legacy);
+  write_tag(out, current);
+  write_tag(out, Tag{'A', 'D', 'A', 'M'});
+  Reader in(out.data());
+  EXPECT_EQ(expect_tag_of(in, {current, legacy}, "replay"), 1u);
+  EXPECT_EQ(expect_tag_of(in, {current, legacy}, "replay"), 0u);
+  try {
+    (void)expect_tag_of(in, {current, legacy}, "replay");
+    FAIL() << "expect_tag_of should have thrown";
+  } catch (const CorruptSnapshotError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'RPL2' or 'RPLY'"), std::string::npos) << what;
+    EXPECT_NE(what.find("ADAM"), std::string::npos) << what;
+  }
 }
 
 TEST(BinaryIo, TagMismatchNamesComponent) {

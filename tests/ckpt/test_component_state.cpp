@@ -179,6 +179,104 @@ TEST(ComponentState, QReplayBufferRejectsHeadOffTheFillLine) {
   EXPECT_THROW(restored.restore_state(in), ckpt::StateMismatchError);
 }
 
+// Hostile RPL2/QRP2 headers and arrays: every forged field must raise a
+// typed error before anything is read into (or sized from) it.
+
+constexpr std::size_t kReplaySizeOffset = kReplayHeadOffset + 8;
+// The first array's u64 element count follows the 4-field header.
+constexpr std::size_t kReplayStatesCountOffset = kReplaySizeOffset + 8;
+
+std::vector<std::uint8_t> two_step_replay() {
+  rl::ReplayBuffer buffer(4, 2);
+  buffer.push(std::vector<double>{1.0, 2.0}, 0, 0.5);
+  buffer.push(std::vector<double>{3.0, 4.0}, 1, 0.7);
+  return saved_bytes(buffer);
+}
+
+std::vector<std::uint8_t> two_step_q_replay() {
+  rl::QReplayBuffer buffer(4, 2);
+  buffer.push(std::vector<double>{1.0, 2.0}, 0, 0.5,
+              std::vector<double>{2.0, 3.0});
+  buffer.push(std::vector<double>{2.0, 3.0}, 1, 0.7,
+              std::vector<double>{4.0, 5.0});
+  return saved_bytes(buffer);
+}
+
+template <class Buffer>
+void expect_restore_throws(const std::vector<std::uint8_t>& bytes,
+                           bool state_mismatch) {
+  Buffer restored(4, 2);
+  ckpt::Reader in(bytes);
+  if (state_mismatch)
+    EXPECT_THROW(restored.restore_state(in), ckpt::StateMismatchError);
+  else
+    EXPECT_THROW(restored.restore_state(in), ckpt::CorruptSnapshotError);
+}
+
+template <class Buffer>
+void expect_hostile_replay_rejected(const std::vector<std::uint8_t>& valid) {
+  {
+    Buffer restored(4, 2);
+    ckpt::Reader in(valid);
+    restored.restore_state(in);
+    EXPECT_TRUE(in.exhausted());
+    EXPECT_EQ(restored.size(), 2u);
+  }
+  // size > capacity (with head consistent with it).
+  auto oversize = valid;
+  patch_u64(oversize, kReplayHeadOffset, 3);
+  patch_u64(oversize, kReplaySizeOffset, 5);
+  expect_restore_throws<Buffer>(oversize, /*state_mismatch=*/true);
+  // A size near 2^64: the cursor check rejects it before any array read.
+  auto forged_size = valid;
+  patch_u64(forged_size, kReplaySizeOffset, ~std::uint64_t{0});
+  expect_restore_throws<Buffer>(forged_size, /*state_mismatch=*/true);
+  // Consistent cursors, but the arrays hold two entries, not one.
+  auto skewed = valid;
+  patch_u64(skewed, kReplayHeadOffset, 1);
+  patch_u64(skewed, kReplaySizeOffset, 1);
+  expect_restore_throws<Buffer>(skewed, /*state_mismatch=*/false);
+  // An array count that disagrees with size, including one near 2^64.
+  for (const std::uint64_t count : {std::uint64_t{3}, ~std::uint64_t{0},
+                                    std::uint64_t{1} << 62}) {
+    auto forged_count = valid;
+    patch_u64(forged_count, kReplayStatesCountOffset, count);
+    expect_restore_throws<Buffer>(forged_count, /*state_mismatch=*/false);
+  }
+  // Truncated anywhere inside the arrays.
+  for (std::size_t cut = kReplayStatesCountOffset; cut < valid.size();
+       cut += 3) {
+    const std::vector<std::uint8_t> truncated(
+        valid.begin(), valid.begin() + static_cast<std::ptrdiff_t>(cut));
+    expect_restore_throws<Buffer>(truncated, /*state_mismatch=*/false);
+  }
+}
+
+TEST(ComponentState, ReplayBufferRejectsHostileLiveSlotSnapshots) {
+  expect_hostile_replay_rejected<rl::ReplayBuffer>(two_step_replay());
+}
+
+TEST(ComponentState, QReplayBufferRejectsHostileLiveSlotSnapshots) {
+  expect_hostile_replay_rejected<rl::QReplayBuffer>(two_step_q_replay());
+}
+
+TEST(ComponentState, ReplaySnapshotCarriesOnlyTheLiveSlots) {
+  // Paper geometry (C = 4000, 5 features) after four steps: the snapshot
+  // holds the header and four entries, not the ~98 KiB ring.
+  rl::ReplayBuffer buffer(4000, 5);
+  for (int i = 0; i < 4; ++i)
+    buffer.push(std::vector<double>(5, 0.25 * i), 1, 0.5);
+  constexpr std::size_t kHeader = 4 + 4 * 8;
+  constexpr std::size_t kEntry = 5 * 4 + 1 + 4;
+  EXPECT_EQ(saved_bytes(buffer).size(), kHeader + 3 * 8 + 4 * kEntry);
+
+  rl::QReplayBuffer q(4000, 5);
+  for (int i = 0; i < 4; ++i)
+    q.push(std::vector<double>(5, 0.25 * i), 1, 0.5,
+           std::vector<double>(5, 0.5 * i));
+  EXPECT_EQ(saved_bytes(q).size(), kHeader + 4 * 8 + 4 * (kEntry + 5 * 4));
+}
+
 // ---------------------------------------------------------------------------
 // Drift monitor
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include "fedpower_lint/analyze.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
@@ -386,6 +387,47 @@ TEST(AnalyzeCkptSymmetry, LoopPairedVectorIdiomIsClean) {
             0u);
 }
 
+TEST(AnalyzeCkptSymmetry, TagRevisionAndInPlaceReadsPairWithWrites) {
+  // expect_tag_of reads the tag write_tag wrote; vec_f32_into/vec_u8_into
+  // read what vec_f32/vec_u8 wrote.
+  const std::string src =
+      "class A {\n"
+      " public:\n"
+      "  void save_state(ckpt::Writer& out) const {\n"
+      "    ckpt::write_tag(out, kTag);\n"
+      "    out.vec_f32(xs_);\n"
+      "    out.vec_u8(ids_);\n"
+      "  }\n"
+      "  void restore_state(ckpt::Reader& in) {\n"
+      "    (void)ckpt::expect_tag_of(in, {kTag, kOldTag}, \"a\");\n"
+      "    in.vec_f32_into(xs_);\n"
+      "    in.vec_u8_into(ids_);\n"
+      "  }\n"
+      " private:\n"
+      "  std::vector<float> xs_;\n"
+      "  std::vector<std::uint8_t> ids_;\n"
+      "};\n";
+  EXPECT_EQ(count_rule(lint_source("src/rl/a.cpp", src), "L9-ckpt-symmetry"),
+            0u);
+}
+
+TEST(AnalyzeCkptSymmetry, InPlaceReadOfTheWrongKindIsFlagged) {
+  const std::string src =
+      "class A {\n"
+      " public:\n"
+      "  void save_state(ckpt::Writer& out) const {\n"
+      "    out.vec_f32(xs_);\n"
+      "  }\n"
+      "  void restore_state(ckpt::Reader& in) {\n"
+      "    in.vec_u8_into(xs_);\n"
+      "  }\n"
+      " private:\n"
+      "  std::vector<float> xs_;\n"
+      "};\n";
+  const auto fs = lint_source("src/rl/a.cpp", src);
+  EXPECT_TRUE(has_rule_at(fs, "L9-ckpt-symmetry", 4));
+}
+
 TEST(AnalyzeCkptSymmetry, LoopDepthSkewIsFlagged) {
   const std::string src =
       "class A {\n"
@@ -527,7 +569,12 @@ class StaleWaiverTest : public ::testing::Test {
  protected:
   void SetUp() override {
     namespace fs = std::filesystem;
-    dir_ = fs::current_path() / "fedpower_lint_stale_tmp";
+    // ctest -j runs each case in its own process: a shared directory would
+    // let one case's TearDown delete another's tree mid-scan.
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = fs::current_path() / ("fedpower_lint_stale_" +
+                                 std::string(info->name()) + "_" +
+                                 std::to_string(::getpid()));
     fs::create_directories(dir_ / "src" / "fed");
     std::ofstream out(dir_ / "src" / "fed" / "x.cpp");
     out << "// lint: nondet-ok(this waiver excuses nothing)\n"

@@ -4,6 +4,8 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
+#include <string_view>
 
 namespace fedpower::lint {
 namespace {
@@ -597,8 +599,18 @@ const BoundMethod* find_body(const MergedClass& merged,
 const std::set<std::string>& io_kinds() {
   static const std::set<std::string> kinds = {
       "u8",      "u16",     "u32",    "u64",    "f64",    "f32",   "str",
-      "bytes",   "raw",     "vec_f64", "vec_f32", "vec_u8", "vec_u64"};
+      "bytes",   "raw",     "vec_f64", "vec_f32", "vec_u8", "vec_u64",
+      "vec_f32_into", "vec_u8_into"};
   return kinds;
+}
+
+/// The kind a call pairs with on the other side: a Reader's in-place
+/// `vec_*_into` read mirrors the Writer's `vec_*`.
+std::string io_kind(const std::string& method) {
+  constexpr std::string_view kInto = "_into";
+  if (method.ends_with(kInto))
+    return method.substr(0, method.size() - kInto.size());
+  return method;
 }
 
 /// One serialization call, normalized for symmetry comparison.
@@ -691,7 +703,7 @@ std::vector<IoCall> extract_io_calls(const FileModel& file, std::size_t begin,
     if (txt == var && i + 3 < end &&
         (t[i + 1].text == "." || t[i + 1].text == "->") && t[i + 2].ident &&
         t[i + 3].text == "(" && io_kinds().count(t[i + 2].text) != 0) {
-      out.push_back({t[i + 2].text, "", loop_depth(), t[i + 2].line});
+      out.push_back({io_kind(t[i + 2].text), "", loop_depth(), t[i + 2].line});
       continue;
     }
     if (i + 1 >= end || t[i + 1].text != "(") continue;
@@ -706,7 +718,8 @@ std::vector<IoCall> extract_io_calls(const FileModel& file, std::size_t begin,
     }
     if (after_member_access) continue;
 
-    if ((txt == "write_tag" || txt == "expect_tag") &&
+    if ((txt == "write_tag" || txt == "expect_tag" ||
+         txt == "expect_tag_of") &&
         first_arg_is(i + 1, var)) {
       out.push_back({"tag", "", loop_depth(), t[i].line});
       continue;
