@@ -14,8 +14,9 @@
 // short sweep says little about cold-state cost, because almost every
 // device is still pristine; here the cold records are the footprint. It
 // gates the whole process's resident memory (an upper bound on the
-// fleet's) at a quarter of the eager estimate, and reports the size of the
-// cold blob a device leaves after one 4-step round.
+// fleet's) at a quarter of the eager estimate (a device with a full replay
+// ring), and reports the size of the cold blob a device leaves after one
+// 4-step round and the mean time to hydrate a trained cold device.
 //
 // Part 3 guards the total_transport_retries() fix: with one private
 // transport per client the historic per-round accounting scan was
@@ -159,6 +160,7 @@ struct LongHorizonResult {
   std::size_t process_rss_kib = 0;
   std::size_t cold_blob_bytes = 0;  ///< one 4-step device's cold record
   double round_seconds = 0.0;
+  double hydrate_us = 0.0;  ///< mean time to hydrate a trained cold device
   bool bounded = false;
 };
 
@@ -213,21 +215,46 @@ LongHorizonResult run_long_horizon(std::size_t eager_kib_per_device) {
   result.hot_after = fleet.hot_count();
   result.process_rss_kib = current_rss_kib();
   result.cold_blob_bytes = cold_blob_bytes_after_one_round();
+
+  // Hydration cost, after the RSS reading: bring up to 1000 trained cold
+  // devices back (construction plus blob restore) and time the lot.
+  std::vector<std::size_t> cold;
+  for (std::size_t d = 0; d < result.devices && cold.size() < 1000; ++d)
+    if (trained[d] && !fleet.hot(d)) cold.push_back(d);
+  // lint: nondet-ok(timing)
+  const auto hydrate_start = std::chrono::steady_clock::now();
+  for (const std::size_t d : cold) fleet.hydrate(d);
+  result.hydrate_us =
+      std::chrono::duration<double, std::micro>(
+          std::chrono::steady_clock::now() - hydrate_start)  // lint: nondet-ok(timing)
+          .count() /
+      static_cast<double>(cold.empty() ? 1 : cold.size());
   result.bounded = result.process_rss_kib <=
                    result.devices * eager_kib_per_device / 4;
   return result;
 }
 
-/// KiB per device of a materialized (eager) fleet, measured on a small
-/// fleet so the 100k-device eager footprint can be extrapolated without
-/// allocating it.
+/// KiB per device of a materialized (eager) fleet whose replay rings are
+/// full, measured on a small fleet so the 100k-device eager footprint can
+/// be extrapolated without allocating it. Ring storage grows on push, so a
+/// freshly built device holds almost none of it; filling every ring makes
+/// the probe measure what a trained eager device holds. The fill records
+/// transitions with training switched off, so no training workspace counts.
 std::size_t measure_eager_kib_per_device() {
   constexpr std::size_t kProbe = 512;
+  core::ControllerConfig probe = bench_controller();
+  probe.agent.optimize_interval = probe.agent.replay_capacity + 1;
   const std::size_t before = current_rss_kib();
   benchutil::Fleet fleet =
-      benchutil::make_fleet({bench_controller()}, sim::ProcessorConfig{},
+      benchutil::make_fleet({probe}, sim::ProcessorConfig{},
                             fleet_apps(kProbe), 2026,
                             runtime::FleetOptions{1, /*lazy=*/false});
+  const std::vector<double> state(probe.agent.state_dim, 0.5);
+  for (std::size_t d = 0; d < kProbe; ++d) {
+    rl::NeuralBanditAgent& agent = fleet.controller(d).agent();
+    for (std::size_t i = 0; i < probe.agent.replay_capacity; ++i)
+      agent.record(state, i % probe.agent.action_count, 1.0);
+  }
   const std::size_t after = current_rss_kib();
   const std::size_t per_device = (after - before) / kProbe;
   return per_device > 0 ? per_device : 1;
@@ -307,13 +334,15 @@ int main() {
   std::printf(
       "long horizon: devices=%zu C=%.3f rounds=%zu  trained=%zu (%.1f%%)  "
       "hot=%zu  process rss=%zu KiB (bound %zu KiB = eager/4)  "
-      "cold blob after one 4-step round=%zu B  round=%.3fs  bounded=%s\n",
+      "cold blob after one 4-step round=%zu B  round=%.3fs  "
+      "hydrate=%.1fus  bounded=%s\n",
       horizon.devices, horizon.fraction, horizon.rounds, horizon.trained,
       100.0 * static_cast<double>(horizon.trained) /
           static_cast<double>(horizon.devices),
       horizon.hot_after, horizon.process_rss_kib,
       horizon.devices * eager_kib / 4, horizon.cold_blob_bytes,
-      horizon.round_seconds, horizon.bounded ? "yes" : "NO");
+      horizon.round_seconds, horizon.hydrate_us,
+      horizon.bounded ? "yes" : "NO");
 
   std::vector<SweepResult> sweeps;
   const std::size_t sweep_devices[] = {10000, 100000};
@@ -371,11 +400,12 @@ int main() {
                  "\"rounds\": %zu, \"trained\": %zu, \"hot_after\": %zu, "
                  "\"process_rss_kib\": %zu, \"rss_bound_kib\": %zu, "
                  "\"cold_blob_bytes\": %zu, \"round_seconds\": %.4f, "
-                 "\"bounded\": %s},\n",
+                 "\"hydrate_us\": %.1f, \"bounded\": %s},\n",
                  horizon.devices, horizon.fraction, horizon.rounds,
                  horizon.trained, horizon.hot_after, horizon.process_rss_kib,
                  horizon.devices * eager_kib / 4, horizon.cold_blob_bytes,
-                 horizon.round_seconds, horizon.bounded ? "true" : "false");
+                 horizon.round_seconds, horizon.hydrate_us,
+                 horizon.bounded ? "true" : "false");
     std::fprintf(out,
                  "  \"retries_guard\": {\"clients\": %zu, "
                  "\"round_seconds\": %.4f, \"budget_seconds\": 0.1, "

@@ -84,19 +84,51 @@ void Mlp::zero_gradients() noexcept {
   for (const auto& layer : layers_) layer->zero_grads();
 }
 
-Mlp make_mlp(std::size_t input, const std::vector<std::size_t>& hidden_sizes,
-             std::size_t output, util::Rng& rng, Init init) {
+namespace {
+
+/// Calls dense(in, out) for every Dense layer make_mlp builds, in build
+/// order; make_mlp and init_normal_count share it so they cannot drift.
+template <class DenseFn>
+void for_each_dense(std::size_t input,
+                    const std::vector<std::size_t>& hidden_sizes,
+                    std::size_t output, DenseFn&& dense) {
   FEDPOWER_EXPECTS(input > 0 && output > 0);
-  std::vector<std::unique_ptr<Layer>> layers;
   std::size_t in = input;
   for (const std::size_t h : hidden_sizes) {
     FEDPOWER_EXPECTS(h > 0);
-    layers.push_back(std::make_unique<Dense>(in, h, init, rng));
-    layers.push_back(std::make_unique<Relu>());
+    dense(in, h);
     in = h;
   }
-  layers.push_back(std::make_unique<Dense>(in, output, init, rng));
+  dense(in, output);
+}
+
+}  // namespace
+
+Mlp make_mlp(std::size_t input, const std::vector<std::size_t>& hidden_sizes,
+             std::size_t output, util::Rng& rng, Init init) {
+  std::vector<std::unique_ptr<Layer>> layers;
+  for_each_dense(input, hidden_sizes, output,
+                 [&](std::size_t in, std::size_t out) {
+                   // input -> [Dense + ReLU]* -> Dense: a ReLU follows every
+                   // Dense layer but the output head.
+                   if (!layers.empty())
+                     layers.push_back(std::make_unique<Relu>());
+                   layers.push_back(
+                       std::make_unique<Dense>(in, out, init, rng));
+                 });
   return Mlp{std::move(layers)};
+}
+
+std::size_t init_normal_count(std::size_t input,
+                              const std::vector<std::size_t>& hidden_sizes,
+                              std::size_t output, Init init) {
+  std::size_t draws = 0;
+  // Dense draws one normal per weight unless its init is all-zero.
+  for_each_dense(input, hidden_sizes, output,
+                 [&](std::size_t in, std::size_t out) {
+                   if (init != Init::kZero) draws += in * out;
+                 });
+  return draws;
 }
 
 }  // namespace fedpower::nn

@@ -63,4 +63,10 @@ class Mlp {
 Mlp make_mlp(std::size_t input, const std::vector<std::size_t>& hidden_sizes,
              std::size_t output, util::Rng& rng, Init init = Init::kHe);
 
+/// The number of rng.normal() draws make_mlp makes for this shape and init,
+/// so a caller can advance a stream past them with Rng::skip_normals.
+std::size_t init_normal_count(std::size_t input,
+                              const std::vector<std::size_t>& hidden_sizes,
+                              std::size_t output, Init init = Init::kHe);
+
 }  // namespace fedpower::nn

@@ -13,7 +13,8 @@ NeuralBanditAgent::NeuralBanditAgent(NeuralAgentConfig config, util::Rng rng)
     : config_(config),
       rng_(rng),
       model_(nn::make_mlp(config.state_dim, config.hidden_sizes,
-                          config.action_count, rng_)),
+                          config.action_count, rng_, nn::Init::kZero)),
+      pending_init_(rng),
       loss_(config.huber_delta),
       optimizer_(config.learning_rate),
       replay_(config.replay_capacity, config.state_dim),
@@ -23,16 +24,30 @@ NeuralBanditAgent::NeuralBanditAgent(NeuralAgentConfig config, util::Rng rng)
   FEDPOWER_EXPECTS(config.batch_size > 0);
   FEDPOWER_EXPECTS(config.optimize_interval > 0);
   FEDPOWER_EXPECTS(config.prox_mu >= 0.0);
+  // Leave rng_ where an eager He init would have left it.
+  rng_.skip_normals(nn::init_normal_count(
+      config.state_dim, config.hidden_sizes, config.action_count));
+}
+
+void NeuralBanditAgent::materialize() const {
+  if (!pending_init_) return;
+  model_ = nn::make_mlp(config_.state_dim, config_.hidden_sizes,
+                        config_.action_count, *pending_init_);
+  pending_init_.reset();
 }
 
 const nn::Matrix& NeuralBanditAgent::forward_row(
     std::span<const double> state) const {
   FEDPOWER_EXPECTS(state.size() == config_.state_dim);
+  materialize();
   row_.resize(1, state.size());
   std::copy(state.begin(), state.end(), row_.data().begin());
-  // forward() caches activations, which is irrelevant for inference; the
-  // model is logically const here.
-  return const_cast<nn::Mlp&>(model_).forward(row_);
+  return model_.forward(row_);
+}
+
+std::vector<double> NeuralBanditAgent::parameters() const {
+  materialize();
+  return model_.parameters();
 }
 
 std::vector<double> NeuralBanditAgent::predict(
@@ -68,6 +83,7 @@ void NeuralBanditAgent::record(std::span<const double> state,
 
 double NeuralBanditAgent::train_step() {
   if (replay_.empty()) return 0.0;
+  materialize();
   replay_.sample_into(config_.batch_size, rng_, batch_states_, batch_actions_,
                       batch_rewards_);
 
@@ -112,6 +128,7 @@ constexpr ckpt::Tag kAgentTag{'A', 'G', 'N', 'T'};
 void NeuralBanditAgent::save_state(ckpt::Writer& out) const {
   write_tag(out, kAgentTag);
   ckpt::save_rng(out, rng_);
+  materialize();
   out.vec_f64(model_.parameters());
   optimizer_.save_state(out);
   replay_.save_state(out);
@@ -131,6 +148,7 @@ void NeuralBanditAgent::restore_state(ckpt::Reader& in) {
         " model parameter(s), this architecture has " +
         std::to_string(model_.param_count()));
   model_.set_parameters(params);
+  pending_init_.reset();
   optimizer_.restore_state(in);
   replay_.restore_state(in);
   if (replay_.max_action() >= config_.action_count)
@@ -149,6 +167,7 @@ void NeuralBanditAgent::restore_state(ckpt::Reader& in) {
 
 void NeuralBanditAgent::set_parameters(std::span<const double> params) {
   model_.set_parameters(params);
+  pending_init_.reset();
   // The incoming parameters are an average of several local models; the
   // optimizer's first/second-moment estimates were accumulated for the old
   // weights and pushing the fresh weights along those stale directions

@@ -6,10 +6,21 @@
 // temperature; training minimizes the Huber loss between the estimate for
 // the taken action and the observed reward over replay-buffer batches, with
 // Adam, every H interactions.
+//
+// Construction is cheap: the He init of the weights is deferred to their
+// first read. The constructor advances the agent's RNG stream past the
+// init draws without computing them (Rng::skip_normals) and keeps a copy
+// of the stream from before them; the first read (forward, training,
+// parameters(), save_state) replays make_mlp from that copy, so the
+// weights and every later draw are bit-identical to an eager init. A
+// federated device's first touch is usually set_parameters (the broadcast)
+// or restore_state (hydration), which overwrite the weights and drop the
+// pending init, so most devices never pay for it.
 #pragma once
 
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -78,7 +89,7 @@ class NeuralBanditAgent {
   void reheat(double target_tau);
 
   // --- federation interface -------------------------------------------
-  std::vector<double> parameters() const { return model_.parameters(); }
+  std::vector<double> parameters() const;
   void set_parameters(std::span<const double> params);
   std::size_t param_count() const noexcept { return model_.param_count(); }
 
@@ -103,9 +114,18 @@ class NeuralBanditAgent {
   /// workspace, valid until the next forward.
   const nn::Matrix& forward_row(std::span<const double> state) const;
 
+  /// Runs the deferred weight init, if still pending. Every read of the
+  /// weights calls it first.
+  void materialize() const;
+
   NeuralAgentConfig config_;  // lint: ckpt-skip(construction config, fixed for the run)
   mutable util::Rng rng_;
-  nn::Mlp model_;
+  // Mutable: the weights materialize on their first read, which may be a
+  // const one, and forward() caches activations even for inference.
+  mutable nn::Mlp model_;
+  /// The stream as it stood before the init draws, while the init is
+  /// pending; empty once the weights are materialized or overwritten.
+  mutable std::optional<util::Rng> pending_init_;  // lint: ckpt-skip(save_state materializes the weights first)
   nn::HuberLoss loss_;  // lint: ckpt-skip(stateless functor of the config delta)
   nn::Adam optimizer_;
   ReplayBuffer replay_;

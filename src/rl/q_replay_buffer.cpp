@@ -10,10 +10,13 @@ QReplayBuffer::QReplayBuffer(std::size_t capacity, std::size_t state_dim)
     : capacity_(capacity), state_dim_(state_dim) {
   FEDPOWER_EXPECTS(capacity > 0);
   FEDPOWER_EXPECTS(state_dim > 0);
-  states_.resize(capacity * state_dim);
-  next_states_.resize(capacity * state_dim);
-  actions_.resize(capacity);
-  rewards_.resize(capacity);
+}
+
+void QReplayBuffer::resize_slots(std::size_t slots) {
+  resize_ring_array(states_, slots, state_dim_, capacity_);
+  resize_ring_array(next_states_, slots, state_dim_, capacity_);
+  resize_ring_array(actions_, slots, 1, capacity_);
+  resize_ring_array(rewards_, slots, 1, capacity_);
 }
 
 void QReplayBuffer::push(std::span<const double> state, std::size_t action,
@@ -21,6 +24,9 @@ void QReplayBuffer::push(std::span<const double> state, std::size_t action,
   FEDPOWER_EXPECTS(state.size() == state_dim_);
   FEDPOWER_EXPECTS(next_state.size() == state_dim_);
   FEDPOWER_EXPECTS(action <= 255);
+  // Storage grows on push: a write one past the stored slots appends a
+  // slot, any other write overwrites in place.
+  if (head_ == actions_.size()) resize_slots(head_ + 1);
   float* s = &states_[head_ * state_dim_];
   float* ns = &next_states_[head_ * state_dim_];
   for (std::size_t i = 0; i < state_dim_; ++i) {
@@ -153,12 +159,15 @@ void QReplayBuffer::restore_state(ckpt::Reader& in) {
       (size < capacity_ && head != size))
     throw ckpt::StateMismatchError(
         "Q replay buffer snapshot has inconsistent cursors");
-  // Legacy: the whole ring; current: the live slots. Restored in place.
+  // Legacy: the whole ring; current: the live slots. Sized as in
+  // ReplayBuffer::restore_state.
   const std::size_t slots = legacy ? capacity_ : size;
+  resize_slots(std::max(slots, actions_.size()));
   in.vec_f32_into(std::span(states_).first(slots * state_dim_));
   in.vec_f32_into(std::span(next_states_).first(slots * state_dim_));
   in.vec_u8_into(std::span(actions_).first(slots));
   in.vec_f32_into(std::span(rewards_).first(slots));
+  resize_slots(slots);
   head_ = head;
   size_ = size;
 }

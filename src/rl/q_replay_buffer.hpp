@@ -1,7 +1,8 @@
 // Replay buffer for full (bootstrapped) Q-learning: stores the successor
 // state alongside each transition. Used by NeuralQAgent; the paper's
 // contextual-bandit agent needs no successor states (footnote 2) and uses
-// the leaner ReplayBuffer.
+// the leaner ReplayBuffer. Its storage follows ReplayBuffer's rule: it
+// starts empty and grows with the pushes, up to the capacity.
 #pragma once
 
 #include <cstddef>
@@ -61,6 +62,8 @@ class QReplayBuffer {
                      nn::Matrix& states, nn::Matrix& next_states,
                      std::vector<std::size_t>& actions,
                      std::vector<double>& rewards) const;
+  /// Sizes every storage array to `slots` slots.
+  void resize_slots(std::size_t slots);
 
   std::size_t capacity_;
   std::size_t state_dim_;

@@ -10,15 +10,21 @@ ReplayBuffer::ReplayBuffer(std::size_t capacity, std::size_t state_dim)
     : capacity_(capacity), state_dim_(state_dim) {
   FEDPOWER_EXPECTS(capacity > 0);
   FEDPOWER_EXPECTS(state_dim > 0);
-  states_.resize(capacity * state_dim);
-  actions_.resize(capacity);
-  rewards_.resize(capacity);
+}
+
+void ReplayBuffer::resize_slots(std::size_t slots) {
+  resize_ring_array(states_, slots, state_dim_, capacity_);
+  resize_ring_array(actions_, slots, 1, capacity_);
+  resize_ring_array(rewards_, slots, 1, capacity_);
 }
 
 void ReplayBuffer::push(std::span<const double> state, std::size_t action,
                         double reward) {
   FEDPOWER_EXPECTS(state.size() == state_dim_);
   FEDPOWER_EXPECTS(action <= 255);
+  // Storage grows on push: a write one past the stored slots appends a
+  // slot, any other write overwrites in place.
+  if (head_ == actions_.size()) resize_slots(head_ + 1);
   float* slot = &states_[head_ * state_dim_];
   for (std::size_t i = 0; i < state_dim_; ++i)
     slot[i] = static_cast<float>(state[i]);
@@ -145,11 +151,15 @@ void ReplayBuffer::restore_state(ckpt::Reader& in) {
     throw ckpt::StateMismatchError(
         "replay buffer snapshot has inconsistent cursors");
   // The legacy layout carries the whole ring, the current one the live
-  // slots; either way they land in place, in the constructor-sized arrays.
+  // slots; either way the storage ends up holding exactly the slots read.
+  // It grows before the read and shrinks only after it, so a snapshot that
+  // throws mid-read leaves the current cursors in bounds.
   const std::size_t slots = legacy ? capacity_ : size;
+  resize_slots(std::max(slots, actions_.size()));
   in.vec_f32_into(std::span(states_).first(slots * state_dim_));
   in.vec_u8_into(std::span(actions_).first(slots));
   in.vec_f32_into(std::span(rewards_).first(slots));
+  resize_slots(slots);
   head_ = head;
   size_ = size;
 }

@@ -5,6 +5,11 @@
 // Samples are stored as float32 — the precision the paper's ~100 kB storage
 // figure implies for a 4000-entry, 5-feature buffer (§IV-C) — and widened
 // to double for training.
+//
+// The storage starts empty and grows as pushes fill the ring, capped at
+// the capacity (rl::resize_ring_array). A fresh device therefore costs no
+// zero-filled 100 kB ring; slot indices, sampling and snapshot bytes are
+// those of a ring allocated in full up front.
 #pragma once
 
 #include <cstddef>
@@ -54,7 +59,8 @@ class ReplayBuffer {
   Transition at(std::size_t index) const;
 
   /// Storage footprint of the buffer contents at full capacity, in bytes
-  /// (float32 states + uint8 action + float32 reward per entry).
+  /// (float32 states + uint8 action + float32 reward per entry). A ring
+  /// that has not filled yet holds less.
   std::size_t storage_bytes() const noexcept;
 
   /// Largest action among the stored transitions (0 when empty).
@@ -68,23 +74,26 @@ class ReplayBuffer {
   void save_state(ckpt::Writer& out) const;
 
   /// Restores an RPL2 snapshot, or a full-ring RPLY snapshot of older
-  /// builds, taken from a buffer with the same capacity and state_dim, in
-  /// place into the existing arrays. Throws StateMismatchError when the
-  /// shapes or cursors do not fit (the config, not the snapshot, decides
-  /// buffer geometry) and CorruptSnapshotError when the arrays disagree
-  /// with the cursors.
+  /// builds, taken from a buffer with the same capacity and state_dim; the
+  /// storage is sized to the slots the snapshot carries. Throws
+  /// StateMismatchError when the shapes or cursors do not fit (the config,
+  /// not the snapshot, decides buffer geometry) and CorruptSnapshotError
+  /// when the arrays disagree with the cursors.
   void restore_state(ckpt::Reader& in);
 
  private:
   std::size_t gather(ReplaySampler& sampler, std::size_t n, util::Rng& rng,
                      nn::Matrix& states, std::vector<std::size_t>& actions,
                      std::vector<double>& rewards) const;
+  /// Sizes every storage array to `slots` slots.
+  void resize_slots(std::size_t slots);
 
   std::size_t capacity_;
   std::size_t state_dim_;
   std::size_t head_ = 0;  // next slot to write
   std::size_t size_ = 0;
-  std::vector<float> states_;    // capacity * state_dim, ring layout
+  // Ring layout, up to capacity slots; states_ holds state_dim per slot.
+  std::vector<float> states_;
   std::vector<std::uint8_t> actions_;
   std::vector<float> rewards_;
   ReplaySampler sampler_;  // lint: ckpt-skip(scratch: identity between draws)

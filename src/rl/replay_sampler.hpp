@@ -1,5 +1,6 @@
-// Uniform sampling without replacement for the replay buffers, allocation-
-// free once warm.
+// What the two replay rings (ReplayBuffer, QReplayBuffer) share: the rule
+// by which their storage grows, and uniform sampling without replacement,
+// allocation-free once warm.
 #pragma once
 
 #include <algorithm>
@@ -13,6 +14,21 @@
 #include "util/rng.hpp"
 
 namespace fedpower::rl {
+
+/// Sizes one ring array to `slots` slots of `width` elements each. Ring
+/// storage starts empty and grows as pushes fill the ring, so a device
+/// that has taken a few steps holds a few slots, not a zero-filled ring.
+/// Growth reserves geometrically, as push_back does, but never past
+/// `capacity` slots, so a full ring holds exactly its capacity.
+template <class T>
+void resize_ring_array(std::vector<T>& array, std::size_t slots,
+                       std::size_t width, std::size_t capacity) {
+  if (slots * width > array.capacity()) {
+    const std::size_t held = array.size() / width;
+    array.reserve(std::min(capacity, std::max(slots, 2 * held)) * width);
+  }
+  array.resize(slots * width);
+}
 
 /// Partial Fisher-Yates over the age-order indices [0, size) of a replay
 /// ring. It keeps an identity permutation; a draw swaps a uniform sample

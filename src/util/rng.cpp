@@ -71,13 +71,21 @@ int Rng::uniform_int(int lo, int hi) noexcept {
   return lo + static_cast<int>(uniform_index(span));
 }
 
-double Rng::normal() noexcept {
-  // Box–Muller; guard against log(0).
+Rng::BoxMullerUniforms Rng::box_muller_uniforms() noexcept {
+  // Guard against log(0).
   double u1 = uniform();
   while (u1 <= 0.0) u1 = uniform();
-  const double u2 = uniform();
+  return {u1, uniform()};
+}
+
+double Rng::normal() noexcept {
+  const auto [u1, u2] = box_muller_uniforms();
   return std::sqrt(-2.0 * std::log(u1)) *
          std::cos(2.0 * std::numbers::pi * u2);
+}
+
+void Rng::skip_normals(std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i) (void)box_muller_uniforms();
 }
 
 double Rng::normal(double mean, double stddev) noexcept {

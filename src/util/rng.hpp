@@ -54,6 +54,11 @@ class Rng {
   /// Normal with the given mean and standard deviation (stddev >= 0).
   [[nodiscard]] double normal(double mean, double stddev) noexcept;
 
+  /// Advances the stream past n normal() draws without computing them:
+  /// the same uniforms are pulled (log-guard retries included), so the
+  /// state afterwards equals that after n calls to normal().
+  void skip_normals(std::size_t n) noexcept;
+
   /// Bernoulli trial with probability p of returning true.
   [[nodiscard]] bool bernoulli(double p) noexcept;
 
@@ -90,6 +95,14 @@ class Rng {
   }
 
  private:
+  /// The two uniforms one Box–Muller draw consumes: u1 in (0, 1), redrawn
+  /// while it is 0 (log guard), then u2 in [0, 1).
+  struct BoxMullerUniforms {
+    double u1;
+    double u2;
+  };
+  BoxMullerUniforms box_muller_uniforms() noexcept;
+
   std::array<std::uint64_t, 4> state_{};
 };
 

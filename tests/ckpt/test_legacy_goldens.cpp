@@ -5,6 +5,12 @@
 // layouts (RPL2, QRP2) instead; these pin that it still reads the old
 // bytes into the same state, and that a run resumed from them continues
 // bit-identically.
+//
+// Construction goldens: live-slot rings (RPL2, QRP2), a fresh agent (AGNT)
+// and a lazy fleet holding one pristine device hydrated but never touched
+// (FLT2), captured from the last build that zero-filled its rings and
+// drew the He init at construction. Rings now grow on push and the init is
+// deferred to the first read; these pin that neither moved a byte.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -15,7 +21,9 @@
 #include <vector>
 
 #include "ckpt/binary_io.hpp"
+#include "core/controller.hpp"
 #include "nn/matrix.hpp"
+#include "rl/neural_agent.hpp"
 #include "rl/q_replay_buffer.hpp"
 #include "rl/replay_buffer.hpp"
 #include "runtime/fleet_runtime.hpp"
@@ -158,6 +166,101 @@ TEST(LegacyGoldens, QrplRestoresToTheStateItWasCapturedFrom) {
     }
     EXPECT_EQ(saved_bytes(restored), saved_bytes(live));
   }
+}
+
+constexpr ReplayGolden kLiveSlotGoldens[] = {{"replay_rpl2_prewrap.bin", 5},
+                                             {"replay_rpl2_wrapped.bin", 13}};
+constexpr ReplayGolden kQLiveSlotGoldens[] = {
+    {"qreplay_qrp2_prewrap.bin", 5}, {"qreplay_qrp2_wrapped.bin", 13}};
+
+TEST(ConstructionGoldens, Rpl2RestoresIntoAFreshRingAndResumes) {
+  for (const ReplayGolden& golden : kLiveSlotGoldens) {
+    SCOPED_TRACE(golden.file);
+    const auto bytes = read_golden(golden.file);
+    ASSERT_EQ(std::string(bytes.begin(), bytes.begin() + 4), "RPL2");
+    rl::ReplayBuffer live(kCapacity, kStateDim);
+    push_script(live, 0, golden.pushes);
+    EXPECT_EQ(saved_bytes(live), bytes);
+    rl::ReplayBuffer restored(kCapacity, kStateDim);
+    ckpt::Reader in(bytes);
+    restored.restore_state(in);
+    EXPECT_TRUE(in.exhausted());
+    EXPECT_EQ(saved_bytes(restored), bytes);
+
+    // On past the next wrap: the same entries and the same draws.
+    push_script(live, golden.pushes, golden.pushes + 9);
+    push_script(restored, golden.pushes, golden.pushes + 9);
+    util::Rng rng_live(41);
+    util::Rng rng_restored(41);
+    nn::Matrix s_live, s_restored;
+    std::vector<std::size_t> a_live, a_restored;
+    std::vector<double> r_live, r_restored;
+    EXPECT_EQ(live.sample_into(6, rng_live, s_live, a_live, r_live),
+              restored.sample_into(6, rng_restored, s_restored, a_restored,
+                                   r_restored));
+    EXPECT_EQ(s_restored.data(), s_live.data());
+    EXPECT_EQ(a_restored, a_live);
+    EXPECT_EQ(r_restored, r_live);
+    EXPECT_EQ(saved_bytes(restored), saved_bytes(live));
+  }
+}
+
+TEST(ConstructionGoldens, Qrp2RestoresIntoAFreshRingAndResumes) {
+  for (const ReplayGolden& golden : kQLiveSlotGoldens) {
+    SCOPED_TRACE(golden.file);
+    const auto bytes = read_golden(golden.file);
+    ASSERT_EQ(std::string(bytes.begin(), bytes.begin() + 4), "QRP2");
+    rl::QReplayBuffer live(kCapacity, kStateDim);
+    push_script(live, 0, golden.pushes);
+    EXPECT_EQ(saved_bytes(live), bytes);
+    rl::QReplayBuffer restored(kCapacity, kStateDim);
+    ckpt::Reader in(bytes);
+    restored.restore_state(in);
+    EXPECT_TRUE(in.exhausted());
+    EXPECT_EQ(saved_bytes(restored), bytes);
+
+    push_script(live, golden.pushes, golden.pushes + 9);
+    push_script(restored, golden.pushes, golden.pushes + 9);
+    util::Rng rng_live(43);
+    util::Rng rng_restored(43);
+    nn::Matrix s_live, s_restored, n_live, n_restored;
+    std::vector<std::size_t> a_live, a_restored;
+    std::vector<double> r_live, r_restored;
+    EXPECT_EQ(live.sample_into(6, rng_live, s_live, n_live, a_live, r_live),
+              restored.sample_into(6, rng_restored, s_restored, n_restored,
+                                   a_restored, r_restored));
+    EXPECT_EQ(s_restored.data(), s_live.data());
+    EXPECT_EQ(n_restored.data(), n_live.data());
+    EXPECT_EQ(a_restored, a_live);
+    EXPECT_EQ(r_restored, r_live);
+    EXPECT_EQ(saved_bytes(restored), saved_bytes(live));
+  }
+}
+
+TEST(ConstructionGoldens, FreshAgentSavesTheEagerInitBytes) {
+  // A Table I agent and a two-hidden-layer one, saved before any other
+  // call: save_state materializes the deferred init.
+  ckpt::Writer out;
+  const rl::NeuralBanditAgent table1(rl::NeuralAgentConfig{}, util::Rng{2026});
+  table1.save_state(out);
+  rl::NeuralAgentConfig deep;
+  deep.hidden_sizes = {16, 8};
+  const rl::NeuralBanditAgent two_hidden(deep, util::Rng{7});
+  two_hidden.save_state(out);
+  EXPECT_EQ(out.data(), read_golden("agent_agnt_fresh.bin"));
+}
+
+TEST(ConstructionGoldens, PristineHydratedDeviceSavesTheEagerInitBytes) {
+  // Device 0 stays cold-pristine; device 1 is hydrated and saved inline
+  // before any broadcast reaches it (Table I controller).
+  const auto suite = sim::splash2_suite();
+  const std::vector<std::vector<sim::AppProfile>> apps{{suite[0]},
+                                                       {suite[1]}};
+  runtime::FleetRuntime fleet({core::ControllerConfig{}},
+                              sim::ProcessorConfig{}, apps, /*seed=*/2026,
+                              runtime::FleetOptions{1, /*lazy=*/true});
+  fleet.hydrate(1);
+  EXPECT_EQ(saved_bytes(fleet), read_golden("fleet_flt2_pristine_hot.bin"));
 }
 
 // --- lazy fleet ------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <vector>
+
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 
@@ -14,6 +17,41 @@ TEST(Mlp, PaperTopologyParamCount) {
   Mlp mlp = make_mlp(5, {32}, 15, rng);
   EXPECT_EQ(mlp.param_count(), 687u);
   EXPECT_EQ(mlp.layer_count(), 3u);  // dense, relu, dense
+}
+
+TEST(Mlp, InitNormalCountIsWhatMakeMlpDraws) {
+  struct Shape {
+    std::size_t input;
+    std::vector<std::size_t> hidden;
+    std::size_t output;
+  };
+  const Shape shapes[] = {{5, {32}, 15},      // Table I
+                          {5, {16, 8}, 15},   // two hidden layers
+                          {3, {}, 2},         // linear
+                          {7, {1, 9, 4}, 1}};
+  for (const Shape& shape : shapes) {
+    for (const Init init : {Init::kHe, Init::kXavier, Init::kZero}) {
+      for (const std::uint64_t seed : {1ULL, 99ULL, 2026ULL}) {
+        SCOPED_TRACE(::testing::Message()
+                     << shape.input << "->" << shape.hidden.size()
+                     << " hidden->" << shape.output << " init "
+                     << static_cast<int>(init) << " seed " << seed);
+        util::Rng built(seed);
+        const Mlp mlp =
+            make_mlp(shape.input, shape.hidden, shape.output, built, init);
+        util::Rng skipped(seed);
+        const std::size_t draws =
+            init_normal_count(shape.input, shape.hidden, shape.output, init);
+        skipped.skip_normals(draws);
+        EXPECT_EQ(skipped.state(), built.state());
+        // Every weight (not bias) is one draw, unless the init is zero.
+        const std::size_t biases =
+            std::accumulate(shape.hidden.begin(), shape.hidden.end(),
+                            shape.output);
+        EXPECT_EQ(draws, init == Init::kZero ? 0 : mlp.param_count() - biases);
+      }
+    }
+  }
 }
 
 TEST(Mlp, LinearModelWhenNoHiddenLayers) {

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
+#include "ckpt/binary_io.hpp"
+#include "nn/matrix.hpp"
+#include "nn/mlp.hpp"
 #include "rl/policy.hpp"
 
 namespace fedpower::rl {
@@ -174,6 +181,105 @@ TEST(NeuralAgent, ProxTermPullsTowardAnchor) {
     prox_drift += std::abs(pp[i] - anchor[i]);
   }
   EXPECT_LT(prox_drift, free_drift);
+}
+
+// --- deferred weight init ----------------------------------------------------
+//
+// The agent defers its He init to the first read of the weights. The
+// eager reference below is what construction used to do: make_mlp on the
+// agent's stream, then every later draw from the same stream.
+
+std::vector<double> probe_state(int step) {
+  const double x = 0.1 * static_cast<double>(step);
+  return {std::sin(x), std::cos(x), 0.5 - x, x * x - 1.0, 0.25};
+}
+
+TEST(NeuralAgentDeferredInit, ActsAndPredictsLikeAnEagerReference) {
+  const NeuralAgentConfig config;  // Table I: 5 -> 32 -> 15
+  for (const std::uint64_t seed : {1ULL, 7ULL, 2026ULL}) {
+    SCOPED_TRACE(seed);
+    util::Rng reference_rng(seed);
+    nn::Mlp reference =
+        nn::make_mlp(config.state_dim, config.hidden_sizes,
+                     config.action_count, reference_rng);
+    EXPECT_EQ(NeuralBanditAgent(config, util::Rng{seed}).parameters(),
+              reference.parameters());
+
+    NeuralBanditAgent agent(config, util::Rng{seed});
+    std::vector<double> probs;
+    for (int step = 0; step < 30; ++step) {
+      const std::vector<double> state = probe_state(step);
+      const nn::Matrix row = nn::Matrix::row_vector(state);
+      const std::vector<double> expected = reference.forward(row).data();
+      // The first read is select_action; predict and greedy_action follow.
+      if (step % 3 == 1) {
+        EXPECT_EQ(agent.predict(state), expected);
+      } else if (step % 3 == 2) {
+        EXPECT_EQ(agent.greedy_action(state), argmax(expected));
+      }
+      EXPECT_EQ(agent.select_action(state),
+                sample_softmax(expected, agent.temperature(), reference_rng,
+                               probs))
+          << step;
+    }
+    EXPECT_EQ(agent.parameters(), reference.parameters());
+  }
+}
+
+TEST(NeuralAgentDeferredInit, TrainsLikeAnAgentInitializedEagerly) {
+  for (const bool broadcast_first : {false, true}) {
+    SCOPED_TRACE(broadcast_first ? "set_parameters first" : "train first");
+    NeuralBanditAgent deferred(small_config(), util::Rng{21});
+    NeuralBanditAgent eager(small_config(), util::Rng{21});
+    (void)eager.parameters();  // materializes the init up front
+    if (broadcast_first) {
+      // A federated device's usual first touch: the broadcast overwrites
+      // the weights, so the deferred init never runs.
+      std::vector<double> global(deferred.param_count());
+      for (std::size_t i = 0; i < global.size(); ++i)
+        global[i] = 0.01 * static_cast<double>(i % 17) - 0.08;
+      deferred.set_parameters(global);
+      eager.set_parameters(global);
+    }
+    util::Rng env(22);
+    for (int step = 0; step < 40; ++step) {
+      const std::vector<double> state = {env.uniform(), env.uniform(),
+                                         env.uniform()};
+      const std::size_t action = deferred.select_action(state);
+      ASSERT_EQ(eager.select_action(state), action) << step;
+      const double reward = env.uniform();
+      deferred.record(state, action, reward);
+      eager.record(state, action, reward);
+    }
+    EXPECT_EQ(deferred.update_count(), 8u);
+    EXPECT_EQ(deferred.parameters(), eager.parameters());
+    ckpt::Writer a, b;
+    deferred.save_state(a);
+    eager.save_state(b);
+    EXPECT_EQ(a.data(), b.data());
+  }
+}
+
+TEST(NeuralAgentDeferredInit, CopyCarriesThePendingInit) {
+  const NeuralBanditAgent original(small_config(), util::Rng{23});
+  NeuralBanditAgent copy = original;
+  const std::vector<double> state = {0.2, 0.4, 0.6};
+  EXPECT_EQ(copy.predict(state), original.predict(state));
+  EXPECT_EQ(copy.parameters(), original.parameters());
+}
+
+TEST(NeuralAgentDeferredInit, RestoreReplacesThePendingInit) {
+  NeuralBanditAgent source(small_config(), util::Rng{24});
+  const std::vector<double> state = {0.3, 0.1, 0.7};
+  for (int i = 0; i < 12; ++i) source.record(state, 2, 0.4);
+  ckpt::Writer out;
+  source.save_state(out);
+
+  NeuralBanditAgent target(small_config(), util::Rng{25});  // other init
+  ckpt::Reader in(out.data());
+  target.restore_state(in);
+  EXPECT_EQ(target.parameters(), source.parameters());
+  EXPECT_EQ(target.predict(state), source.predict(state));
 }
 
 TEST(NeuralAgentDeathTest, RejectsWrongStateSize) {

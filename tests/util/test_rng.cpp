@@ -209,6 +209,46 @@ TEST(Rng, StateRoundTripResumesGoldenSequence) {
     EXPECT_EQ(child_a.next_u64(), child_b.next_u64());
 }
 
+TEST(Rng, SkipNormalsLeavesTheStateOfNormalDraws) {
+  for (const std::uint64_t seed : {1ULL, 7ULL, 2026ULL, 0xdeadbeefULL}) {
+    for (const std::size_t n : {0u, 1u, 2u, 160u, 480u, 640u, 4321u}) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " n " << n);
+      Rng drawn(seed);
+      Rng skipped(seed);
+      for (std::size_t i = 0; i < n; ++i) (void)drawn.normal();
+      skipped.skip_normals(n);
+      EXPECT_EQ(skipped.state(), drawn.state());
+      EXPECT_EQ(skipped.normal(), drawn.normal());
+    }
+  }
+}
+
+TEST(Rng, SkipNormalsRedrawsAZeroUniformAsNormalDoes) {
+  // With state[0] = 0 the next output is rotl(state[3], 23): this state
+  // makes the first uniform() exactly 0, which normal() must redraw
+  // before its log, and skip_normals must redraw too.
+  constexpr std::uint64_t kOutput = 5;  // >> 11 is 0: uniform() == 0.0
+  const std::array<std::uint64_t, 4> state{0, 1, 2,
+                                           (kOutput << 41) | (kOutput >> 23)};
+  Rng probe(1);
+  probe.set_state(state);
+  ASSERT_EQ(probe.uniform(), 0.0);
+
+  Rng drawn(1);
+  drawn.set_state(state);
+  Rng skipped(1);
+  skipped.set_state(state);
+  Rng two_uniforms(1);
+  two_uniforms.set_state(state);
+  const double value = drawn.normal();
+  EXPECT_TRUE(std::isfinite(value));
+  skipped.skip_normals(1);
+  (void)two_uniforms.next_u64();
+  (void)two_uniforms.next_u64();
+  EXPECT_EQ(skipped.state(), drawn.state());
+  EXPECT_NE(skipped.state(), two_uniforms.state());  // the retry happened
+}
+
 TEST(Splitmix64, KnownSequenceIsDeterministic) {
   std::uint64_t s1 = 123;
   std::uint64_t s2 = 123;
