@@ -18,11 +18,12 @@ Evaluator::Evaluator(ControllerConfig config, EvalConfig eval)
 
 PolicyFn Evaluator::neural_policy(std::span<const double> params) const {
   // A fresh model instance shaped like the controller's network, holding a
-  // snapshot of the given parameters.
-  auto rng = util::Rng{0};  // init values are overwritten immediately
+  // snapshot of the given parameters. The all-zero init draws nothing and
+  // is overwritten at once.
+  auto rng = util::Rng{0};
   auto model = std::make_shared<nn::Mlp>(
       nn::make_mlp(config_.agent.state_dim, config_.agent.hidden_sizes,
-                   config_.agent.action_count, rng));
+                   config_.agent.action_count, rng, nn::Init::kZero));
   model->set_parameters(params);
   const rl::StateFeaturizer featurizer(config_.featurizer);
   return [model, featurizer](const sim::TelemetrySample& sample) {

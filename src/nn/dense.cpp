@@ -33,16 +33,136 @@ const Matrix& Dense::forward(const Matrix& input) {
 }
 
 const Matrix& Dense::backward(const Matrix& grad_output) {
-  FEDPOWER_EXPECTS(grad_output.cols() == out_);
-  FEDPOWER_EXPECTS(grad_output.rows() == input_.rows());
-  // This step's gradients are formed apart and then added, so accumulating
-  // over several backward() calls rounds exactly as it always has.
-  transpose_matmul_into(input_, grad_output, step_gw_);
-  gw_ += step_gw_;
-  column_sums_into(grad_output, step_gb_);
-  gb_ += step_gb_;
+  accumulate_grads(grad_output);
   matmul_transpose_into(grad_output, w_, grad_input_);
   return grad_input_;
+}
+
+void Dense::accumulate_grads(const Matrix& grad_output) {
+  FEDPOWER_EXPECTS(grad_output.cols() == out_);
+  FEDPOWER_EXPECTS(grad_output.rows() == input_.rows());
+  transpose_matmul_into(input_, grad_output, step_gw_);
+  column_sums_into(grad_output, step_gb_);
+  add_step_grads();
+}
+
+void Dense::add_step_grads() {
+  // This step's gradients are formed apart and then added, so accumulating
+  // over several backward calls rounds exactly as it always has.
+  gw_ += step_gw_;
+  gb_ += step_gb_;
+}
+
+void Dense::expect_columns(std::span<const std::size_t> cols) const {
+  for (const std::size_t c : cols) FEDPOWER_EXPECTS(c < out_);
+}
+
+namespace {
+
+/// Rows interleaved by forward_selected: R independent add chains hide the
+/// add latency that a single row's dependent chain is bound by.
+constexpr std::size_t kSelectedRows = 8;
+
+/// out[i] = (sum over j ascending of x[i][j] * w[j][col[i]]) + bias[col[i]]
+/// for R rows x[i] = x + i * n, each sum seeded with +0.0, as matmul_into
+/// and add_row_broadcast give it. matmul_into skips exactly-zero x terms;
+/// here they add their product, which for a finite weight is ±0.0 and
+/// leaves a sum that is never -0.0 unchanged.
+template <std::size_t R>
+void selected_rows(const double* x, std::size_t n, const double* w,
+                   std::size_t stride, const std::size_t* col,
+                   const double* bias, double* out) noexcept {
+  double s[R];
+  const double* wc[R];
+  for (std::size_t i = 0; i < R; ++i) {
+    s[i] = 0.0;
+    wc[i] = w + col[i];
+  }
+  for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t i = 0; i < R; ++i)
+      s[i] += x[i * n + j] * wc[i][j * stride];
+  for (std::size_t i = 0; i < R; ++i) out[i] = s[i] + bias[col[i]];
+}
+
+}  // namespace
+
+void Dense::forward_selected(const Matrix& input,
+                             std::span<const std::size_t> cols,
+                             std::vector<double>& out) {
+  FEDPOWER_EXPECTS(input.cols() == in_);
+  FEDPOWER_EXPECTS(cols.size() == input.rows());
+  expect_columns(cols);
+  const std::size_t rows = input.rows();
+  out.resize(rows);
+  // A zero input times an infinite or NaN weight is a NaN that matmul_into
+  // skips, so a diverged layer takes the full pass and reads its columns.
+  if (!std::all_of(w_.data().begin(), w_.data().end(),
+                   [](double v) { return std::isfinite(v); })) {
+    const Matrix& full = forward(input);
+    for (std::size_t r = 0; r < rows; ++r) out[r] = full(r, cols[r]);
+    return;
+  }
+  input_ = input;
+  const double* x = input_.data().data();
+  const double* w = w_.data().data();
+  const double* b = b_.data().data();
+  std::size_t r = 0;
+  for (; r + kSelectedRows <= rows; r += kSelectedRows)
+    selected_rows<kSelectedRows>(x + r * in_, in_, w, out_, cols.data() + r, b,
+                                 out.data() + r);
+  for (; r < rows; ++r)
+    selected_rows<1>(x + r * in_, in_, w, out_, cols.data() + r, b,
+                     out.data() + r);
+}
+
+const Matrix& Dense::backward_selected(std::span<const std::size_t> cols,
+                                       std::span<const double> grad) {
+  accumulate_selected_grads(cols, grad);
+  const std::size_t rows = input_.rows();
+  grad_input_.resize(rows, in_);
+  const double* w = w_.data().data();
+  double* gi = grad_input_.data().data();
+  // Row r of grad * W^T has the one term grad[r] * W[j][cols[r]], added to
+  // +0.0 as matmul_transpose adds it (so a -0.0 product gives +0.0), or no
+  // term when grad[r] is zero, which its compaction skips.
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double g = grad[r];
+    const double* wc = w + cols[r];
+    double* out = gi + r * in_;
+    if (g == 0.0) {
+      std::fill(out, out + in_, 0.0);
+      continue;
+    }
+    for (std::size_t j = 0; j < in_; ++j) out[j] = 0.0 + g * wc[j * out_];
+  }
+  return grad_input_;
+}
+
+void Dense::accumulate_selected_grads(std::span<const std::size_t> cols,
+                                      std::span<const double> grad) {
+  const std::size_t rows = input_.rows();
+  FEDPOWER_EXPECTS(cols.size() == rows && grad.size() == rows);
+  expect_columns(cols);
+  step_gw_.resize(in_, out_);
+  step_gb_.resize(1, out_);
+  std::fill(step_gw_.data().begin(), step_gw_.data().end(), 0.0);
+  std::fill(step_gb_.data().begin(), step_gb_.data().end(), 0.0);
+  const double* x = input_.data().data();
+  double* gw = step_gw_.data().data();
+  double* gb = step_gb_.data().data();
+  // Column cols[r] of x^T * grad gains grad[r] * x[r], in ascending r as
+  // transpose_matmul adds it, and the bias gradient gains grad[r] as
+  // column_sums adds it. A zero grad[r] adds nothing to either: the
+  // compaction skips it, and ±0.0 leaves a sum seeded with +0.0 unchanged.
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double g = grad[r];
+    if (g == 0.0) continue;
+    const double* xr = x + r * in_;
+    double* column = gw + cols[r];
+    for (std::size_t j = 0; j < in_; ++j) column[j * out_] += g * xr[j];
+    gb[cols[r]] += g;
+  }
+  add_step_grads();
 }
 
 std::size_t Dense::param_count() const noexcept { return in_ * out_ + out_; }

@@ -7,14 +7,14 @@ namespace fedpower::nn {
 
 namespace {
 
+/// backprop runs one forward/backward pass, accumulating the analytic
+/// gradients; loss_value runs a forward pass and returns the loss.
 GradCheckResult run_check(Mlp& model,
                           const std::function<double()>& loss_value,
-                          const std::function<Matrix()>& loss_grad,
+                          const std::function<void()>& backprop,
                           double epsilon) {
-  // Analytic gradients via one forward/backward pass.
   model.zero_gradients();
-  const Matrix grad_out = loss_grad();
-  model.backward(grad_out);
+  backprop();
   const std::vector<double> analytic = model.gradients();
 
   std::vector<double> params = model.parameters();
@@ -47,10 +47,10 @@ GradCheckResult check_gradients(Mlp& model, const Loss& loss,
   const auto value = [&] {
     return loss.evaluate(model.forward(input), target).value;
   };
-  const auto grad = [&] {
-    return loss.evaluate(model.forward(input), target).grad;
+  const auto backprop = [&] {
+    model.backward(loss.evaluate(model.forward(input), target).grad);
   };
-  return run_check(model, value, grad, epsilon);
+  return run_check(model, value, backprop, epsilon);
 }
 
 GradCheckResult check_gradients_masked(Mlp& model, const Loss& loss,
@@ -58,13 +58,18 @@ GradCheckResult check_gradients_masked(Mlp& model, const Loss& loss,
                                        const std::vector<std::size_t>& actions,
                                        const std::vector<double>& targets,
                                        double epsilon) {
+  // The selected-column path, so the check covers its kernels.
+  std::vector<double> values;
+  std::vector<double> grad;
   const auto value = [&] {
-    return loss.evaluate_masked(model.forward(input), actions, targets).value;
+    model.forward_selected(input, actions, values);
+    return loss.evaluate_selected(values, targets, grad);
   };
-  const auto grad = [&] {
-    return loss.evaluate_masked(model.forward(input), actions, targets).grad;
+  const auto backprop = [&] {
+    value();
+    model.backward_selected(actions, grad);
   };
-  return run_check(model, value, grad, epsilon);
+  return run_check(model, value, backprop, epsilon);
 }
 
 }  // namespace fedpower::nn

@@ -21,7 +21,8 @@ GradCheckResult check_gradients(Mlp& model, const Loss& loss,
                                 const Matrix& input, const Matrix& target,
                                 double epsilon = 1e-6);
 
-/// Same, for the masked contextual-bandit loss.
+/// Same, for the contextual-bandit loss on the pulled arm (actions[r] of
+/// row r), through Mlp::forward_selected/backward_selected.
 GradCheckResult check_gradients_masked(Mlp& model, const Loss& loss,
                                        const Matrix& input,
                                        const std::vector<std::size_t>& actions,

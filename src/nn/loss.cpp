@@ -1,6 +1,5 @@
 #include "nn/loss.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace fedpower::nn {
@@ -21,24 +20,18 @@ LossResult MseLoss::evaluate(const Matrix& prediction,
   return result;
 }
 
-double MseLoss::evaluate_masked_into(const Matrix& prediction,
-                                     const std::vector<std::size_t>& actions,
-                                     const std::vector<double>& targets,
-                                     Matrix& grad) const {
-  FEDPOWER_EXPECTS(actions.size() == prediction.rows());
-  FEDPOWER_EXPECTS(targets.size() == prediction.rows());
-  FEDPOWER_EXPECTS(!actions.empty());
-  FEDPOWER_EXPECTS(&grad != &prediction);
-  grad.resize(prediction.rows(), prediction.cols());
-  std::fill(grad.data().begin(), grad.data().end(), 0.0);
+double MseLoss::evaluate_selected(std::span<const double> values,
+                                  std::span<const double> targets,
+                                  std::vector<double>& grad) const {
+  FEDPOWER_EXPECTS(targets.size() == values.size());
+  FEDPOWER_EXPECTS(!values.empty());
+  grad.resize(values.size());
   double value = 0.0;
-  const double n = static_cast<double>(prediction.rows());
-  for (std::size_t r = 0; r < prediction.rows(); ++r) {
-    const std::size_t a = actions[r];
-    FEDPOWER_EXPECTS(a < prediction.cols());
-    const double e = prediction(r, a) - targets[r];
+  const double n = static_cast<double>(values.size());
+  for (std::size_t r = 0; r < values.size(); ++r) {
+    const double e = values[r] - targets[r];
     value += 0.5 * e * e;
-    grad(r, a) = e / n;
+    grad[r] = e / n;
   }
   return value / n;
 }
@@ -74,24 +67,18 @@ LossResult HuberLoss::evaluate(const Matrix& prediction,
   return result;
 }
 
-double HuberLoss::evaluate_masked_into(const Matrix& prediction,
-                                       const std::vector<std::size_t>& actions,
-                                       const std::vector<double>& targets,
-                                       Matrix& grad) const {
-  FEDPOWER_EXPECTS(actions.size() == prediction.rows());
-  FEDPOWER_EXPECTS(targets.size() == prediction.rows());
-  FEDPOWER_EXPECTS(!actions.empty());
-  FEDPOWER_EXPECTS(&grad != &prediction);
-  grad.resize(prediction.rows(), prediction.cols());
-  std::fill(grad.data().begin(), grad.data().end(), 0.0);
+double HuberLoss::evaluate_selected(std::span<const double> values,
+                                    std::span<const double> targets,
+                                    std::vector<double>& grad) const {
+  FEDPOWER_EXPECTS(targets.size() == values.size());
+  FEDPOWER_EXPECTS(!values.empty());
+  grad.resize(values.size());
   double value = 0.0;
-  const double n = static_cast<double>(prediction.rows());
-  for (std::size_t r = 0; r < prediction.rows(); ++r) {
-    const std::size_t a = actions[r];
-    FEDPOWER_EXPECTS(a < prediction.cols());
-    const double e = prediction(r, a) - targets[r];
+  const double n = static_cast<double>(values.size());
+  for (std::size_t r = 0; r < values.size(); ++r) {
+    const double e = values[r] - targets[r];
     value += pointwise(e);
-    grad(r, a) = derivative(e) / n;
+    grad[r] = derivative(e) / n;
   }
   return value / n;
 }

@@ -2,12 +2,14 @@
 // loss (§III-C); MSE is provided for ablations and gradient checking.
 //
 // For contextual-bandit training only the output column of the action that
-// was actually taken carries a target; the masked_* helpers compute the loss
-// and gradient over (row, action) pairs and leave all other outputs with
-// zero gradient.
+// was actually taken carries a target. evaluate_selected() works on those
+// pulled-arm predictions alone, one per row (Mlp::forward_selected), and
+// returns one gradient entry per row for Mlp::backward_selected; the other
+// outputs are neither computed nor given a gradient.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "nn/matrix.hpp"
@@ -28,23 +30,13 @@ class Loss {
   virtual LossResult evaluate(const Matrix& prediction,
                               const Matrix& target) const = 0;
 
-  /// Bandit variant: row i contributes only at column actions[i] with target
-  /// targets[i]; the returned gradient is zero elsewhere. Averaged over rows.
-  LossResult evaluate_masked(const Matrix& prediction,
-                             const std::vector<std::size_t>& actions,
-                             const std::vector<double>& targets) const {
-    LossResult result;
-    result.value = evaluate_masked_into(prediction, actions, targets,
-                                        result.grad);
-    return result;
-  }
-
-  /// evaluate_masked() writing the gradient into a caller-owned workspace
-  /// (resized, reusing its storage); returns the loss value.
-  virtual double evaluate_masked_into(const Matrix& prediction,
-                                      const std::vector<std::size_t>& actions,
-                                      const std::vector<double>& targets,
-                                      Matrix& grad) const = 0;
+  /// Bandit variant: values[r] is row r's prediction for the action it took
+  /// and targets[r] that action's target. Writes dLoss/dvalues[r] into grad
+  /// (resized, reusing its storage) and returns the loss, both averaged
+  /// over rows.
+  virtual double evaluate_selected(std::span<const double> values,
+                                   std::span<const double> targets,
+                                   std::vector<double>& grad) const = 0;
 };
 
 /// Mean squared error: L = mean((p - t)^2) / 2 with gradient (p - t)/n.
@@ -52,10 +44,9 @@ class MseLoss final : public Loss {
  public:
   LossResult evaluate(const Matrix& prediction,
                       const Matrix& target) const override;
-  double evaluate_masked_into(const Matrix& prediction,
-                              const std::vector<std::size_t>& actions,
-                              const std::vector<double>& targets,
-                              Matrix& grad) const override;
+  double evaluate_selected(std::span<const double> values,
+                           std::span<const double> targets,
+                           std::vector<double>& grad) const override;
 };
 
 /// Huber loss: quadratic for |e| <= delta, linear beyond — robust to the
@@ -68,10 +59,9 @@ class HuberLoss final : public Loss {
 
   LossResult evaluate(const Matrix& prediction,
                       const Matrix& target) const override;
-  double evaluate_masked_into(const Matrix& prediction,
-                              const std::vector<std::size_t>& actions,
-                              const std::vector<double>& targets,
-                              Matrix& grad) const override;
+  double evaluate_selected(std::span<const double> values,
+                           std::span<const double> targets,
+                           std::vector<double>& grad) const override;
 
  private:
   double pointwise(double error) const noexcept;

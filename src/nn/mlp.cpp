@@ -32,6 +32,40 @@ const Matrix& Mlp::backward(const Matrix& grad_output) {
   return *grad;
 }
 
+Dense& Mlp::selected_head() {
+  FEDPOWER_EXPECTS(!layers_.empty());
+  auto* head = dynamic_cast<Dense*>(layers_.back().get());
+  FEDPOWER_EXPECTS(head != nullptr);
+  return *head;
+}
+
+void Mlp::forward_selected(const Matrix& input,
+                           std::span<const std::size_t> cols,
+                           std::vector<double>& values) {
+  Dense& head = selected_head();
+  const Matrix* activation = &input;
+  for (std::size_t i = 0; i + 1 < layers_.size(); ++i)
+    activation = &layers_[i]->forward(*activation);
+  head.forward_selected(*activation, cols, values);
+}
+
+void Mlp::backward_selected(std::span<const std::size_t> cols,
+                            std::span<const double> grad) {
+  Dense& head = selected_head();
+  if (layers_.size() == 1) {  // a linear model: the head is the first layer
+    head.accumulate_selected_grads(cols, grad);
+    return;
+  }
+  const Matrix* g = &head.backward_selected(cols, grad);
+  for (std::size_t i = layers_.size() - 2; i > 0; --i)
+    g = &layers_[i]->backward(*g);
+  // Nothing reads dLoss/dInput, so a Dense first layer skips forming it.
+  if (auto* first = dynamic_cast<Dense*>(layers_.front().get()))
+    first->accumulate_grads(*g);
+  else
+    layers_.front()->backward(*g);
+}
+
 std::size_t Mlp::param_count() const noexcept {
   std::size_t total = 0;
   for (const auto& layer : layers_) total += layer->param_count();

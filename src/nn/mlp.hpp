@@ -32,6 +32,21 @@ class Mlp {
   /// valid until the next backward().
   const Matrix& backward(const Matrix& grad_output);
 
+  /// Selected-column forward for training on the pulled arm: values[r] is
+  /// forward(input)(r, cols[r]), bit for bit. The hidden layers run their
+  /// full forward(); the head, which must be a Dense layer, computes only
+  /// the selected columns. values is resized.
+  void forward_selected(const Matrix& input, std::span<const std::size_t> cols,
+                        std::vector<double>& values);
+
+  /// Accumulates in every layer the parameter gradients that backward()
+  /// gives for the gradient holding grad[r] at (r, cols[r]) and zero
+  /// elsewhere, bit for bit for finite data. Must follow forward_selected()
+  /// with the same cols. The first layer forms no dLoss/dInput, so there is
+  /// nothing to return.
+  void backward_selected(std::span<const std::size_t> cols,
+                         std::span<const double> grad);
+
   std::size_t layer_count() const noexcept { return layers_.size(); }
   std::size_t param_count() const noexcept;
 
@@ -55,6 +70,9 @@ class Mlp {
   bool empty() const noexcept { return layers_.empty(); }
 
  private:
+  /// The output layer, which the selected-column path needs to be Dense.
+  Dense& selected_head();
+
   std::vector<std::unique_ptr<Layer>> layers_;
 };
 

@@ -61,12 +61,26 @@ void Adam::step(std::vector<double>& params, const std::vector<double>& grads) {
   ++t_;
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    m_[i] = beta1_ * m_[i] + (1.0 - beta1_) * grads[i];
-    v_[i] = beta2_ * v_[i] + (1.0 - beta2_) * grads[i] * grads[i];
-    const double m_hat = m_[i] / bc1;
-    const double v_hat = v_[i] / bc2;
-    params[i] -= lr_ * m_hat / (std::sqrt(v_hat) + epsilon_);
+  // Locals for every operand, so the compiler sees that the stores cannot
+  // change them, and -fno-math-errno on this file (src/nn/CMakeLists.txt),
+  // so std::sqrt is the bare instruction: with both, the loop vectorizes.
+  // Each element's arithmetic is unchanged, and IEEE sqrt and division are
+  // correctly rounded, so the results are too.
+  const std::size_t n = params.size();
+  double* p = params.data();
+  const double* g = grads.data();
+  double* m = m_.data();
+  double* v = v_.data();
+  const double beta1 = beta1_;
+  const double beta2 = beta2_;
+  const double lr = lr_;
+  const double epsilon = epsilon_;
+  for (std::size_t i = 0; i < n; ++i) {
+    m[i] = beta1 * m[i] + (1.0 - beta1) * g[i];
+    v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i];
+    const double m_hat = m[i] / bc1;
+    const double v_hat = v[i] / bc2;
+    p[i] -= lr * m_hat / (std::sqrt(v_hat) + epsilon);
   }
 }
 

@@ -87,11 +87,13 @@ double NeuralBanditAgent::train_step() {
   replay_.sample_into(config_.batch_size, rng_, batch_states_, batch_actions_,
                       batch_rewards_);
 
-  const nn::Matrix& prediction = model_.forward(batch_states_);
-  const double loss = loss_.evaluate_masked_into(prediction, batch_actions_,
-                                                 batch_rewards_, loss_grad_);
+  // Only the pulled arm carries a target, so only its column is computed
+  // and back-propagated.
+  model_.forward_selected(batch_states_, batch_actions_, pulled_values_);
+  const double loss =
+      loss_.evaluate_selected(pulled_values_, batch_rewards_, loss_grad_);
   model_.zero_gradients();
-  model_.backward(loss_grad_);
+  model_.backward_selected(batch_actions_, loss_grad_);
 
   params_.resize(model_.param_count());
   grads_.resize(model_.param_count());

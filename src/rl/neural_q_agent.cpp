@@ -70,11 +70,13 @@ double NeuralQAgent::train_step() {
     batch_targets_[r] += config_.gamma * best;
   }
 
-  const nn::Matrix& prediction = online_.forward(batch_states_);
-  const double loss = loss_.evaluate_masked_into(prediction, batch_actions_,
-                                                 batch_targets_, loss_grad_);
+  // The target network needs every action for its max; the online network
+  // trains on the taken action's column only.
+  online_.forward_selected(batch_states_, batch_actions_, pulled_values_);
+  const double loss =
+      loss_.evaluate_selected(pulled_values_, batch_targets_, loss_grad_);
   online_.zero_gradients();
-  online_.backward(loss_grad_);
+  online_.backward_selected(batch_actions_, loss_grad_);
   params_.resize(online_.param_count());
   grads_.resize(online_.param_count());
   online_.copy_parameters_to(params_);

@@ -88,7 +88,8 @@ class NeuralQAgent {
   nn::Matrix batch_next_states_;  // lint: ckpt-skip(scratch: batch)
   std::vector<std::size_t> batch_actions_;  // lint: ckpt-skip(scratch: batch)
   std::vector<double> batch_targets_;  // lint: ckpt-skip(scratch: batch)
-  nn::Matrix loss_grad_;  // lint: ckpt-skip(scratch: loss gradient)
+  std::vector<double> pulled_values_;  // lint: ckpt-skip(scratch: pulled-arm predictions)
+  std::vector<double> loss_grad_;  // lint: ckpt-skip(scratch: loss gradient)
   std::vector<double> params_;  // lint: ckpt-skip(scratch: Adam input)
   std::vector<double> grads_;   // lint: ckpt-skip(scratch: Adam input)
 };
