@@ -24,7 +24,14 @@
 // the sort-based dedup makes it O(n log n) once and O(n) per round.
 // The guard fails the bench (exit 1) if the accounting path regresses.
 //
+// Part 4 gates the cold record: the heap bytes (glibc mallinfo2 in-use
+// delta) one never-touched device costs in a 100k-device lazy fleet plus
+// its clients() proxies. The app lists are built before the first
+// reading, so the figure is the runtime's own bookkeeping. The bench
+// fails (exit 1) above kColdBytesBound.
+//
 // Results land in BENCH_fleet_scale.json.
+#include <malloc.h>
 #include <sys/resource.h>
 
 #include <chrono>
@@ -73,6 +80,17 @@ std::size_t peak_rss_kib() {
   return static_cast<std::size_t>(usage.ru_maxrss);
 }
 
+/// Heap bytes in use (arena chunks plus mmapped blocks); 0 where the
+/// allocator does not keep glibc's statistics (e.g. under a sanitizer).
+std::size_t heap_in_use_bytes() {
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+#else
+  return 0;
+#endif
+}
+
 std::vector<std::vector<sim::AppProfile>> fleet_apps(std::size_t devices) {
   const std::vector<sim::AppProfile> suite = sim::splash2_suite();
   std::vector<std::vector<sim::AppProfile>> apps(devices);
@@ -85,6 +103,38 @@ core::ControllerConfig bench_controller() {
   core::ControllerConfig config;
   config.steps_per_round = 4;  // local training is not the subject here
   return config;
+}
+
+/// Upper bound on cold_bytes_per_device: the interned app-list index, the
+/// hot-device pointer, the RNG-state cold record, the proxy and its
+/// clients() slot come to ~132 B.
+constexpr double kColdBytesBound = 160.0;
+
+struct ColdFootprint {
+  std::size_t devices = 0;
+  double bytes_per_device = 0.0;
+  bool measured = false;  ///< false when heap statistics are unavailable
+  bool passed = false;
+};
+
+ColdFootprint measure_cold_footprint() {
+  ColdFootprint result;
+  result.devices = 100000;
+  const auto apps = fleet_apps(result.devices);
+  const std::size_t before = heap_in_use_bytes();
+  benchutil::Fleet fleet =
+      benchutil::make_fleet({bench_controller()}, sim::ProcessorConfig{},
+                            apps, /*seed=*/2026,
+                            runtime::FleetOptions{1, /*lazy=*/true});
+  const std::vector<fed::FederatedClient*> clients = fleet.clients();
+  const std::size_t after = heap_in_use_bytes();
+  result.measured = before != 0 && after > before;
+  if (result.measured)
+    result.bytes_per_device = static_cast<double>(after - before) /
+                              static_cast<double>(result.devices);
+  result.passed =
+      !result.measured || result.bytes_per_device <= kColdBytesBound;
+  return result;
 }
 
 struct SweepResult {
@@ -368,6 +418,19 @@ int main() {
       "%s\n",
       guard.clients, guard.round_seconds, guard.passed ? "ok" : "REGRESSED");
 
+  // Last: its in-use delta does not depend on what ran before, while the
+  // RSS readings above would see the heap it frees.
+  const ColdFootprint cold = measure_cold_footprint();
+  if (cold.measured) {
+    std::printf(
+        "cold record: %.1f B/device over %zu lazy devices (bound %.0f B) — "
+        "%s\n",
+        cold.bytes_per_device, cold.devices, kColdBytesBound,
+        cold.passed ? "ok" : "REGRESSED");
+  } else {
+    std::printf("cold record: heap statistics unavailable, not gated\n");
+  }
+
   bool all_bounded = horizon.bounded;
   for (const SweepResult& s : sweeps) all_bounded = all_bounded && s.bounded;
 
@@ -375,6 +438,9 @@ int main() {
   if (out != nullptr) {
     std::fprintf(out, "{\n");
     std::fprintf(out, "  \"bench\": \"fleet_scale\",\n");
+    std::fprintf(out, "  \"cold_bytes_per_device\": %.1f,\n",
+                 cold.bytes_per_device);
+    std::fprintf(out, "  \"cold_bytes_bound\": %.0f,\n", kColdBytesBound);
     std::fprintf(out, "  \"eager_kib_per_device\": %zu,\n", eager_kib);
     std::fprintf(out, "  \"peak_rss_kib\": %zu,\n", peak_rss_kib());
     std::fprintf(out, "  \"sweeps\": [\n");
@@ -419,5 +485,5 @@ int main() {
     std::printf("wrote BENCH_fleet_scale.json\n");
   }
 
-  return (all_bounded && guard.passed) ? 0 : 1;
+  return (all_bounded && guard.passed && cold.passed) ? 0 : 1;
 }

@@ -1,6 +1,10 @@
 #include "runtime/fleet_runtime.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <string>
+#include <string_view>
+#include <unordered_map>
 
 #include "util/assert.hpp"
 
@@ -44,6 +48,82 @@ fed::FederatedClient& LazyDeviceClient::resolve() const {
   return fleet_->client_view(device_);
 }
 
+namespace {
+
+util::Rng rng_at(const std::array<std::uint64_t, 4>& state) {
+  util::Rng rng(1);
+  rng.set_state(state);
+  return rng;
+}
+
+/// An app's phases as raw bytes: equal bytes are equal bits in every
+/// field, so +0.0 and -0.0 (or two doubles 1 ulp apart) stay distinct.
+/// Padding could only keep equal lists apart, never merge different ones.
+std::string_view phase_bytes(const sim::AppProfile& app) {
+  return {reinterpret_cast<const char*>(app.phases.data()),
+          app.phases.size() * sizeof(sim::PhaseProfile)};
+}
+
+std::uint64_t hash_bits(const std::vector<sim::AppProfile>& apps) {
+  std::uint64_t hash = apps.size();
+  for (const sim::AppProfile& app : apps) {
+    for (const std::string_view bytes : {std::string_view(app.name),
+                                         phase_bytes(app)}) {
+      std::uint64_t state = hash ^ std::hash<std::string_view>{}(bytes);
+      hash = util::splitmix64(state);
+    }
+  }
+  return hash;
+}
+
+/// Two lists share one interned copy only when they are equal bit for bit.
+bool same_bits(const std::vector<sim::AppProfile>& a,
+               const std::vector<sim::AppProfile>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (a[i].name != b[i].name || phase_bytes(a[i]) != phase_bytes(b[i]))
+      return false;
+  return true;
+}
+
+}  // namespace
+
+FleetRuntime::HotDevice::HotDevice(
+    const sim::ProcessorConfig& processor_config,
+    const std::vector<sim::AppProfile>& apps,
+    const core::ControllerConfig& config,
+    const std::array<std::uint64_t, 4>& processor_rng,
+    const std::array<std::uint64_t, 4>& brain_rng)
+    : workload(apps),
+      processor(processor_config, rng_at(processor_rng)),
+      controller(config, &processor, rng_at(brain_rng)) {
+  processor.set_workload(&workload);
+}
+
+void FleetRuntime::HotDevice::arm(const DeviceFaultConfig& faults) {
+  processor.inject_faults(faults.hardware);
+  if (faults.upload.attack != fed::UploadAttack::kNone) {
+    attacker.emplace(&controller, faults.upload);
+  } else {
+    attacker.reset();
+  }
+}
+
+void FleetRuntime::HotDevice::save_state(ckpt::Writer& out) const {
+  processor.save_state(out);
+  controller.save_state(out);
+  // Attacker state is appended only for attacked devices: clean fleets
+  // keep the attack-free byte format, and both sides of a resume must
+  // agree on which devices are compromised.
+  if (attacker) attacker->save_state(out);
+}
+
+void FleetRuntime::HotDevice::restore_state(ckpt::Reader& in) {
+  processor.restore_state(in);
+  controller.restore_state(in);
+  if (attacker) attacker->restore_state(in);
+}
+
 FleetRuntime::FleetRuntime(
     const std::vector<core::ControllerConfig>& configs,
     const sim::ProcessorConfig& processor_config,
@@ -51,33 +131,26 @@ FleetRuntime::FleetRuntime(
     std::uint64_t seed, const FleetOptions& options)
     : configs_(configs),
       processor_config_(processor_config),
-      device_apps_(device_apps),
       lazy_(options.lazy) {
-  FEDPOWER_EXPECTS(!device_apps_.empty());
+  FEDPOWER_EXPECTS(!device_apps.empty());
   FEDPOWER_EXPECTS(configs_.size() == 1 ||
-                   configs_.size() == device_apps_.size());
-  const std::size_t count = device_apps_.size();
-  controllers_.resize(count);
-  attackers_.resize(count);
-  faults_.resize(count);
+                   configs_.size() == device_apps.size());
+  const std::size_t count = device_apps.size();
+  intern_app_sets(device_apps);
+  devices_.resize(count);
+  if (lazy_) cold_.resize(count);
+  // Deal every device its two canonical streams: the split order here IS
+  // make_hardware's. A lazy fleet only records them, so a device hydrated
+  // later is bit-identical to one an eager fleet builds on the spot.
   util::Rng root(seed);
-  if (lazy_) {
-    // Deal every device its two canonical streams without constructing
-    // anything: the split order here IS make_hardware's, so a device
-    // hydrated later is bit-identical to one built eagerly.
-    hardware_.resize(count);
-    cold_.resize(count);
-    for (std::size_t d = 0; d < count; ++d) {
-      cold_[d].processor_rng = root.split().state();
-      cold_[d].brain_rng = root.split().state();
-    }
-  } else {
-    hardware_ = make_hardware(processor_config_, device_apps_, root);
-    for (std::size_t d = 0; d < count; ++d) {
-      const core::ControllerConfig& config =
-          configs_.size() == 1 ? configs_.front() : configs_[d];
-      controllers_[d] = std::make_unique<core::PowerController>(
-          config, hardware_[d].processor.get(), hardware_[d].brain_rng);
+  for (std::size_t d = 0; d < count; ++d) {
+    const std::array<std::uint64_t, 4> processor_rng = root.split().state();
+    const std::array<std::uint64_t, 4> brain_rng = root.split().state();
+    if (lazy_) {
+      cold_[d].processor_rng = processor_rng;
+      cold_[d].brain_rng = brain_rng;
+    } else {
+      devices_[d] = build_device(d, processor_rng, brain_rng);
     }
   }
   const std::size_t threads = resolve_num_threads(options.num_threads);
@@ -92,54 +165,72 @@ FleetRuntime::FleetRuntime(
     : FleetRuntime(configs, processor_config, device_apps, seed,
                    FleetOptions{num_threads, false}) {}
 
+void FleetRuntime::intern_app_sets(
+    const std::vector<std::vector<sim::AppProfile>>& device_apps) {
+  // Hash -> indices into app_sets_. Only looked up, never iterated, so its
+  // bucket order cannot reach the results; a hash collision costs one
+  // extra comparison, never a merge.
+  std::unordered_multimap<std::uint64_t, std::uint32_t> by_hash;
+  app_set_of_.reserve(device_apps.size());
+  for (const std::vector<sim::AppProfile>& apps : device_apps) {
+    const std::uint64_t hash = hash_bits(apps);
+    const auto [first, last] = by_hash.equal_range(hash);
+    auto match = std::find_if(first, last, [&](const auto& entry) {
+      return same_bits(app_sets_[entry.second], apps);
+    });
+    if (match == last) {
+      FEDPOWER_EXPECTS(app_sets_.size() < UINT32_MAX);
+      match = by_hash.emplace(
+          hash, static_cast<std::uint32_t>(app_sets_.size()));
+      app_sets_.push_back(apps);
+    }
+    app_set_of_.push_back(match->second);
+  }
+}
+
 std::size_t FleetRuntime::hot_count() const noexcept {
   std::size_t count = 0;
-  for (const DeviceHardware& device : hardware_)
-    if (device.processor) ++count;
+  for (const auto& device : devices_)
+    if (device) ++count;
   return count;
 }
 
-void FleetRuntime::construct_device(
+std::unique_ptr<FleetRuntime::HotDevice> FleetRuntime::build_device(
     std::size_t d, const std::array<std::uint64_t, 4>& processor_rng,
-    const std::array<std::uint64_t, 4>& brain_rng) {
-  util::Rng processor_stream(1);
-  processor_stream.set_state(processor_rng);
-  DeviceHardware& device = hardware_[d];
-  device.processor = std::make_unique<sim::Processor>(processor_config_,
-                                                      processor_stream);
-  device.workload = std::make_unique<sim::RandomWorkload>(device_apps_[d]);
-  device.processor->set_workload(device.workload.get());
-  device.brain_rng.set_state(brain_rng);
+    const std::array<std::uint64_t, 4>& brain_rng) const {
   const core::ControllerConfig& config =
       configs_.size() == 1 ? configs_.front() : configs_[d];
-  controllers_[d] = std::make_unique<core::PowerController>(
-      config, device.processor.get(), device.brain_rng);
+  auto device =
+      std::make_unique<HotDevice>(processor_config_, app_sets_[app_set_of_[d]],
+                                  config, processor_rng, brain_rng);
   // Fault configs survive the cold state (configuration, not state):
   // re-arm them exactly as inject_faults did.
-  device.processor->inject_faults(faults_[d].hardware);
-  if (faults_[d].upload.attack != fed::UploadAttack::kNone) {
-    attackers_[d] = std::make_unique<fed::ByzantineClient>(
-        controllers_[d].get(), faults_[d].upload);
-  }
-}
-
-void FleetRuntime::restore_device(std::size_t d, ckpt::Reader& in) {
-  hardware_[d].processor->restore_state(in);
-  controllers_[d]->restore_state(in);
-  if (attackers_[d]) attackers_[d]->restore_state(in);
+  if (const auto it = faults_.find(d); it != faults_.end())
+    device->arm(it->second);
+  return device;
 }
 
 void FleetRuntime::hydrate(std::size_t device) {
-  FEDPOWER_EXPECTS(device < hardware_.size());
+  FEDPOWER_EXPECTS(device < devices_.size());
   if (hot(device)) return;
   ColdDeviceState& cold = cold_[device];
-  construct_device(device, cold.processor_rng, cold.brain_rng);
-  if (!cold.blob.empty()) {
-    ckpt::Reader in(cold.blob);
-    restore_device(device, in);
-    cold.blob.clear();
-    cold.blob.shrink_to_fit();
-  }
+  // Built aside and installed only once fully restored: a blob that fails
+  // to restore leaves the device cold, its blob intact.
+  std::unique_ptr<HotDevice> built =
+      build_device(device, cold.processor_rng, cold.brain_rng);
+  if (!cold.blob.empty()) restore_blob(*built, cold.blob);
+  devices_[device] = std::move(built);
+  std::vector<std::uint8_t>().swap(cold.blob);
+}
+
+void FleetRuntime::restore_blob(HotDevice& device,
+                                std::span<const std::uint8_t> blob) {
+  ckpt::Reader in(blob);
+  device.restore_state(in);
+  if (!in.exhausted())
+    throw ckpt::CorruptSnapshotError(
+        "fleet device state blob has " + std::to_string(in.remaining()) +
+        " byte(s) left after the device's sections");
 }
 
 void FleetRuntime::dehydrate(std::size_t device) {
@@ -148,27 +239,19 @@ void FleetRuntime::dehydrate(std::size_t device) {
 }
 
 void FleetRuntime::dehydrate_with(std::size_t device, ckpt::Writer& scratch) {
-  FEDPOWER_EXPECTS(device < hardware_.size());
+  FEDPOWER_EXPECTS(device < devices_.size());
   if (!lazy_ || !hot(device)) return;
   scratch.clear();
-  hardware_[device].processor->save_state(scratch);
-  controllers_[device]->save_state(scratch);
-  if (attackers_[device]) attackers_[device]->save_state(scratch);
+  devices_[device]->save_state(scratch);
   // An exact-sized copy: the scratch keeps its growth slack for the next
   // device, the blob that stays resident does not.
   cold_[device].blob.assign(scratch.data().begin(), scratch.data().end());
-  // Destruction order mirrors the dependency chain: the attacker wraps the
-  // controller, the controller drives the processor, the processor reads
-  // the workload.
-  attackers_[device].reset();
-  controllers_[device].reset();
-  hardware_[device].processor.reset();
-  hardware_[device].workload.reset();
+  devices_[device].reset();
 }
 
 void FleetRuntime::dehydrate_inactive(std::span<const std::size_t> keep_hot) {
   ckpt::Writer scratch;
-  for (std::size_t d = 0; d < hardware_.size(); ++d) {
+  for (std::size_t d = 0; d < devices_.size(); ++d) {
     if (!hot(d)) continue;
     if (!std::binary_search(keep_hot.begin(), keep_hot.end(), d))
       dehydrate_with(d, scratch);
@@ -177,46 +260,39 @@ void FleetRuntime::dehydrate_inactive(std::span<const std::size_t> keep_hot) {
 
 void FleetRuntime::inject_faults(std::size_t device,
                                  const DeviceFaultConfig& faults) {
-  FEDPOWER_EXPECTS(device < controllers_.size());
+  FEDPOWER_EXPECTS(device < devices_.size());
   hydrate(device);
-  faults_[device] = faults;
-  hardware_[device].processor->inject_faults(faults.hardware);
-  if (faults.upload.attack != fed::UploadAttack::kNone) {
-    attackers_[device] = std::make_unique<fed::ByzantineClient>(
-        controllers_[device].get(), faults.upload);
+  if (faults.any()) {
+    faults_[device] = faults;
   } else {
-    attackers_[device].reset();
+    faults_.erase(device);
   }
+  devices_[device]->arm(faults);
 }
 
 std::vector<std::size_t> FleetRuntime::attacked_devices() const {
   std::vector<std::size_t> out;
-  for (std::size_t d = 0; d < attackers_.size(); ++d)
-    if (attackers_[d]) out.push_back(d);
+  for (std::size_t d = 0; d < devices_.size(); ++d)
+    if (attacker(d) != nullptr) out.push_back(d);
   return out;
 }
 
 std::vector<fed::FederatedClient*> FleetRuntime::clients() {
   std::vector<fed::FederatedClient*> out;
-  out.reserve(controllers_.size());
+  out.reserve(devices_.size());
   if (lazy_) {
     // Stable proxies, one per device; the fleet stays cold until the
     // federation actually touches a device.
     if (proxies_.empty()) {
-      proxies_.reserve(controllers_.size());
-      for (std::size_t d = 0; d < controllers_.size(); ++d)
-        proxies_.push_back(std::make_unique<LazyDeviceClient>(this, d));
+      proxies_.reserve(devices_.size());
+      for (std::size_t d = 0; d < devices_.size(); ++d)
+        proxies_.emplace_back(this, d);
     }
-    for (const auto& proxy : proxies_) out.push_back(proxy.get());
+    for (LazyDeviceClient& proxy : proxies_) out.push_back(&proxy);
     return out;
   }
-  for (std::size_t d = 0; d < controllers_.size(); ++d) {
-    if (attackers_[d]) {
-      out.push_back(attackers_[d].get());
-    } else {
-      out.push_back(controllers_[d].get());
-    }
-  }
+  for (std::size_t d = 0; d < devices_.size(); ++d)
+    out.push_back(&client_view(d));
   return out;
 }
 
@@ -232,12 +308,12 @@ void FleetRuntime::for_each_device(
   // Whole-fleet semantics: materialize everything up front, serially and
   // in index order, so the parallel bodies never race on hydration.
   if (lazy_)
-    for (std::size_t d = 0; d < hardware_.size(); ++d) hydrate(d);
+    for (std::size_t d = 0; d < devices_.size(); ++d) hydrate(d);
   if (pool_) {
-    pool_->parallel_for(0, controllers_.size(), body);
+    pool_->parallel_for(0, devices_.size(), body);
     return;
   }
-  for (std::size_t d = 0; d < controllers_.size(); ++d) body(d);
+  for (std::size_t d = 0; d < devices_.size(); ++d) body(d);
 }
 
 util::ParallelFor FleetRuntime::executor() {
@@ -274,27 +350,18 @@ void FleetRuntime::save_state(ckpt::Writer& out) const {
   if (!lazy_) {
     // The historic eager layout, byte for byte.
     write_tag(out, kFleetTag);
-    out.u64(controllers_.size());
-    for (std::size_t d = 0; d < controllers_.size(); ++d) {
-      hardware_[d].processor->save_state(out);
-      controllers_[d]->save_state(out);
-      // Attacker state is appended only for attacked devices: clean fleets
-      // keep the attack-free byte format, and both sides of a resume must
-      // agree on which devices are compromised.
-      if (attackers_[d]) attackers_[d]->save_state(out);
-    }
+    out.u64(devices_.size());
+    for (const auto& device : devices_) device->save_state(out);
     return;
   }
   // FLT2: cold devices are saved as their compact records — snapshotting a
   // 100k-device lazy fleet must not materialize it.
   write_tag(out, kFleetTagLazy);
-  out.u64(controllers_.size());
-  for (std::size_t d = 0; d < controllers_.size(); ++d) {
-    if (hot(d)) {
+  out.u64(devices_.size());
+  for (std::size_t d = 0; d < devices_.size(); ++d) {
+    if (devices_[d]) {
       out.u8(kHotInline);
-      hardware_[d].processor->save_state(out);
-      controllers_[d]->save_state(out);
-      if (attackers_[d]) attackers_[d]->save_state(out);
+      devices_[d]->save_state(out);
     } else if (cold_[d].blob.empty()) {
       out.u8(kColdPristine);
       for (const std::uint64_t word : cold_[d].processor_rng) out.u64(word);
@@ -311,15 +378,15 @@ void FleetRuntime::restore_state(ckpt::Reader& in) {
       ckpt::expect_tag_of(in, {kFleetTag, kFleetTagLazy}, "fleet runtime") ==
       1;
   const std::uint64_t device_count = in.u64();
-  if (device_count != controllers_.size())
+  if (device_count != devices_.size())
     throw ckpt::StateMismatchError(
         "fleet snapshot holds " + std::to_string(device_count) +
-        " device(s), this fleet has " + std::to_string(controllers_.size()));
+        " device(s), this fleet has " + std::to_string(devices_.size()));
 
   if (!lazy_format) {
-    for (std::size_t d = 0; d < controllers_.size(); ++d) {
+    for (std::size_t d = 0; d < devices_.size(); ++d) {
       hydrate(d);  // no-op for eager fleets
-      restore_device(d, in);
+      devices_[d]->restore_state(in);
     }
     return;
   }
@@ -327,43 +394,34 @@ void FleetRuntime::restore_state(ckpt::Reader& in) {
   // FLT2 restores into either kind of fleet: a lazy one keeps cold records
   // cold; an eager one materializes them on the spot (it has nowhere else
   // to put them).
-  for (std::size_t d = 0; d < controllers_.size(); ++d) {
+  for (std::size_t d = 0; d < devices_.size(); ++d) {
     const std::uint8_t kind = in.u8();
     switch (kind) {
       case kColdPristine: {
         const auto processor_rng = read_rng_state(in);
         const auto brain_rng = read_rng_state(in);
         if (lazy_) {
-          attackers_[d].reset();
-          controllers_[d].reset();
-          hardware_[d].processor.reset();
-          hardware_[d].workload.reset();
+          devices_[d].reset();
           cold_[d].processor_rng = processor_rng;
           cold_[d].brain_rng = brain_rng;
           cold_[d].blob.clear();
         } else {
-          attackers_[d].reset();
-          controllers_[d].reset();
-          construct_device(d, processor_rng, brain_rng);
+          devices_[d] = build_device(d, processor_rng, brain_rng);
         }
         break;
       }
       case kHotInline: {
         hydrate(d);
-        restore_device(d, in);
+        devices_[d]->restore_state(in);
         break;
       }
       case kColdDehydrated: {
         std::vector<std::uint8_t> blob = in.vec_u8();
         if (lazy_) {
-          attackers_[d].reset();
-          controllers_[d].reset();
-          hardware_[d].processor.reset();
-          hardware_[d].workload.reset();
+          devices_[d].reset();
           cold_[d].blob = std::move(blob);
         } else {
-          ckpt::Reader blob_in(blob);
-          restore_device(d, blob_in);
+          restore_blob(*devices_[d], blob);
         }
         break;
       }

@@ -7,9 +7,9 @@
 // on a single thread, so an N-device federation cost N× wall-clock even on
 // a many-core host. FleetRuntime centralizes both:
 //
-//   * construction — one canonical loop (make_hardware) with one canonical
-//     RNG split order (per device: processor stream first, controller/brain
-//     stream second), so every consumer builds bit-identical fleets;
+//   * construction — one canonical RNG split order (per device: processor
+//     stream first, controller/brain stream second), shared by the runtime
+//     and make_hardware, so every consumer builds bit-identical fleets;
 //   * execution — run_local_round() trains every device's steps_per_round
 //     local steps concurrently, one device = one task, with a barrier
 //     before control returns to the aggregation layer.
@@ -36,7 +36,10 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -143,7 +146,7 @@ class FleetRuntime {
   FleetRuntime(const FleetRuntime&) = delete;
   FleetRuntime& operator=(const FleetRuntime&) = delete;
 
-  std::size_t size() const noexcept { return controllers_.size(); }
+  std::size_t size() const noexcept { return devices_.size(); }
   std::size_t num_threads() const noexcept {
     return pool_ ? pool_->size() : 1;
   }
@@ -151,9 +154,7 @@ class FleetRuntime {
   bool lazy() const noexcept { return lazy_; }
   /// True when the device's simulator/controller objects are materialized
   /// (always, for an eager fleet).
-  bool hot(std::size_t device) const {
-    return hardware_[device].processor != nullptr;
-  }
+  bool hot(std::size_t device) const { return devices_[device] != nullptr; }
   /// Number of materialized devices.
   std::size_t hot_count() const noexcept;
 
@@ -161,6 +162,9 @@ class FleetRuntime {
   /// their recorded RNG stream states (bit-identical to eager
   /// construction); previously dehydrated devices are reconstructed and
   /// their state blob restored. No-op when already hot. Not thread-safe.
+  /// All-or-nothing: a blob that fails to restore (truncated, or with
+  /// bytes left over) throws ckpt::CorruptSnapshotError and leaves the
+  /// device cold with its blob intact.
   void hydrate(std::size_t device);
 
   /// Serializes a hot device into its compact cold record and destroys
@@ -176,16 +180,16 @@ class FleetRuntime {
   /// Hydrates on demand in a lazy fleet (serial paths only).
   core::PowerController& controller(std::size_t device) {
     hydrate(device);
-    return *controllers_[device];
+    return devices_[device]->controller;
   }
   /// Requires the device to be hot (guaranteed for eager fleets).
   const core::PowerController& controller(std::size_t device) const {
     FEDPOWER_EXPECTS(hot(device));
-    return *controllers_[device];
+    return devices_[device]->controller;
   }
   sim::Processor& processor(std::size_t device) {
     hydrate(device);
-    return *hardware_[device].processor;
+    return devices_[device]->processor;
   }
 
   /// Arms fault/attack models on one device: hardware faults go straight
@@ -193,13 +197,16 @@ class FleetRuntime {
   /// view in a fed::ByzantineClient (visible in subsequent clients()
   /// calls). Call before handing clients() to a federation. Hydrates the
   /// device; the fault config is re-applied across dehydrate/hydrate
-  /// cycles (configuration, not state).
+  /// cycles (configuration, not state). A config that is not any() clears
+  /// the device's faults.
   void inject_faults(std::size_t device, const DeviceFaultConfig& faults);
 
   /// The device's uplink attacker, or nullptr when the device is honest
   /// (or cold — attackers materialize with their device).
   const fed::ByzantineClient* attacker(std::size_t device) const {
-    return attackers_[device].get();
+    return hot(device) && devices_[device]->attacker
+               ? &*devices_[device]->attacker
+               : nullptr;
   }
 
   /// Devices with an armed upload attack, in index order.
@@ -250,6 +257,31 @@ class FleetRuntime {
  private:
   friend class LazyDeviceClient;
 
+  /// One materialized device, in one allocation. Members are declared in
+  /// construction order, so destruction mirrors the dependency chain: the
+  /// attacker wraps the controller, the controller drives the processor,
+  /// the processor reads the workload.
+  struct HotDevice {
+    HotDevice(const sim::ProcessorConfig& processor_config,
+              const std::vector<sim::AppProfile>& apps,
+              const core::ControllerConfig& config,
+              const std::array<std::uint64_t, 4>& processor_rng,
+              const std::array<std::uint64_t, 4>& brain_rng);
+
+    /// Arms (or, for a config that is not any(), clears) the device's
+    /// hardware faults and upload attacker.
+    void arm(const DeviceFaultConfig& faults);
+    /// The device's inline state: processor, controller, then the
+    /// attacker's when armed (clean devices keep the attack-free bytes).
+    void save_state(ckpt::Writer& out) const;
+    void restore_state(ckpt::Reader& in);
+
+    sim::RandomWorkload workload;  // lint: ckpt-skip(the app list: construction recipe, not state)
+    sim::Processor processor;
+    core::PowerController controller;
+    std::optional<fed::ByzantineClient> attacker;  ///< armed upload attack
+  };
+
   /// Compact stand-in for a not-materialized device. A pristine device
   /// (never hydrated) is fully determined by the two RNG stream states the
   /// canonical construction order dealt it; a dehydrated device carries
@@ -260,39 +292,49 @@ class FleetRuntime {
     std::vector<std::uint8_t> blob;
   };
 
+  /// Fills app_sets_/app_set_of_: one entry per bit-for-bit distinct list.
+  void intern_app_sets(
+      const std::vector<std::vector<sim::AppProfile>>& device_apps);
   /// Builds device d's objects from the given RNG stream states and
-  /// re-applies its recorded fault config.
-  void construct_device(std::size_t d,
-                        const std::array<std::uint64_t, 4>& processor_rng,
-                        const std::array<std::uint64_t, 4>& brain_rng);
+  /// re-applies its recorded fault config. Does not install them.
+  std::unique_ptr<HotDevice> build_device(
+      std::size_t d, const std::array<std::uint64_t, 4>& processor_rng,
+      const std::array<std::uint64_t, 4>& brain_rng) const;
+  /// Restores a dehydrated device's state blob into device; throws
+  /// ckpt::CorruptSnapshotError unless the blob is consumed exactly.
+  static void restore_blob(HotDevice& device,
+                           std::span<const std::uint8_t> blob);
   /// dehydrate() serializing through a caller-owned scratch writer, so a
   /// sweep over many devices reuses one buffer.
   void dehydrate_with(std::size_t device, ckpt::Writer& scratch);
-  /// Restores device d's components from an FLT1-style inline record.
-  void restore_device(std::size_t d, ckpt::Reader& in);
   /// The device's federated-client view (attacker wrapper when armed).
   fed::FederatedClient& client_view(std::size_t d) {
-    return attackers_[d] ? static_cast<fed::FederatedClient&>(*attackers_[d])
-                         : *controllers_[d];
+    HotDevice& device = *devices_[d];
+    return device.attacker
+               ? static_cast<fed::FederatedClient&>(*device.attacker)
+               : device.controller;
   }
 
   /// Construction recipe, retained to materialize cold devices.
   /// lint: ckpt-skip(construction recipe, fixed for the run)
   std::vector<core::ControllerConfig> configs_;
   sim::ProcessorConfig processor_config_;  // lint: ckpt-skip(construction recipe, fixed for the run)
-  // lint: ckpt-skip(construction recipe, fixed for the run)
-  std::vector<std::vector<sim::AppProfile>> device_apps_;
+  /// The distinct app lists; devices with bit-identical lists share one.
+  /// lint: ckpt-skip(construction recipe, fixed for the run)
+  std::vector<std::vector<sim::AppProfile>> app_sets_;
+  /// Per device: its list's index in app_sets_.
+  /// lint: ckpt-skip(construction recipe, fixed for the run)
+  std::vector<std::uint32_t> app_set_of_;
   bool lazy_ = false;
 
-  std::vector<DeviceHardware> hardware_;  ///< null processor = cold device
-  std::vector<std::unique_ptr<core::PowerController>> controllers_;
-  /// Per-device uplink attacker; null = honest (or cold) device.
-  std::vector<std::unique_ptr<fed::ByzantineClient>> attackers_;
-  std::vector<ColdDeviceState> cold_;  ///< lazy fleets only
-  /// Injected fault configs. lint: ckpt-skip(construction recipe, fixed for the run)
-  std::vector<DeviceFaultConfig> faults_;
-  /// Lazy only. lint: ckpt-skip(stateless forwarding proxies; rebuilt on hydration)
-  std::vector<std::unique_ptr<LazyDeviceClient>> proxies_;
+  std::vector<std::unique_ptr<HotDevice>> devices_;  ///< null = cold device
+  std::vector<ColdDeviceState> cold_;                ///< lazy fleets only
+  /// Injected fault configs, only for devices whose config is any().
+  /// lint: ckpt-skip(construction recipe, fixed for the run)
+  std::map<std::size_t, DeviceFaultConfig> faults_;
+  /// Lazy only; built once at full size, so proxy addresses are stable.
+  /// lint: ckpt-skip(stateless forwarding proxies; rebuilt on hydration)
+  std::vector<LazyDeviceClient> proxies_;
   /// Null when num_threads == 1. lint: ckpt-skip(thread pool handle; rounds are width-invariant)
   std::unique_ptr<ThreadPool> pool_;
 };

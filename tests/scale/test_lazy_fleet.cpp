@@ -1,14 +1,19 @@
 // Lazy FleetRuntime (FleetOptions::lazy): cold construction, hydration
-// bit-identity, between-round dehydration, and the FLT1/FLT2 snapshot
-// matrix (DESIGN.md §11).
+// bit-identity, between-round dehydration, the FLT1/FLT2 snapshot matrix,
+// all-or-nothing hydration, faulted devices across cold cycles and
+// bit-exact app-list interning (DESIGN.md §11).
 #include "runtime/fleet_runtime.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <memory>
 #include <vector>
 
 #include "ckpt/binary_io.hpp"
+#include "ckpt/errors.hpp"
 #include "core/experiment.hpp"
+#include "fed/transport.hpp"
 #include "sim/splash2.hpp"
 
 namespace fedpower::runtime {
@@ -209,6 +214,261 @@ TEST(LazyFleet, SnapshotRestoresAcrossThreadCounts) {
               serial.controller(d).local_parameters());
 }
 
+// --- all-or-nothing hydration --------------------------------------------
+
+/// The state blob device 0 of a one-device lazy fleet leaves after one
+/// local round, read back out of its FLT2 snapshot.
+std::vector<std::uint8_t> trained_blob(const DeviceFaultConfig& faults = {}) {
+  FleetRuntime donor = make(1, 31, true);
+  if (faults.any()) donor.inject_faults(0, faults);
+  donor.clients()[0]->run_local_round();
+  donor.dehydrate(0);
+  ckpt::Writer out;
+  donor.save_state(out);
+  ckpt::Reader in(out.data());
+  EXPECT_EQ(ckpt::expect_tag_of(in, {ckpt::Tag{'F', 'L', 'T', '2'}}, "fleet"),
+            0u);
+  EXPECT_EQ(in.u64(), 1u);
+  EXPECT_EQ(in.u8(), 2u);  // cold-dehydrated record
+  return in.vec_u8();
+}
+
+/// A one-device FLT2 snapshot whose record is the given dehydrated blob.
+std::vector<std::uint8_t> dehydrated_snapshot(
+    const std::vector<std::uint8_t>& blob) {
+  ckpt::Writer out;
+  ckpt::write_tag(out, ckpt::Tag{'F', 'L', 'T', '2'});
+  out.u64(1);
+  out.u8(2);
+  out.vec_u8(blob);
+  return {out.data().begin(), out.data().end()};
+}
+
+/// Restores the snapshot into a fresh lazy fleet (the record stays cold),
+/// then demands every hydration attempt fail without leaving the device
+/// half-built.
+void expect_hydration_rejected(const std::vector<std::uint8_t>& snapshot) {
+  FleetRuntime fleet = make(1, 31, true);
+  ckpt::Reader in(snapshot);
+  fleet.restore_state(in);
+  ASSERT_EQ(fleet.hot_count(), 0u);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    SCOPED_TRACE(attempt);
+    EXPECT_THROW(fleet.hydrate(0), ckpt::CorruptSnapshotError);
+    EXPECT_FALSE(fleet.hot(0));
+    EXPECT_EQ(fleet.hot_count(), 0u);
+  }
+}
+
+TEST(LazyFleet, TruncatedBlobLeavesTheDeviceCold) {
+  std::vector<std::uint8_t> blob = trained_blob();
+  ASSERT_GT(blob.size(), 64u);
+  blob.resize(blob.size() / 2);
+  expect_hydration_rejected(dehydrated_snapshot(blob));
+}
+
+TEST(LazyFleet, BlobWithTrailingBytesIsRejected) {
+  std::vector<std::uint8_t> blob = trained_blob();
+  blob.insert(blob.end(), {0xde, 0xad, 0xbe});
+  const std::vector<std::uint8_t> snapshot = dehydrated_snapshot(blob);
+  expect_hydration_rejected(snapshot);
+
+  // The eager fleet restores the record on the spot and must reject it
+  // there.
+  FleetRuntime eager = make(1, 31, false);
+  ckpt::Reader in(snapshot);
+  EXPECT_THROW(eager.restore_state(in), ckpt::CorruptSnapshotError);
+}
+
+TEST(LazyFleet, AttackerStateIntoAnHonestFleetIsRejected) {
+  // A blob carrying uplink-attacker state, restored where that device is
+  // honest: the attacker section is left over, not silently dropped.
+  DeviceFaultConfig faults;
+  faults.upload.attack = fed::UploadAttack::kStaleReplay;
+  expect_hydration_rejected(dehydrated_snapshot(trained_blob(faults)));
+}
+
+// --- faulted devices -----------------------------------------------------
+
+DeviceFaultConfig replay_attack_with_frozen_counters() {
+  DeviceFaultConfig faults;
+  faults.upload.attack = fed::UploadAttack::kStaleReplay;
+  faults.upload.stale_rounds = 2;
+  faults.upload.start_round = 1;
+  faults.hardware.frozen_counters = true;
+  faults.hardware.stuck_power_sensor = true;
+  faults.hardware.stuck_power_w = 1.5;
+  return faults;
+}
+
+TEST(LazyFleet, FaultedDevicesSurviveColdCyclesBitIdentically) {
+  // A sampled federation over a lazy fleet whose attacked devices go cold
+  // between rounds, against the same federation over an eager fleet.
+  // Attacker and frozen-counter state must ride through the blobs.
+  constexpr std::size_t kDevices = 6;
+  FleetRuntime eager = make(kDevices, 404, false);
+  FleetRuntime lazy = make(kDevices, 404, true);
+  for (const std::size_t d : {3u, 4u, 5u}) {
+    eager.inject_faults(d, replay_attack_with_frozen_counters());
+    lazy.inject_faults(d, replay_attack_with_frozen_counters());
+  }
+  lazy.dehydrate_inactive({});
+  ASSERT_EQ(lazy.hot_count(), 0u);
+
+  fed::InProcessTransport eager_wire;
+  fed::InProcessTransport lazy_wire;
+  fed::FederatedAveraging eager_server(eager.clients(), &eager_wire);
+  fed::FederatedAveraging lazy_server(lazy.clients(), &lazy_wire);
+  fed::SamplingConfig sampling;
+  sampling.fraction = 0.5;
+  sampling.seed = 13;
+  for (fed::FederatedAveraging* server : {&eager_server, &lazy_server}) {
+    server->set_sampling(sampling);
+    server->initialize(eager.controller(0).local_parameters());
+  }
+
+  std::vector<bool> trained(kDevices, false);
+  std::size_t attacked_rehydrations = 0;
+  for (int round = 0; round < 10; ++round) {
+    SCOPED_TRACE(round);
+    const fed::RoundResult e = eager_server.run_round();
+    const fed::RoundResult l = lazy_server.run_round();
+    ASSERT_EQ(e.participants, l.participants);
+    for (const std::size_t d : l.participants) {
+      // Cold before the round (dehydrate_inactive below) and trained
+      // before: this round hydrated it from its blob.
+      if (d >= 3 && trained[d]) ++attacked_rehydrations;
+      trained[d] = true;
+    }
+    EXPECT_EQ(eager_server.global_model(), lazy_server.global_model());
+    lazy.dehydrate_inactive({});
+  }
+  EXPECT_GT(attacked_rehydrations, 0u);
+  for (std::size_t d = 0; d < kDevices; ++d) {
+    EXPECT_EQ(lazy.controller(d).local_parameters(),
+              eager.controller(d).local_parameters());
+    EXPECT_EQ(lazy.attacker(d) != nullptr, eager.attacker(d) != nullptr);
+  }
+}
+
+TEST(LazyFleet, InjectingNoFaultsMakesTheDeviceHonest) {
+  FleetRuntime fleet = make(3, 61, true);
+  FleetRuntime honest = make(3, 61, true);
+  fleet.inject_faults(1, replay_attack_with_frozen_counters());
+  fleet.inject_faults(2, replay_attack_with_frozen_counters());
+  EXPECT_EQ(fleet.attacked_devices(), (std::vector<std::size_t>{1, 2}));
+
+  fleet.inject_faults(1, DeviceFaultConfig{});
+  EXPECT_EQ(fleet.attacked_devices(), (std::vector<std::size_t>{2}));
+  EXPECT_EQ(fleet.attacker(1), nullptr);
+
+  // The cleared config does not come back with the device.
+  fleet.dehydrate(1);
+  fleet.hydrate(1);
+  EXPECT_EQ(fleet.attacker(1), nullptr);
+  EXPECT_FALSE(fleet.processor(1).faults().any());
+  for (int round = 0; round < 2; ++round) {
+    fleet.clients()[1]->run_local_round();
+    honest.clients()[1]->run_local_round();
+    fleet.dehydrate(1);
+  }
+  EXPECT_EQ(fleet.clients()[1]->local_parameters(),
+            honest.clients()[1]->local_parameters());
+}
+
+// --- app-list interning ----------------------------------------------------
+
+/// A device built outside FleetRuntime, by the canonical make_hardware
+/// loop, so it sees its own app list whatever the runtime interns.
+struct ReferenceDevice {
+  DeviceHardware hardware;
+  std::unique_ptr<core::PowerController> controller;
+};
+
+std::vector<ReferenceDevice> reference_devices(
+    const std::vector<std::vector<sim::AppProfile>>& apps,
+    std::uint64_t seed) {
+  util::Rng root(seed);
+  std::vector<ReferenceDevice> devices;
+  for (DeviceHardware& hardware :
+       make_hardware(sim::ProcessorConfig{}, apps, root)) {
+    ReferenceDevice device;
+    device.controller = std::make_unique<core::PowerController>(
+        tiny_controller(), hardware.processor.get(), hardware.brain_rng);
+    device.hardware = std::move(hardware);
+    devices.push_back(std::move(device));
+  }
+  return devices;
+}
+
+/// The processor snapshot stores the in-flight app profile verbatim, so
+/// it tells apart even profiles that simulate the same.
+std::vector<std::uint8_t> processor_bytes(const sim::Processor& processor) {
+  ckpt::Writer out;
+  processor.save_state(out);
+  return {out.data().begin(), out.data().end()};
+}
+
+TEST(LazyFleet, InterningMergesOnlyBitIdenticalAppLists) {
+  const auto suite = sim::splash2_suite();
+  const std::vector<sim::AppProfile> a{suite[0], suite[1]};
+  // A' differs from A by one phase field, 1 ulp apart; A'' by the sign of
+  // a zero.
+  std::vector<sim::AppProfile> a_ulp = a;
+  double& cpi = a_ulp[0].phases[0].base_cpi;
+  cpi = std::nextafter(cpi, 2.0 * cpi);
+  sim::AppProfile zero = suite[2];
+  zero.phases[0].llc_apki = 0.0;
+  sim::AppProfile negative_zero = zero;
+  negative_zero.phases[0].llc_apki = -0.0;
+
+  const std::vector<std::vector<sim::AppProfile>> apps{
+      a,
+      std::vector<sim::AppProfile>{suite[0], suite[1]},  // equal, own copy
+      {suite[1], suite[0]},                              // reordered
+      a_ulp,
+      {zero},
+      {negative_zero},
+      a,
+  };
+  constexpr std::uint64_t kSeed = 88;
+  const auto build = [&](bool lazy) {
+    return FleetRuntime({tiny_controller()}, sim::ProcessorConfig{}, apps,
+                        kSeed, FleetOptions{1, lazy});
+  };
+  FleetRuntime eager = build(false);
+  FleetRuntime lazy = build(true);
+  std::vector<ReferenceDevice> reference = reference_devices(apps, kSeed);
+  for (int round = 0; round < 2; ++round) {
+    eager.run_local_round();
+    lazy.run_local_round();
+    lazy.dehydrate_inactive({});
+    for (ReferenceDevice& device : reference)
+      device.controller->run_local_round();
+  }
+  for (std::size_t d = 0; d < apps.size(); ++d) {
+    SCOPED_TRACE(d);
+    const auto want = reference[d].controller->local_parameters();
+    const auto want_bytes = processor_bytes(*reference[d].hardware.processor);
+    EXPECT_EQ(eager.controller(d).local_parameters(), want);
+    EXPECT_EQ(lazy.controller(d).local_parameters(), want);
+    EXPECT_EQ(processor_bytes(eager.processor(d)), want_bytes);
+    EXPECT_EQ(processor_bytes(lazy.processor(d)), want_bytes);
+  }
+
+  // The check is sharp: had device 3 been handed A, or device 5 the +0.0
+  // list, it would have diverged from its reference.
+  std::vector<std::vector<sim::AppProfile>> merged = apps;
+  merged[3] = a;
+  merged[5] = {zero};
+  std::vector<ReferenceDevice> wrong = reference_devices(merged, kSeed);
+  for (int round = 0; round < 2; ++round)
+    for (ReferenceDevice& device : wrong) device.controller->run_local_round();
+  for (const std::size_t d : {3u, 5u})
+    EXPECT_NE(processor_bytes(*wrong[d].hardware.processor),
+              processor_bytes(*reference[d].hardware.processor));
+}
+
 // --- experiment wiring ---------------------------------------------------
 
 core::ExperimentConfig scale_config(bool lazy) {
@@ -233,6 +493,37 @@ TEST(LazyFleet, FederatedExperimentBitIdenticalToEager) {
                                          true);
   const auto lazy = core::run_federated(scale_config(true), apps, suite,
                                         true);
+  EXPECT_EQ(eager.global_params, lazy.global_params);
+  EXPECT_EQ(eager.traffic.uplink_bytes, lazy.traffic.uplink_bytes);
+  ASSERT_EQ(eager.devices.size(), lazy.devices.size());
+  for (std::size_t d = 0; d < eager.devices.size(); ++d) {
+    EXPECT_EQ(eager.devices[d].reward, lazy.devices[d].reward);
+    EXPECT_EQ(eager.devices[d].mean_power_w, lazy.devices[d].mean_power_w);
+  }
+}
+
+TEST(LazyFleet, FaultedFederatedExperimentBitIdenticalToEager) {
+  // Compromised devices (stale-replay uplinks plus frozen counters and a
+  // stuck power sensor) under C-fraction sampling: between-round
+  // dehydration must carry their attacker and fault state.
+  const auto run = [](bool lazy) {
+    core::ExperimentConfig config = scale_config(lazy);
+    config.rounds = 8;
+    config.faults.attack = fed::UploadAttack::kStaleReplay;
+    config.faults.stale_rounds = 2;
+    config.faults.start_round = 1;
+    config.faults.fraction = 0.5;
+    config.faults.hardware.frozen_counters = true;
+    config.faults.hardware.stuck_power_sensor = true;
+    config.faults.hardware.stuck_power_w = 1.5;
+    return core::run_federated(config, n_device_apps(4),
+                               sim::splash2_suite(), true);
+  };
+  const auto eager = run(false);
+  const auto lazy = run(true);
+  EXPECT_EQ(eager.robustness.compromised,
+            (std::vector<std::size_t>{2, 3}));
+  EXPECT_EQ(eager.robustness.compromised, lazy.robustness.compromised);
   EXPECT_EQ(eager.global_params, lazy.global_params);
   EXPECT_EQ(eager.traffic.uplink_bytes, lazy.traffic.uplink_bytes);
   ASSERT_EQ(eager.devices.size(), lazy.devices.size());
