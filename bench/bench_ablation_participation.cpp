@@ -36,7 +36,8 @@ Outcome run_with(double participation) {
   fed::InProcessTransport transport;
   fed::FederatedAveraging server(fleet.clients(), &transport);
   server.initialize(fleet.controller(0).local_parameters());
-  if (participation < 1.0) server.set_participation(participation, 7);
+  if (participation < 1.0)
+    server.set_sampling({.fraction = participation, .seed = 7});
 
   core::EvalConfig eval_config;
   eval_config.processor = processor_config;

@@ -26,10 +26,10 @@ cmake --build --preset default -j "$(nproc)"
 echo "== ctest (includes the lint label) =="
 ctest --preset default
 
-echo "== fedpower-lint (explicit, for visible output) =="
+echo "== fedpower-lint --strict (explicit, for visible output; stale waivers fail) =="
 lint_start=$SECONDS
-./build/tools/fedpower_lint --root . src bench tests examples
-./build/tools/fedpower_lint --sarif --root . src bench tests examples \
+./build/tools/fedpower_lint --strict --root . src bench tests examples
+./build/tools/fedpower_lint --strict --sarif --root . src bench tests examples \
   > build/lint_report.sarif
 echo "lint wall time: $((SECONDS - lint_start))s (SARIF archived at build/lint_report.sarif)"
 

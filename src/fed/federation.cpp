@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <optional>
 
 #include "ckpt/state_io.hpp"
 #include "util/assert.hpp"
@@ -39,14 +38,179 @@ std::size_t RoundResult::effective_clients() const noexcept {
                                          : std::size_t{0};
 }
 
+namespace {
+constexpr ckpt::Tag kFedTag{'F', 'A', 'V', 'G'};
+constexpr ckpt::Tag kCommitterFedTag{'S', 'F', 'E', 'D'};
+}  // namespace
+
+LocalCommitter::LocalCommitter(std::size_t client_count, AggregationMode mode,
+                               const ModelCodec* codec)
+    : mode_(mode),
+      codec_(codec != nullptr ? codec : &Float32Codec::instance()),
+      status_(client_count, Status::kIdle) {}
+
+void LocalCommitter::initialize(std::vector<double> global) {
+  FEDPOWER_EXPECTS(!global.empty());
+  global_ = std::move(global);
+}
+
+void LocalCommitter::set_executor(util::ParallelFor executor) {
+  executor_ = std::move(executor);
+}
+
+void LocalCommitter::enable_defense(const DefenseConfig& config) {
+  if (config.enabled)
+    defense_.emplace(config, status_.size());
+  else
+    defense_.reset();
+}
+
+void LocalCommitter::clear_round() {
+  quarantined_.clear();
+  locals_.clear();
+  weights_.clear();
+  observations_.clear();
+  uplink_bytes_ = 0;
+}
+
+void LocalCommitter::begin_round(std::vector<std::size_t> participants) {
+  FEDPOWER_EXPECTS(std::is_sorted(participants.begin(), participants.end()));
+  // A round abandoned between begin and commit (an exception in local
+  // training) leaves its verdicts behind; they belong to no round.
+  for (const std::size_t i : participants_) status_[i] = Status::kIdle;
+  clear_round();
+  participants_ = std::move(participants);
+  for (const std::size_t i : participants_) {
+    FEDPOWER_EXPECTS(i < status_.size());
+    status_[i] = Status::kAwaiting;
+    if (defense_ && defense_->quarantined(i)) quarantined_.push_back(i);
+  }
+}
+
+void LocalCommitter::submit(std::size_t client, std::uint64_t /*base_version*/,
+                            std::vector<std::uint8_t> payload, double weight) {
+  FEDPOWER_EXPECTS(client < status_.size());
+  Status& status = status_[client];
+  FEDPOWER_EXPECTS(status == Status::kAwaiting);
+  std::vector<double> local;
+  try {
+    local = codec_->decode(payload);
+  } catch (const std::invalid_argument&) {
+    status = Status::kDropped;  // payload damaged in flight, codec rejected it
+    return;
+  }
+  if (local.size() != global_.size()) {
+    status = Status::kDropped;  // decoded to the wrong shape: treat as corrupt
+    return;
+  }
+  // Server-side screening: a NaN or infinity anywhere in an upload would
+  // poison every mean-style aggregate, so a diverged (or malicious) model is
+  // excluded exactly like a transport dropout. Shared with the serve
+  // pipeline (screening parity, DESIGN.md §13).
+  if (any_non_finite(local)) {
+    status = Status::kRejected;
+    if (defense_) observations_.push_back(defense_->non_finite(client));
+    return;
+  }
+  uplink_bytes_ += payload.size();
+  status = Status::kDelivered;
+  if (defense_) {
+    const bool quarantined = defense_->quarantined(client);
+    // Screening may clip `local` in place; the verdict only feeds the
+    // reputation update after the quorum holds (commit_round below).
+    const ScreenObservation obs = defense_->screen(client, local, global_);
+    observations_.push_back(obs);
+    const bool clean = obs.verdict == ScreenVerdict::kAccepted ||
+                       obs.verdict == ScreenVerdict::kClipped;
+    if (!clean && !quarantined) status = Status::kScreened;
+    // A quarantined client's clean upload feeds its probation streak but
+    // stays out of the aggregate until re-admission.
+    if (!clean || quarantined) return;
+  }
+  locals_.push_back(std::move(local));
+  weights_.push_back(weight);
+}
+
+RoundResult LocalCommitter::commit_round(std::size_t quorum) {
+  RoundResult result;
+  for (const std::size_t i : participants_) {
+    switch (status_[i]) {
+      case Status::kAwaiting:  // lost upstream, or demoted by the deadline
+      case Status::kDropped:
+        result.dropped.push_back(i);
+        break;
+      case Status::kRejected:
+        result.rejected.push_back(i);
+        break;
+      case Status::kScreened:
+        result.screened.push_back(i);
+        break;
+      case Status::kIdle:
+      case Status::kDelivered:
+        break;
+    }
+    status_[i] = Status::kIdle;
+  }
+  result.participants = std::move(participants_);
+  participants_.clear();
+  result.quarantined = std::move(quarantined_);
+  result.uplink_bytes = uplink_bytes_;
+
+  // An aborted round drops its screening observations: reputations only
+  // move on completed rounds. The quorum is checked against this round's
+  // aggregation-eligible participants — the drawn clients minus probation
+  // riders — never the full fleet: a round that samples fewer clients than
+  // the configured quorum only demands that every sampled client survive.
+  // (Pre-fix the absolute count was used, so small-C rounds threw
+  // QuorumError spuriously with zero faults.) At least one upload must
+  // always survive.
+  const std::size_t eligible_drawn =
+      result.participants.size() - result.quarantined.size();
+  const std::size_t required =
+      std::max<std::size_t>(1, std::min(quorum, eligible_drawn));
+  const std::size_t survivors = locals_.size();
+  if (survivors < required) {
+    clear_round();
+    throw QuorumError(survivors, required);
+  }
+
+  // theta_{r+1} (line 8). The per-mode parameter policy lives in
+  // aggregate_with_mode, shared with the serve pipeline's deterministic
+  // commit so both paths run the exact same floating-point operations.
+  // Large fleets shard the coordinate reduction across the executor
+  // (bit-identical to serial; see aggregate.hpp).
+  AggregateOutcome outcome;
+  global_ = aggregate_with_mode(mode_, locals_, weights_, trim_override_,
+                                executor_, outcome);
+  result.trim_count = outcome.trim_count;
+  result.trim_clamped = outcome.trim_clamped;
+  if (defense_) {
+    const DefenseRoundLog log = defense_->commit_round(observations_);
+    result.readmitted = log.readmitted;
+    result.clipped = log.clipped;
+  }
+  clear_round();
+  return result;
+}
+
+void LocalCommitter::save_state(ckpt::Writer& out) const {
+  out.vec_f64(global_);
+  // Appended only when the defense pipeline is armed: clean-run snapshots
+  // keep the pre-defense byte format.
+  if (defense_) defense_->save_state(out);
+}
+
+void LocalCommitter::restore_state(ckpt::Reader& in) {
+  global_ = in.vec_f64();
+  if (defense_) defense_->restore_state(in);
+}
+
 FederatedAveraging::FederatedAveraging(std::vector<FederatedClient*> clients,
                                        Transport* transport,
-                                       AggregationMode mode,
-                                       const ModelCodec* codec)
+                                       ckpt::Tag snapshot_tag)
     : clients_(std::move(clients)),
       transport_(transport),
-      mode_(mode),
-      codec_(codec != nullptr ? codec : &Float32Codec::instance()) {
+      snapshot_tag_(snapshot_tag) {
   FEDPOWER_EXPECTS(!clients_.empty());
   FEDPOWER_EXPECTS(transport_ != nullptr);
   for (const auto* client : clients_) FEDPOWER_EXPECTS(client != nullptr);
@@ -55,20 +219,24 @@ FederatedAveraging::FederatedAveraging(std::vector<FederatedClient*> clients,
 
 FederatedAveraging::FederatedAveraging(std::vector<FederatedClient*> clients,
                                        Transport* transport,
+                                       AggregationMode mode,
+                                       const ModelCodec* codec)
+    : FederatedAveraging(std::move(clients), transport, kFedTag) {
+  local_ = std::make_unique<LocalCommitter>(clients_.size(), mode, codec);
+  committer_ = local_.get();
+}
+
+FederatedAveraging::FederatedAveraging(std::vector<FederatedClient*> clients,
+                                       Transport* transport,
                                        RoundCommitter* committer)
-    : FederatedAveraging(std::move(clients), transport,
-                         AggregationMode::kUnweightedMean,
-                         committer != nullptr ? &committer->codec() : nullptr) {
+    : FederatedAveraging(std::move(clients), transport, kCommitterFedTag) {
   FEDPOWER_EXPECTS(committer != nullptr);
   committer_ = committer;
 }
 
 void FederatedAveraging::initialize(std::vector<double> global) {
   FEDPOWER_EXPECTS(!global.empty());
-  if (committer_ != nullptr)
-    committer_->initialize(std::move(global));
-  else
-    global_ = std::move(global);
+  committer_->initialize(std::move(global));
 }
 
 void FederatedAveraging::set_sampling(const SamplingConfig& config) {
@@ -76,14 +244,6 @@ void FederatedAveraging::set_sampling(const SamplingConfig& config) {
   FEDPOWER_EXPECTS(config.min_clients >= 1);
   sampling_ = config;
   participation_rng_ = util::Rng{config.seed};
-}
-
-void FederatedAveraging::set_participation(double fraction,
-                                           std::uint64_t seed) {
-  SamplingConfig config;
-  config.fraction = fraction;
-  config.seed = seed;
-  set_sampling(config);
 }
 
 void FederatedAveraging::set_quorum(std::size_t min_survivors) {
@@ -100,13 +260,10 @@ void FederatedAveraging::set_client_transport(std::size_t client,
 }
 
 void FederatedAveraging::enable_defense(const DefenseConfig& config) {
-  if (!config.enabled) {
-    defense_.reset();
-    return;
-  }
-  FEDPOWER_EXPECTS(rounds_completed_ == 0);
-  FEDPOWER_EXPECTS(committer_ == nullptr);
-  defense_.emplace(config, clients_.size());
+  if (!config.enabled && local_ == nullptr) return;  // nothing to disarm
+  FEDPOWER_EXPECTS(local_ != nullptr);
+  FEDPOWER_EXPECTS(!config.enabled || rounds_completed_ == 0);
+  local_->enable_defense(config);
 }
 
 void FederatedAveraging::set_round_deadline(double seconds) {
@@ -115,13 +272,13 @@ void FederatedAveraging::set_round_deadline(double seconds) {
 }
 
 void FederatedAveraging::set_trim_count(std::size_t trim_count) {
-  trim_count_override_ = true;
-  trim_count_ = trim_count;
+  FEDPOWER_EXPECTS(local_ != nullptr);
+  local_->set_trim_count(trim_count);
 }
 
 void FederatedAveraging::set_local_executor(util::ParallelFor executor) {
   executor_ = std::move(executor);
-  if (committer_ != nullptr) committer_->set_executor(executor_);
+  committer_->set_executor(executor_);
 }
 
 Transport& FederatedAveraging::transport_for(std::size_t client) noexcept {
@@ -168,10 +325,11 @@ std::vector<std::size_t> FederatedAveraging::draw_participants() {
   // eligible and the shuffle consumes exactly the historic stream.
   std::vector<std::size_t> eligible;
   std::vector<std::size_t> riders;
-  if (defense_ && sampling_.quarantine_aware) {
+  const DefensePipeline* defense = committer_->defense();
+  if (defense != nullptr && sampling_.quarantine_aware) {
     eligible.reserve(all.size());
     for (const std::size_t i : all)
-      (defense_->quarantined(i) ? riders : eligible).push_back(i);
+      (defense->quarantined(i) ? riders : eligible).push_back(i);
   } else {
     eligible = std::move(all);
   }
@@ -196,202 +354,96 @@ std::vector<std::size_t> FederatedAveraging::draw_participants() {
 RoundResult FederatedAveraging::run_round() {
   const std::vector<double>& global = global_model();
   FEDPOWER_EXPECTS(!global.empty());
-  RoundResult result;
-  // The counter is bumped only after aggregation: a round that throws
-  // (transport fault cascade below quorum) leaves it untouched.
-  result.round = rounds_completed_ + 1;
-  result.participants = draw_participants();
+  const ModelCodec& codec = committer_->codec();
+  const std::vector<std::size_t> participants = draw_participants();
   const std::size_t retries_before = total_transport_retries();
-  std::uint64_t base_version = 0;
-  if (committer_ != nullptr) {
-    committer_->begin_round(result.participants);
-    base_version = committer_->version();
-  }
+  committer_->begin_round(participants);
+  const std::uint64_t base_version = committer_->version();
 
   // Broadcast theta_r to every participating client (Algorithm 2 line 3).
   // Each client receives its own transfer, as over a real network; a
   // client whose link faults is dropped for the round but must not abort
-  // it (FedAvg with partial participation covers the survivors).
-  std::vector<char> lost(clients_.size(), 0);
-  // Per-client transport latency this round (downlink now, uplink added
-  // below). Transfers are serial in client-index order, so the cumulative-
-  // latency delta around one transfer is exactly that client's share even
-  // when clients share a link.
+  // it (FedAvg with partial participation covers the survivors). With a
+  // deadline armed, each reached client's downlink latency is kept beside
+  // it for the uplink check below. Transfers are serial in client-index
+  // order, so the cumulative-latency delta around one transfer is exactly
+  // that client's share even when clients share a link.
   const bool deadline_armed = deadline_s_ > 0.0;
-  std::vector<double> link_latency(deadline_armed ? clients_.size() : 0, 0.0);
-  const std::vector<std::uint8_t> broadcast = codec_->encode(global);
-  for (const std::size_t i : result.participants) {
+  std::vector<std::size_t> training;
+  std::vector<double> downlink_latency;
+  training.reserve(participants.size());
+  std::size_t downlink_bytes = 0;
+  const std::vector<std::uint8_t> broadcast = codec.encode(global);
+  for (const std::size_t i : participants) {
+    Transport& link = transport_for(i);
     const double latency_before =
-        deadline_armed ? transport_for(i).cumulative_latency_s() : 0.0;
+        deadline_armed ? link.cumulative_latency_s() : 0.0;
     try {
-      const auto delivered =
-          transport_for(i).transfer(Direction::kDownlink, broadcast);
-      clients_[i]->receive_global(codec_->decode(delivered));
-      result.downlink_bytes += delivered.size();
+      const auto delivered = link.transfer(Direction::kDownlink, broadcast);
+      clients_[i]->receive_global(codec.decode(delivered));
+      downlink_bytes += delivered.size();
     } catch (const TransportError&) {
-      lost[i] = 1;  // unreachable device
+      continue;  // unreachable device
     } catch (const std::invalid_argument&) {
-      lost[i] = 1;  // payload damaged in flight, codec rejected it
+      continue;  // payload damaged in flight, codec rejected it
     }
+    training.push_back(i);
     if (deadline_armed)
-      link_latency[i] =
-          transport_for(i).cumulative_latency_s() - latency_before;
+      downlink_latency.push_back(link.cumulative_latency_s() - latency_before);
   }
 
-  // Local optimization (line 5): every still-reachable participant trains
-  // its steps_per_round local steps, in parallel when an executor is set
-  // (one client = one task). The barrier at the end of for_each_index is
-  // what makes the round synchronous; clients own disjoint state, so the
+  // Local optimization (line 5): every reached participant trains its
+  // steps_per_round local steps, in parallel when an executor is set (one
+  // client = one task). The barrier at the end of for_each_index is what
+  // makes the round synchronous; clients own disjoint state, so the
   // schedule cannot change what they learn and the result matches the
   // serial loop bit for bit.
-  std::vector<std::size_t> training;
-  training.reserve(result.participants.size());
-  for (const std::size_t i : result.participants)
-    if (!lost[i]) training.push_back(i);
   util::for_each_index(executor_, training.size(), [&](std::size_t k) {
     clients_[training[k]]->run_local_round();
   });
 
   // Upload (line 6), serial and in client-index order — transports are not
   // thread-safe, fault-injection streams must see one deterministic
-  // transfer sequence, and the defense screens below accumulate history in
-  // client order (DESIGN.md §7). Aggregation is synchronous over the
-  // survivors, inline or in the committer.
-  std::vector<std::vector<double>> locals;
-  std::vector<double> weights;
-  std::vector<char> straggler(clients_.size(), 0);
-  std::vector<char> screened(clients_.size(), 0);
-  std::vector<char> defense_rejected(clients_.size(), 0);
-  std::vector<char> in_quarantine(clients_.size(), 0);
-  if (defense_)
-    for (const std::size_t i : result.participants)
-      if (defense_->quarantined(i)) in_quarantine[i] = 1;
-  std::vector<ScreenObservation> observations;
-  observations.reserve(result.participants.size());
-  locals.reserve(result.participants.size());
-  for (const std::size_t i : training) {
+  // transfer sequence, and the committer's screens accumulate history in
+  // client order (DESIGN.md §7). A client whose upload is lost never
+  // reaches the committer, which books it as a dropout.
+  std::vector<std::size_t> stragglers;
+  for (std::size_t k = 0; k < training.size(); ++k) {
+    const std::size_t i = training[k];
+    Transport& link = transport_for(i);
     try {
       const double latency_before =
-          deadline_armed ? transport_for(i).cumulative_latency_s() : 0.0;
-      auto payload = transport_for(i).transfer(
-          Direction::kUplink,
-          codec_->encode(clients_[i]->local_parameters()));
-      if (deadline_armed) {
-        // Deadline demotion: a client whose downlink + uplink latency blew
-        // the round budget is a dropout, not a suspect — its upload is
-        // discarded before decoding or screening, so no defense
-        // observation is recorded and an honest-but-slow client keeps its
-        // reputation (DESIGN.md §13). A committer never sees the upload
-        // and books the client as a dropout.
-        const double round_latency =
-            link_latency[i] +
-            (transport_for(i).cumulative_latency_s() - latency_before);
-        if (round_latency > deadline_s_) {
-          straggler[i] = 1;
-          lost[i] = 1;
-          continue;
-        }
-      }
-      if (committer_ != nullptr) {
-        committer_->submit(
-            i, base_version, std::move(payload),
-            static_cast<double>(clients_[i]->local_sample_count()));
+          deadline_armed ? link.cumulative_latency_s() : 0.0;
+      auto payload = link.transfer(
+          Direction::kUplink, codec.encode(clients_[i]->local_parameters()));
+      // Deadline demotion: a client whose downlink + uplink latency blew
+      // the round budget is a dropout, not a suspect — its upload is
+      // discarded before the committer sees it, so no defense observation
+      // is recorded and an honest-but-slow client keeps its reputation
+      // (DESIGN.md §13).
+      if (deadline_armed &&
+          downlink_latency[k] + (link.cumulative_latency_s() -
+                                 latency_before) > deadline_s_) {
+        stragglers.push_back(i);
         continue;
       }
-      auto local = codec_->decode(payload);
-      if (local.size() != global.size()) {
-        lost[i] = 1;  // decoded to the wrong shape: treat as corrupt
-        continue;
-      }
-      // Server-side screening: a NaN or infinity anywhere in an upload
-      // would poison every mean-style aggregate, so a diverged (or
-      // malicious) model is excluded exactly like a transport dropout.
-      // Shared with the serve pipeline (screening parity, DESIGN.md §13).
-      if (any_non_finite(local)) {
-        screened[i] = 1;
-        if (defense_) observations.push_back(defense_->non_finite(i));
-        continue;
-      }
-      result.uplink_bytes += payload.size();
-      if (defense_) {
-        // Screening may clip `local` in place; the verdict only feeds the
-        // reputation update after the quorum holds (commit_round below).
-        const ScreenObservation obs = defense_->screen(i, local, global);
-        observations.push_back(obs);
-        const bool clean = obs.verdict == ScreenVerdict::kAccepted ||
-                           obs.verdict == ScreenVerdict::kClipped;
-        if (!clean) {
-          if (!in_quarantine[i]) defense_rejected[i] = 1;
-          continue;
-        }
-        // A quarantined client's clean upload feeds its probation streak
-        // but stays out of the aggregate until re-admission.
-        if (in_quarantine[i]) continue;
-      }
-      locals.push_back(std::move(local));
-      weights.push_back(
+      committer_->submit(
+          i, base_version, std::move(payload),
           static_cast<double>(clients_[i]->local_sample_count()));
     } catch (const TransportError&) {
-      lost[i] = 1;
+      // Lost in flight: never submitted, so the committer books a dropout.
     } catch (const std::invalid_argument&) {
-      lost[i] = 1;
+      // Damaged in flight: likewise a dropout.
     }
   }
 
-  if (committer_ != nullptr) {
-    // The committer reports dropouts, verdicts and bytes; the driver adds
-    // what only it saw — deadline demotions, downlink and retries.
-    RoundResult committed = committer_->commit_round(quorum_);
-    for (const std::size_t i : result.participants)
-      if (straggler[i]) committed.stragglers.push_back(i);
-    committed.downlink_bytes = result.downlink_bytes;
-    committed.transport_retries = total_transport_retries() - retries_before;
-    ++rounds_completed_;
-    return committed;
-  }
-
-  for (const std::size_t i : result.participants) {
-    if (lost[i]) result.dropped.push_back(i);
-    if (straggler[i]) result.stragglers.push_back(i);
-    if (screened[i]) result.rejected.push_back(i);
-    if (defense_rejected[i]) result.screened.push_back(i);
-    if (in_quarantine[i]) result.quarantined.push_back(i);
-  }
+  // The committer reports dropouts, verdicts and uplink bytes and moves
+  // the global model (line 8); the driver adds what only it saw.
+  RoundResult result = committer_->commit_round(quorum_);
+  result.round = rounds_completed_ + 1;
+  result.stragglers = std::move(stragglers);
+  result.downlink_bytes = downlink_bytes;
   result.transport_retries = total_transport_retries() - retries_before;
-
-  // An aborted round drops its screening observations along with the round
-  // counter: reputations only move on completed rounds. The quorum is
-  // checked against this round's aggregation-eligible participants — the
-  // drawn clients minus probation riders — never the full fleet: a round
-  // that samples fewer clients than the configured quorum only demands
-  // that every sampled client survive. (Pre-fix the absolute count was
-  // used, so small-C rounds threw QuorumError spuriously with zero
-  // faults.) At least one upload must always survive.
-  const std::size_t eligible_drawn =
-      result.participants.size() - result.quarantined.size();
-  const std::size_t required =
-      std::max<std::size_t>(1, std::min(quorum_, eligible_drawn));
-  if (locals.size() < required) throw QuorumError(locals.size(), required);
-
-  // theta_{r+1} (line 8). The per-mode parameter policy lives in
-  // aggregate_with_mode, shared with the serve pipeline's deterministic
-  // commit so both paths run the exact same floating-point operations.
-  // Large fleets shard the coordinate reduction across the executor
-  // (bit-identical to serial; see aggregate.hpp).
-  AggregateOutcome outcome;
-  global_ = aggregate_with_mode(
-      mode_, locals, weights,
-      trim_count_override_ ? std::optional<std::size_t>(trim_count_)
-                           : std::nullopt,
-      executor_, outcome);
-  result.trim_count = outcome.trim_count;
-  result.trim_clamped = outcome.trim_clamped;
-
-  if (defense_) {
-    const DefenseRoundLog log = defense_->commit_round(observations);
-    result.readmitted = log.readmitted;
-    result.clipped = log.clipped;
-  }
   ++rounds_completed_;
   return result;
 }
@@ -400,30 +452,16 @@ void FederatedAveraging::run(std::size_t rounds) {
   for (std::size_t r = 0; r < rounds; ++r) run_round();
 }
 
-namespace {
-constexpr ckpt::Tag kFedTag{'F', 'A', 'V', 'G'};
-constexpr ckpt::Tag kCommitterFedTag{'S', 'F', 'E', 'D'};
-}  // namespace
-
 void FederatedAveraging::save_state(ckpt::Writer& out) const {
-  write_tag(out, committer_ != nullptr ? kCommitterFedTag : kFedTag);
+  write_tag(out, snapshot_tag_);
   out.u64(clients_.size());
   out.u64(rounds_completed_);
   ckpt::save_rng(out, participation_rng_);
-  if (committer_ != nullptr) {
-    committer_->save_state(out);
-    return;
-  }
-  out.vec_f64(global_);
-  // Appended only when the defense pipeline is armed: clean-run snapshots
-  // keep the pre-defense byte format.
-  if (defense_) defense_->save_state(out);
+  committer_->save_state(out);
 }
 
 void FederatedAveraging::restore_state(ckpt::Reader& in) {
-  expect_tag(in, committer_ != nullptr ? kCommitterFedTag : kFedTag,
-             committer_ != nullptr ? "federation driver with a committer"
-                                   : "federated averaging server");
+  expect_tag(in, snapshot_tag_, "federated averaging driver");
   const std::uint64_t client_count = in.u64();
   if (client_count != clients_.size())
     throw ckpt::StateMismatchError(
@@ -431,10 +469,7 @@ void FederatedAveraging::restore_state(ckpt::Reader& in) {
         " client(s), this federation has " + std::to_string(clients_.size()));
   rounds_completed_ = in.u64();
   ckpt::restore_rng(in, participation_rng_);
-  if (committer_ != nullptr)
-    committer_->restore_state(in);
-  else
-    global_ = in.vec_f64();
+  committer_->restore_state(in);
   // An uninitialized client reports an empty model, which says nothing
   // about shape; only a client that already holds parameters can expose a
   // snapshot/fleet mismatch.
@@ -448,7 +483,6 @@ void FederatedAveraging::restore_state(ckpt::Reader& in) {
         std::to_string(model_params) +
         " parameter(s), the clients' models have " +
         std::to_string(client_params));
-  if (defense_) defense_->restore_state(in);
 }
 
 }  // namespace fedpower::fed

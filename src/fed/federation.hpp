@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -132,9 +133,6 @@ struct RoundResult {
   /// listed in several exclusion categories is subtracted exactly once
   /// (naively summing the lists double-counts and underflows).
   std::size_t effective_clients() const noexcept;
-
-  /// Legacy name for effective_clients().
-  std::size_t survivors() const noexcept { return effective_clients(); }
 };
 
 /// Thrown by run_round when fewer clients than the configured quorum
@@ -160,11 +158,11 @@ class QuorumError final : public std::runtime_error {
 
 /// The commit seam behind FederatedAveraging (DESIGN.md §12): where a
 /// round's uploads go once the driver has drawn, broadcast, trained and
-/// collected them. Without a committer the driver decodes, screens and
-/// aggregates inline; with one (serve::ShardedServer) every on-time
-/// upload payload is handed to submit() and the round closes with
-/// commit_round(). The committer owns the global model, the wire codec
-/// and its own snapshot section.
+/// collected them. Every on-time upload payload is handed to submit() and
+/// the round closes with commit_round(). The committer owns the global
+/// model, the wire codec and its own snapshot section. LocalCommitter
+/// aggregates in process; serve::ShardedServer commits through its worker
+/// shards.
 class RoundCommitter {
  public:
   RoundCommitter() = default;
@@ -185,16 +183,111 @@ class RoundCommitter {
                       std::vector<std::uint8_t> payload, double weight) = 0;
   /// Closes the round; throws QuorumError (global model untouched) when
   /// fewer than `quorum` uploads survived. Participants that never
-  /// submitted are dropouts.
+  /// submitted are dropouts. The driver fills in the round number,
+  /// stragglers, downlink bytes and transport retries.
   virtual RoundResult commit_round(std::size_t quorum) = 0;
   virtual const std::vector<double>& global_model() const noexcept = 0;
   virtual const ModelCodec& codec() const noexcept = 0;
+  /// The armed defense pipeline, if this committer screens with one; the
+  /// driver's quarantine-aware draw reads it.
+  virtual const DefensePipeline* defense() const noexcept { return nullptr; }
   virtual void save_state(ckpt::Writer& out) const = 0;
   virtual void restore_state(ckpt::Reader& in) = 0;
 };
 
+/// The in-process committer (paper Algorithm 2 lines 7-8): decodes, screens
+/// and aggregates each round's uploads. It owns the global model, the
+/// aggregation rule, the trim override and the optional defense pipeline
+/// (DESIGN.md §10). Uploads must arrive in client-index order, as the
+/// driver's serial uplink sends them: the defense screens accumulate
+/// history in that order (DESIGN.md §7).
+class LocalCommitter final : public RoundCommitter {
+ public:
+  /// The codec is non-owning and must outlive the committer; the default is
+  /// the paper's float32 wire format.
+  LocalCommitter(std::size_t client_count, AggregationMode mode,
+                 const ModelCodec* codec = nullptr);
+
+  void initialize(std::vector<double> global) override;
+  void set_executor(util::ParallelFor executor) override;
+  /// Records the participants (sorted) and which of them enter the round
+  /// quarantined.
+  void begin_round(std::vector<std::size_t> participants) override;
+  /// Always 0: a synchronous round trains every client from the current
+  /// global model, so submit() ignores base versions.
+  std::uint64_t version() const noexcept override { return 0; }
+  /// Decodes and screens one participant's upload. A codec reject or a
+  /// wrong shape is a dropout; a non-finite upload is rejected. A finite
+  /// upload counts its bytes and runs the defense screen; only a clean
+  /// upload from a client that did not enter the round quarantined joins
+  /// the aggregate.
+  void submit(std::size_t client, std::uint64_t base_version,
+              std::vector<std::uint8_t> payload, double weight) override;
+  /// Books every participant that never submitted as a dropout, checks the
+  /// quorum against the participants minus the quarantined ones (at least
+  /// one upload must survive), aggregates with aggregate_with_mode and
+  /// commits the defense observations. On QuorumError neither the global
+  /// model nor any reputation moves.
+  RoundResult commit_round(std::size_t quorum) override;
+  const std::vector<double>& global_model() const noexcept override {
+    return global_;
+  }
+  const ModelCodec& codec() const noexcept override { return *codec_; }
+  const DefensePipeline* defense() const noexcept override {
+    return defense_ ? &*defense_ : nullptr;
+  }
+
+  /// Arms the defense pipeline; config.enabled false disarms it.
+  void enable_defense(const DefenseConfig& config);
+  /// Overrides the trimmed-mean trim count (see
+  /// FederatedAveraging::set_trim_count).
+  void set_trim_count(std::size_t trim_count) { trim_override_ = trim_count; }
+
+  /// The global model, then the defense state (tag DFNS) when the pipeline
+  /// is armed.
+  void save_state(ckpt::Writer& out) const override;
+  void restore_state(ckpt::Reader& in) override;
+
+ private:
+  /// Where a client stands in the open round; decides which RoundResult
+  /// list it lands in at commit.
+  enum class Status : std::uint8_t {
+    kIdle,       ///< not a participant of the open round
+    kAwaiting,   ///< participant, no upload yet (a dropout if none comes)
+    kDropped,    ///< codec reject or wrong shape
+    kRejected,   ///< non-finite upload
+    kScreened,   ///< failed the defense screen while not quarantined
+    kDelivered,  ///< aggregated, or screened on probation
+  };
+
+  void clear_round();
+
+  AggregationMode mode_;     // lint: ckpt-skip(construction config, fixed for the run)
+  const ModelCodec* codec_;  // lint: ckpt-skip(non-owning strategy object; re-wired on resume)
+  /// Empty = serial aggregation. lint: ckpt-skip(thread pool handle; commits are width-invariant)
+  util::ParallelFor executor_;
+  std::vector<double> global_;
+  std::optional<DefensePipeline> defense_;
+  std::optional<std::size_t> trim_override_;  // lint: ckpt-skip(construction config, fixed for the run)
+
+  // In-flight round state: snapshots are taken between rounds, so none of
+  // it can be live in a checkpoint.
+  std::vector<std::size_t> participants_;  // lint: ckpt-skip(in-flight round state; snapshots only between rounds)
+  /// Participants that entered the round quarantined. lint: ckpt-skip(in-flight round state; snapshots only between rounds)
+  std::vector<std::size_t> quarantined_;
+  /// One entry per client, kIdle outside the open round. lint: ckpt-skip(in-flight round state; snapshots only between rounds)
+  std::vector<Status> status_;
+  /// Uploads that join the aggregate. lint: ckpt-skip(in-flight round state; snapshots only between rounds)
+  std::vector<std::vector<double>> locals_;
+  std::vector<double> weights_;  // lint: ckpt-skip(in-flight round state; snapshots only between rounds)
+  /// Verdicts for the defense commit. lint: ckpt-skip(in-flight round state; snapshots only between rounds)
+  std::vector<ScreenObservation> observations_;
+  std::size_t uplink_bytes_ = 0;  // lint: ckpt-skip(in-flight round state; snapshots only between rounds)
+};
+
 class FederatedAveraging {
  public:
+  /// Aggregates in process through a LocalCommitter the driver owns.
   /// Clients, transport and codec are non-owning and must outlive the
   /// federation. The default codec is the paper's float32 wire format.
   FederatedAveraging(std::vector<FederatedClient*> clients,
@@ -203,9 +296,9 @@ class FederatedAveraging {
                      const ModelCodec* codec = nullptr);
 
   /// Routes every round's uploads to `committer` (non-owning; must outlive
-  /// the federation) instead of aggregating inline. Uplinks are encoded
-  /// with the committer's codec, and the aggregation rule is the
-  /// committer's. The defense pipeline cannot be armed on this path.
+  /// the federation). Uplinks are encoded with the committer's codec, and
+  /// the aggregation rule is the committer's. The defense pipeline and the
+  /// trim override cannot be set on this driver.
   FederatedAveraging(std::vector<FederatedClient*> clients,
                      Transport* transport, RoundCommitter* committer);
 
@@ -219,10 +312,6 @@ class FederatedAveraging {
 
   /// The active sampling configuration (full participation by default).
   const SamplingConfig& sampling() const noexcept { return sampling_; }
-
-  /// Legacy entry point: set_sampling with the given fraction/seed and the
-  /// default floor (1) and quarantine awareness.
-  void set_participation(double fraction, std::uint64_t seed);
 
   /// Minimum number of clients whose uploads must survive the round's
   /// transfers; below it run_round throws QuorumError and leaves the
@@ -248,77 +337,79 @@ class FederatedAveraging {
   /// 0 disables (the default). A participant whose downlink + uplink
   /// latency this round (Transport::cumulative_latency_s deltas, which
   /// include fault-injected delays) exceeds the budget is demoted to a
-  /// dropout (RoundResult::stragglers ⊆ dropped): its upload is discarded
-  /// BEFORE decoding or defense screening, so stragglers count against the
-  /// quorum without blocking the round and never feed reputation.
+  /// dropout (RoundResult::stragglers ⊆ dropped): its upload never reaches
+  /// the committer, so stragglers count against the quorum without
+  /// blocking the round and never feed reputation.
   void set_round_deadline(double seconds);
 
   /// Arms the server-side Byzantine defense pipeline (defense.hpp): norm
   /// clipping and screening, cosine screening against the previous global
   /// model, and reputation-based quarantine. No-op when config.enabled is
-  /// false. Must be called before the first round and without a
-  /// committer; the pipeline's state is then part of
+  /// false. Must be called before the first round, on a driver that owns
+  /// its LocalCommitter; the pipeline's state is then part of
   /// save_state/restore_state.
   void enable_defense(const DefenseConfig& config);
 
   /// The armed defense pipeline, or nullptr when defense is disabled.
   const DefensePipeline* defense() const noexcept {
-    return defense_ ? &*defense_ : nullptr;
+    return committer_->defense();
   }
 
   /// Overrides the trimmed-mean trim count (default: ~20% of the round's
   /// survivors, at least 1 from three survivors up). The effective value is
   /// still clamped per round to what the survivor set supports
   /// (clamp_trim_count); RoundResult::trim_clamped records when that
-  /// happened.
+  /// happened. Only a driver that owns its LocalCommitter takes it; a
+  /// ShardedServer reads serve::ServeConfig::trim_override instead.
   void set_trim_count(std::size_t trim_count);
 
   /// Runs the clients' local training through the given executor (e.g. a
   /// runtime::ThreadPool), one client = one work item, with a barrier
-  /// before the uplink phase; large aggregations (inline or in the
-  /// committer) also shard their coordinate reduction across it. Clients
-  /// must not share mutable state for this to be legal — PowerController
-  /// fleets satisfy that (each owns its processor, workload and split RNG),
-  /// which also makes the result bit-identical to the serial default
-  /// (empty executor). Transfers always stay serial in client-index order,
-  /// so transport fault injection and traffic accounting are
+  /// before the uplink phase; large aggregations in the committer also
+  /// shard their coordinate reduction across it. Clients must not share
+  /// mutable state for this to be legal — PowerController fleets satisfy
+  /// that (each owns its processor, workload and split RNG), which also
+  /// makes the result bit-identical to the serial default (empty
+  /// executor). Transfers always stay serial in client-index order, so
+  /// transport fault injection and traffic accounting are
   /// schedule-independent.
   void set_local_executor(util::ParallelFor executor);
 
-  /// Runs one full round: broadcast, parallel local training, aggregation.
-  /// A client whose downlink or uplink transfer throws TransportError (or
-  /// delivers a payload the codec rejects) is recorded in
-  /// RoundResult::dropped and excluded from the aggregate; an upload that
-  /// decodes to the wrong shape or contains non-finite values is screened
-  /// out server-side (RoundResult::rejected) exactly like a dropout. The
-  /// round completes with the survivors as long as the quorum holds. With
-  /// a committer, the committer screens the uploads and reports the
-  /// verdicts.
+  /// Runs one full round: broadcast, parallel local training, upload, and
+  /// the committer's commit. A client whose downlink or uplink transfer
+  /// throws TransportError (or whose downlink payload the codec rejects)
+  /// never reaches the committer, which books it in RoundResult::dropped;
+  /// the committer screens the uploads that do arrive and reports the
+  /// verdicts. The round completes with the survivors as long as the
+  /// quorum holds.
   RoundResult run_round();
 
   /// Runs the given number of rounds back to back.
   void run(std::size_t rounds);
 
   const std::vector<double>& global_model() const noexcept {
-    return committer_ != nullptr ? committer_->global_model() : global_;
+    return committer_->global_model();
   }
   std::size_t rounds_completed() const noexcept { return rounds_completed_; }
   std::size_t client_count() const noexcept { return clients_.size(); }
-  const ModelCodec& codec() const noexcept { return *codec_; }
+  const ModelCodec& codec() const noexcept { return committer_->codec(); }
 
-  /// Serializes the server's round state: global model, round counter and
+  /// Serializes the driver's round state — client count, round counter and
   /// the participation RNG stream (so a resumed run selects the same
-  /// clients the uninterrupted run would have). When the defense pipeline
-  /// is armed its reputation/quarantine state follows (tag DFNS); snapshots
-  /// and federations must agree on whether defense is enabled. The tag
-  /// says which driver wrote it: FAVG inline; SFED (client count, round
-  /// counter, participation stream) followed by the committer's own
-  /// section with a committer. Restoring a snapshot whose global model
-  /// does not fit the clients' models throws ckpt::StateMismatchError.
+  /// clients the uninterrupted run would have) — followed by the
+  /// committer's own section. The tag is fixed by the constructor: FAVG
+  /// over the owned LocalCommitter (then the global model, and DFNS when
+  /// the defense is armed; snapshots and federations must agree on whether
+  /// defense is enabled), SFED over a caller's committer. Restoring a
+  /// snapshot whose global model does not fit the clients' models throws
+  /// ckpt::StateMismatchError.
   void save_state(ckpt::Writer& out) const;
   void restore_state(ckpt::Reader& in);
 
  private:
+  FederatedAveraging(std::vector<FederatedClient*> clients,
+                     Transport* transport, ckpt::Tag snapshot_tag);
+
   std::vector<std::size_t> draw_participants();
   Transport& transport_for(std::size_t client) noexcept;
   std::size_t total_transport_retries() const;
@@ -333,20 +424,17 @@ class FederatedAveraging {
   // lint: ckpt-skip(lazy cache rebuilt from the transports on demand)
   mutable std::vector<const Transport*> transport_dedup_;
   mutable bool transport_dedup_stale_ = true;  // lint: ckpt-skip(lazy cache flag; stale default makes resume rebuild)
-  AggregationMode mode_;     // lint: ckpt-skip(construction config, fixed for the run)
-  const ModelCodec* codec_;  // lint: ckpt-skip(non-owning strategy object; re-wired on resume)
-  RoundCommitter* committer_ = nullptr;  ///< null = inline aggregation
+  /// Null over a caller's committer. lint: ckpt-skip(saved through committer_)
+  std::unique_ptr<LocalCommitter> local_;
+  RoundCommitter* committer_ = nullptr;
+  ckpt::Tag snapshot_tag_;
   /// Empty = serial local rounds. lint: ckpt-skip(thread pool handle; rounds are width-invariant)
   util::ParallelFor executor_;
-  std::vector<double> global_;
   std::size_t rounds_completed_ = 0;
   SamplingConfig sampling_{};  // lint: ckpt-skip(construction config, fixed for the run)
   std::size_t quorum_ = 1;     // lint: ckpt-skip(construction config, fixed for the run)
   double deadline_s_ = 0.0;    // lint: ckpt-skip(construction config, fixed for the run)
   util::Rng participation_rng_{0};
-  std::optional<DefensePipeline> defense_;
-  bool trim_count_override_ = false;  // lint: ckpt-skip(construction config, fixed for the run)
-  std::size_t trim_count_ = 0;        // lint: ckpt-skip(construction config, fixed for the run)
 };
 
 }  // namespace fedpower::fed

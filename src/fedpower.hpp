@@ -21,11 +21,9 @@
 #include "core/metrics.hpp"
 #include "core/scenario.hpp"
 #include "fed/aggregate.hpp"
-#include "fed/async.hpp"
 #include "fed/codec.hpp"
 #include "fed/dp.hpp"
 #include "fed/federation.hpp"
-#include "fed/hierarchy.hpp"
 #include "fed/personalize.hpp"
 #include "fed/secure_agg.hpp"
 #include "fed/transport.hpp"

@@ -229,8 +229,8 @@ class FleetRuntime {
   /// Hydrates the whole fleet first (serially, in index order).
   void for_each_device(const std::function<void(std::size_t)>& body);
 
-  /// Executor handle for the aggregation layers (FederatedAveraging /
-  /// AsyncFederation). Empty when the runtime is serial, which makes those
+  /// Executor handle for the aggregation layers (FederatedAveraging and
+  /// its committer). Empty when the runtime is serial, which makes those
   /// layers fall back to their plain loops.
   util::ParallelFor executor();
 

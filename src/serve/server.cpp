@@ -192,8 +192,8 @@ fed::RoundResult ShardedServer::commit_round(std::size_t quorum) {
       std::max<std::size_t>(1, std::min(quorum, participants_.size()));
   if (survivors < required) {
     // Abort the round without touching the global model or the round
-    // counter (throughput-mode merges already applied stand, as in
-    // AsyncFederation where a merge is final once made).
+    // counter (throughput-mode merges already applied stand: in FedAsync
+    // a merge is final once made).
     round_records_.clear();
     round_open_ = false;
     throw fed::QuorumError(survivors, required);

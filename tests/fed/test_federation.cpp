@@ -163,7 +163,7 @@ TEST(Federation, NonFiniteUploadIsRejectedNotAveraged) {
   const RoundResult result = server.run_round();
   EXPECT_EQ(result.rejected, (std::vector<std::size_t>{1}));
   EXPECT_TRUE(result.dropped.empty());
-  EXPECT_EQ(result.survivors(), 1u);
+  EXPECT_EQ(result.effective_clients(), 1u);
   // The aggregate is the good client alone — no NaN contamination.
   EXPECT_EQ(server.global_model(), (std::vector<double>{3.0, 3.0}));
 }

@@ -45,7 +45,7 @@ TEST(Participation, HalfFractionSelectsCeilHalf) {
   FederatedAveraging server(
       {&clients[0], &clients[1], &clients[2], &clients[3]}, &transport);
   server.initialize({1.0});
-  server.set_participation(0.5, 7);
+  server.set_sampling({.fraction = 0.5, .seed = 7});
   const RoundResult result = server.run_round();
   EXPECT_EQ(result.participants.size(), 2u);
 }
@@ -56,7 +56,7 @@ TEST(Participation, AtLeastOneClientAlwaysSelected) {
   InProcessTransport transport;
   FederatedAveraging server({&a, &b}, &transport);
   server.initialize({1.0});
-  server.set_participation(0.01, 3);
+  server.set_sampling({.fraction = 0.01, .seed = 3});
   const RoundResult result = server.run_round();
   EXPECT_EQ(result.participants.size(), 1u);
 }
@@ -69,7 +69,7 @@ TEST(Participation, NonParticipantsAreUntouched) {
   InProcessTransport transport;
   FederatedAveraging server({&a, &b, &c, &d}, &transport);
   server.initialize({1.0});
-  server.set_participation(0.5, 11);
+  server.set_sampling({.fraction = 0.5, .seed = 11});
   server.run(6);
   const CountingClient* all[] = {&a, &b, &c, &d};
   int total_rounds = 0;
@@ -87,7 +87,7 @@ TEST(Participation, AllClientsEventuallyParticipate) {
   FederatedAveraging server(
       {&clients[0], &clients[1], &clients[2], &clients[3]}, &transport);
   server.initialize({1.0});
-  server.set_participation(0.25, 13);
+  server.set_sampling({.fraction = 0.25, .seed = 13});
   std::set<std::size_t> seen;
   for (int r = 0; r < 40; ++r)
     for (const std::size_t i : server.run_round().participants) seen.insert(i);
@@ -101,7 +101,7 @@ TEST(Participation, ParticipantsAreSortedAndUnique) {
                              &clients[3], &clients[4]},
                             &transport);
   server.initialize({1.0});
-  server.set_participation(0.6, 17);
+  server.set_sampling({.fraction = 0.6, .seed = 17});
   for (int r = 0; r < 10; ++r) {
     const auto participants = server.run_round().participants;
     EXPECT_TRUE(std::is_sorted(participants.begin(), participants.end()));
@@ -117,7 +117,7 @@ TEST(Participation, TrafficScalesWithParticipants) {
   FederatedAveraging server(
       {&clients[0], &clients[1], &clients[2], &clients[3]}, &transport);
   server.initialize({1.0, 2.0});
-  server.set_participation(0.5, 19);
+  server.set_sampling({.fraction = 0.5, .seed = 19});
   server.run_round();
   // 2 participants -> 2 uplink and 2 downlink transfers.
   EXPECT_EQ(transport.stats().uplink_transfers, 2u);
@@ -128,8 +128,10 @@ TEST(ParticipationDeathTest, RejectsBadFraction) {
   CountingClient a;
   InProcessTransport transport;
   FederatedAveraging server({&a}, &transport);
-  EXPECT_DEATH(server.set_participation(0.0, 1), "precondition");
-  EXPECT_DEATH(server.set_participation(1.5, 1), "precondition");
+  EXPECT_DEATH(server.set_sampling({.fraction = 0.0, .seed = 1}),
+               "precondition");
+  EXPECT_DEATH(server.set_sampling({.fraction = 1.5, .seed = 1}),
+               "precondition");
 }
 
 TEST(FederationCodec, QuantizedCodecPluggedIn) {

@@ -64,7 +64,7 @@ TEST(PublicApi, UmbrellaHeaderCoversEverySubsystem) {
 
 TEST(PublicApi, FederationVariantsShareTheClientInterface) {
   // One controller instance can be wrapped by every decorator the library
-  // ships and driven by both server types.
+  // ships and driven by the round driver.
   sim::Processor processor(sim::ProcessorConfig{}, util::Rng{8});
   sim::SingleAppWorkload workload(*sim::splash2_app("lu"));
   processor.set_workload(&workload);
@@ -89,12 +89,6 @@ TEST(PublicApi, FederationVariantsShareTheClientInterface) {
   sync_server.initialize(controller.local_parameters());
   sync_server.run(2);
   EXPECT_EQ(sync_server.rounds_completed(), 2u);
-
-  fed::AsyncFederation async_server({&private_client, &peer}, {1, 2},
-                                    &transport);
-  async_server.initialize(sync_server.global_model());
-  async_server.run_ticks(4);
-  EXPECT_GE(async_server.stats().merges, 4u);
 }
 
 }  // namespace

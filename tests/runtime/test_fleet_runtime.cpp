@@ -4,7 +4,6 @@
 
 #include "core/experiment.hpp"
 #include "core/scenario.hpp"
-#include "fed/async.hpp"
 #include "sim/splash2.hpp"
 
 namespace fedpower::runtime {
@@ -118,23 +117,6 @@ TEST(FleetRuntime, CollabProfitBitIdenticalAcrossThreadCounts) {
   for (std::size_t d = 0; d < serial.clients.size(); ++d)
     EXPECT_EQ(serial.clients[d]->export_policy(),
               parallel.clients[d]->export_policy());
-}
-
-TEST(FleetRuntime, AsyncFederationBitIdenticalAcrossThreadCounts) {
-  const auto apps = two_device_apps();
-  auto make = [&](std::size_t threads) {
-    core::ControllerConfig controller;
-    controller.steps_per_round = 10;
-    FleetRuntime fleet({controller}, sim::ProcessorConfig{}, apps, 5,
-                       threads);
-    fed::InProcessTransport transport;
-    fed::AsyncFederation server(fleet.clients(), {1, 2}, &transport);
-    server.set_local_executor(fleet.executor());
-    server.initialize(fleet.controller(0).local_parameters());
-    server.run_ticks(6);
-    return server.global_model();
-  };
-  EXPECT_EQ(make(1), make(4));
 }
 
 TEST(FleetRuntime, FleetCurveIsAcrossDeviceMean) {

@@ -176,7 +176,7 @@ TEST(SamplingQuorum, QuorumIsCheckedAgainstTheRoundsDraw) {
   InProcessTransport transport;
   FederatedAveraging server(ptrs, &transport);
   server.set_quorum(5);
-  server.set_participation(0.2, 21);
+  server.set_sampling({.fraction = 0.2, .seed = 21});
   server.initialize({1.0});
   // Draws 2 of 10; both survive, so the round must complete (pre-fix:
   // QuorumError, 2 survivors < quorum 5).
@@ -198,7 +198,7 @@ TEST(SamplingQuorum, FaultsWithinTheDrawStillAbort) {
   InProcessTransport good;
   FederatedAveraging server(ptrs, &good);
   server.set_quorum(5);
-  server.set_participation(0.2, 21);
+  server.set_sampling({.fraction = 0.2, .seed = 21});
   server.initialize({1.0});
   // Cut one drawn client's private link. Seed 21's first draw is {0, 7}
   // (golden, from the historic stream — fraction semantics keep it).
@@ -269,7 +269,7 @@ TEST(SamplingStream, HistoricParticipationStreamIsPreserved) {
   for (auto& c : clients) ptrs.push_back(&c);
   InProcessTransport transport;
   FederatedAveraging server(ptrs, &transport);
-  server.set_participation(0.5, 99);
+  server.set_sampling({.fraction = 0.5, .seed = 99});
   server.initialize({1.0});
   const std::vector<std::vector<std::size_t>> golden = {
       {1, 2, 4},
@@ -350,7 +350,7 @@ TEST(SamplingDeterminism, ParticipantStreamsMatchAcrossExecutors) {
   runtime::ThreadPool pool(4);
   parallel.set_local_executor(pool.executor());
   for (FederatedAveraging* server : {&serial, &parallel}) {
-    server->set_participation(0.3, 77);
+    server->set_sampling({.fraction = 0.3, .seed = 77});
     server->initialize({1.0, 2.0});
   }
   for (int r = 0; r < 10; ++r) {

@@ -298,6 +298,21 @@ TEST(ServeFederation, DefenseCannotBeArmedWithACommitter) {
       "precondition");
 }
 
+TEST(ServeFederation, TrimCountCannotBeSetWithACommitter) {
+  // The serve path takes its trim budget from ServeConfig::trim_override;
+  // a driver-level override would be silently ignored, so it is a caller
+  // bug.
+  EXPECT_DEATH(
+      {
+        Fleet fleet = make_fleet(kDeltas);
+        fed::InProcessTransport transport;
+        ShardedServer server(fleet.size());
+        fed::FederatedAveraging serve(ptrs(fleet), &transport, &server);
+        serve.set_trim_count(1);
+      },
+      "precondition");
+}
+
 TEST(ServeFederation, SnapshotOfTheWrongModelSizeIsRejected) {
   // A 3-parameter serve snapshot restored into a fleet whose clients hold
   // 4 parameters must fail as a state mismatch at restore time, not abort
