@@ -18,10 +18,11 @@
 // ring), and reports the size of the cold blob a device leaves after one
 // 4-step round and the mean time to hydrate a trained cold device.
 //
-// Part 3 guards the total_transport_retries() fix: with one private
-// transport per client the historic per-round accounting scan was
-// O(clients^2) pointer comparisons (~seconds per round at 20k clients);
-// the sort-based dedup makes it O(n log n) once and O(n) per round.
+// Part 3 guards the per-round transport-retry accounting: with one
+// private transport per client, an accounting pass over the transport
+// table was once O(clients^2) pointer comparisons (~seconds per round at
+// 20k clients). The round now reads each used link's retry counter around
+// its own transfer, so the cost follows the participants, not the table.
 // The guard fails the bench (exit 1) if the accounting path regresses.
 //
 // Part 4 gates the cold record: the heap bytes (glibc mallinfo2 in-use
@@ -331,10 +332,11 @@ struct RetriesGuard {
 };
 
 RetriesGuard run_retries_guard() {
-  // 20k clients, each with a private transport: the historic accounting
-  // scan was O(n^2) over the override table per round (~10^8 comparisons);
-  // the dedup fix is one cached sorted table. Budget: well under 100ms per
-  // round even on a loaded single-core host (the O(n^2) path took seconds).
+  // 20k clients, each with a private transport: a scan over the override
+  // table per round was once O(n^2) (~10^8 comparisons); per-transfer
+  // counter deltas touch only the 20 participants' links. Budget: well
+  // under 100ms per round even on a loaded single-core host (the O(n^2)
+  // path took seconds).
   constexpr std::size_t kClients = 20000;
   RetriesGuard guard;
   guard.clients = kClients;

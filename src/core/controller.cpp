@@ -70,6 +70,11 @@ std::vector<double> PowerController::local_parameters() const {
   return agent_.parameters();
 }
 
+void PowerController::copy_local_parameters_to(
+    std::vector<double>& out) const {
+  agent_.copy_parameters_to(out);
+}
+
 std::size_t PowerController::local_sample_count() const {
   return agent_.replay().size();
 }

@@ -68,6 +68,7 @@ class PowerController final : public fed::FederatedClient {
   // --- fed::FederatedClient --------------------------------------------
   void receive_global(std::span<const double> params) override;
   std::vector<double> local_parameters() const override;
+  void copy_local_parameters_to(std::vector<double>& out) const override;
   void run_local_round() override { run_steps(config_.steps_per_round); }
   std::size_t local_sample_count() const override;
 

@@ -21,6 +21,16 @@ std::vector<double> Float32Codec::decode(
   return nn::decode_parameters(payload);
 }
 
+void Float32Codec::encode_into(std::span<const double> params,
+                               std::vector<std::uint8_t>& out) const {
+  nn::encode_parameters_into(params, out);
+}
+
+void Float32Codec::decode_into(std::span<const std::uint8_t> payload,
+                               std::vector<double>& out) const {
+  nn::decode_parameters_into(payload, out);
+}
+
 std::size_t Float32Codec::payload_size(std::size_t param_count) const {
   return nn::payload_size(param_count);
 }
@@ -103,6 +113,8 @@ std::vector<double> QuantizedCodec::decode(
     throw std::invalid_argument("quantized payload truncated (header)");
   if (std::memcmp(payload.data(), kQuantMagic, sizeof kQuantMagic) != 0)
     throw std::invalid_argument("quantized payload has bad magic");
+  if ((get_u32(payload, 4) & 0xffff) != kQuantVersion)  // u16 version
+    throw std::invalid_argument("quantized payload has unsupported version");
   const std::uint32_t count = get_u32(payload, 8);
   if (payload.size() != payload_size(count))
     throw std::invalid_argument("quantized payload length mismatch");

@@ -24,6 +24,18 @@ class ModelCodec {
   virtual std::vector<double> decode(
       std::span<const std::uint8_t> payload) const = 0;
 
+  /// encode/decode into a caller-owned buffer, replacing its contents. The
+  /// defaults wrap encode/decode, so a codec (or decorator) that overrides
+  /// only those stays correct. A throwing decode_into leaves `out` as is.
+  virtual void encode_into(std::span<const double> params,
+                           std::vector<std::uint8_t>& out) const {
+    out = encode(params);
+  }
+  virtual void decode_into(std::span<const std::uint8_t> payload,
+                           std::vector<double>& out) const {
+    out = decode(payload);
+  }
+
   /// Payload size for a given parameter count.
   virtual std::size_t payload_size(std::size_t param_count) const = 0;
 
@@ -38,6 +50,10 @@ class Float32Codec final : public ModelCodec {
       std::span<const double> params) const override;
   std::vector<double> decode(
       std::span<const std::uint8_t> payload) const override;
+  void encode_into(std::span<const double> params,
+                   std::vector<std::uint8_t>& out) const override;
+  void decode_into(std::span<const std::uint8_t> payload,
+                   std::vector<double>& out) const override;
   std::size_t payload_size(std::size_t param_count) const override;
   std::string name() const override { return "float32"; }
 

@@ -88,21 +88,9 @@ double DefensePipeline::reputation(std::size_t client) const {
   return clients_[client].reputation;
 }
 
-std::size_t DefensePipeline::quarantined_count() const noexcept {
-  std::size_t count = 0;
-  for (const ClientState& state : clients_)
-    if (state.quarantined) ++count;
-  return count;
-}
-
 bool DefensePipeline::norm_screen_armed() const noexcept {
   return rounds_ >= config_.warmup_rounds &&
          norm_history_.size() >= config_.norm_min_samples;
-}
-
-double DefensePipeline::norm_history_median() const {
-  // Copy + nth_element over a bounded ring: deterministic and O(window).
-  return robust_median(norm_history_);
 }
 
 ScreenObservation DefensePipeline::screen(
@@ -130,7 +118,7 @@ ScreenObservation DefensePipeline::screen(
     return obs;
   }
 
-  const double median = norm_history_median();
+  const double median = norm_median_;
   if (median <= 0.0) {
     obs.verdict = ScreenVerdict::kAccepted;
     return obs;
@@ -181,6 +169,7 @@ DefenseRoundLog DefensePipeline::commit_round(
         if (state.probation_streak >=
             static_cast<std::uint64_t>(config_.probation_rounds)) {
           state.quarantined = false;
+          --quarantined_count_;
           state.probation_streak = 0;
           state.reputation = config_.readmit_reputation;
           ++state.readmissions;
@@ -210,12 +199,18 @@ DefenseRoundLog DefensePipeline::commit_round(
       log.screened.push_back(obs.client);
       if (state.reputation < config_.quarantine_threshold) {
         state.quarantined = true;
+        ++quarantined_count_;
         state.probation_streak = 0;
         log.newly_quarantined.push_back(obs.client);
       }
     }
   }
   ++rounds_;
+  // Copy + nth_element over a bounded ring: deterministic and O(window).
+  // Only an armed norm screen reads it, so an unarmed round skips it.
+  norm_median_ = norm_screen_armed() && !norm_history_.empty()
+                     ? robust_median(norm_history_)
+                     : 0.0;
   return log;
 }
 
@@ -247,9 +242,11 @@ void DefensePipeline::restore_state(ckpt::Reader& in) {
         " client(s), this pipeline tracks " +
         std::to_string(clients_.size()));
   rounds_ = in.u64();
+  quarantined_count_ = 0;
   for (ClientState& state : clients_) {
     state.reputation = in.f64();
     state.quarantined = in.u8() != 0;
+    if (state.quarantined) ++quarantined_count_;
     state.probation_streak = in.u64();
     state.screened_total = in.u64();
     state.readmissions = in.u64();
@@ -262,6 +259,9 @@ void DefensePipeline::restore_state(ckpt::Reader& in) {
   if (norm_cursor_ >= std::max<std::size_t>(1, config_.norm_history))
     throw ckpt::StateMismatchError(
         "defense snapshot norm-history cursor is out of range");
+  norm_median_ = norm_screen_armed() && !norm_history_.empty()
+                     ? robust_median(norm_history_)
+                     : 0.0;
 }
 
 }  // namespace fedpower::fed

@@ -135,7 +135,8 @@ class DefensePipeline {
 
   bool quarantined(std::size_t client) const;
   double reputation(std::size_t client) const;
-  std::size_t quarantined_count() const noexcept;
+  /// O(1): kept current by commit_round and restore_state.
+  std::size_t quarantined_count() const noexcept { return quarantined_count_; }
   std::size_t rounds_committed() const noexcept { return rounds_; }
 
   /// Screens one decoded upload against the previous global model. May
@@ -170,7 +171,6 @@ class DefensePipeline {
   };
 
   bool norm_screen_armed() const noexcept;
-  double norm_history_median() const;
 
   DefenseConfig config_;  // lint: ckpt-skip(construction config; restore only validates it)
   std::vector<ClientState> clients_;
@@ -179,6 +179,11 @@ class DefensePipeline {
   std::vector<double> norm_history_;
   std::size_t norm_cursor_ = 0;
   std::size_t rounds_ = 0;
+  /// Clients with quarantined set. lint: ckpt-skip(derived from clients_; restore_state recounts it)
+  std::size_t quarantined_count_ = 0;
+  /// robust_median(norm_history_), which only commit_round changes, so a
+  /// round's screens share one median. lint: ckpt-skip(derived from norm_history_; restore_state recomputes it)
+  double norm_median_ = 0.0;
 };
 
 }  // namespace fedpower::fed

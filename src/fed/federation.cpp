@@ -67,6 +67,8 @@ void LocalCommitter::enable_defense(const DefenseConfig& config) {
 
 void LocalCommitter::clear_round() {
   quarantined_.clear();
+  for (std::vector<double>& row : locals_)
+    spare_rows_.push_back(std::move(row));
   locals_.clear();
   weights_.clear();
   observations_.clear();
@@ -88,13 +90,16 @@ void LocalCommitter::begin_round(std::vector<std::size_t> participants) {
 }
 
 void LocalCommitter::submit(std::size_t client, std::uint64_t /*base_version*/,
-                            std::vector<std::uint8_t> payload, double weight) {
+                            std::span<const std::uint8_t> payload,
+                            double weight) {
   FEDPOWER_EXPECTS(client < status_.size());
   Status& status = status_[client];
   FEDPOWER_EXPECTS(status == Status::kAwaiting);
-  std::vector<double> local;
+  // The row stays in the pool on every early return below.
+  if (spare_rows_.empty()) spare_rows_.emplace_back();
+  std::vector<double>& local = spare_rows_.back();
   try {
-    local = codec_->decode(payload);
+    codec_->decode_into(payload, local);
   } catch (const std::invalid_argument&) {
     status = Status::kDropped;  // payload damaged in flight, codec rejected it
     return;
@@ -128,6 +133,7 @@ void LocalCommitter::submit(std::size_t client, std::uint64_t /*base_version*/,
     if (!clean || quarantined) return;
   }
   locals_.push_back(std::move(local));
+  spare_rows_.pop_back();
   weights_.push_back(weight);
 }
 
@@ -256,7 +262,6 @@ void FederatedAveraging::set_client_transport(std::size_t client,
   FEDPOWER_EXPECTS(client < clients_.size());
   FEDPOWER_EXPECTS(transport != nullptr);
   client_transports_[client] = transport;
-  transport_dedup_stale_ = true;
 }
 
 void FederatedAveraging::enable_defense(const DefenseConfig& config) {
@@ -286,53 +291,32 @@ Transport& FederatedAveraging::transport_for(std::size_t client) noexcept {
   return t != nullptr ? *t : *transport_;
 }
 
-std::size_t FederatedAveraging::total_transport_retries() const {
-  // Retry accounting runs twice per round; the historic implementation
-  // deduplicated with an O(n^2) std::find over a pointer vector, which is
-  // pathological once every client owns its own transport (100k clients =
-  // 10^10 pointer compares per round). Sort-based dedup instead, cached
-  // until the transport wiring changes. Address order is not stable across
-  // runs, but the sum over the distinct set is order-independent, so the
-  // result stays deterministic.
-  if (transport_dedup_stale_) {
-    transport_dedup_.clear();
-    transport_dedup_.reserve(client_transports_.size() + 1);
-    transport_dedup_.push_back(transport_);
-    for (const Transport* t : client_transports_)
-      if (t != nullptr) transport_dedup_.push_back(t);
-    std::sort(transport_dedup_.begin(), transport_dedup_.end());
-    transport_dedup_.erase(
-        std::unique(transport_dedup_.begin(), transport_dedup_.end()),
-        transport_dedup_.end());
-    transport_dedup_stale_ = false;
-  }
-  std::size_t total = 0;
-  for (const Transport* t : transport_dedup_) total += t->stats().retries;
-  return total;
-}
-
 std::vector<std::size_t> FederatedAveraging::draw_participants() {
-  std::vector<std::size_t> all(clients_.size());
-  std::iota(all.begin(), all.end(), std::size_t{0});
   // Full participation consumes no randomness: the historic RNG stream
   // shape of fraction = 1 runs is part of the checkpoint contract.
-  if (sampling_.fraction >= 1.0) return all;
-
+  const bool full = sampling_.fraction >= 1.0;
   // Partition out quarantined clients (quarantine-aware sampling): the
   // C-fraction draw is spent on clients whose uploads can reach the
   // aggregate; quarantined clients ride along as probation participants
-  // below. With defense off (or awareness disabled) every client is
-  // eligible and the shuffle consumes exactly the historic stream.
-  std::vector<std::size_t> eligible;
-  std::vector<std::size_t> riders;
+  // below. With defense off, awareness disabled or nobody quarantined,
+  // every client is eligible, the fleet-wide partition is skipped, and the
+  // shuffle consumes exactly the historic stream.
   const DefensePipeline* defense = committer_->defense();
-  if (defense != nullptr && sampling_.quarantine_aware) {
-    eligible.reserve(all.size());
-    for (const std::size_t i : all)
-      (defense->quarantined(i) ? riders : eligible).push_back(i);
+  const std::size_t quarantined =
+      !full && defense != nullptr && sampling_.quarantine_aware
+          ? defense->quarantined_count()
+          : 0;
+  std::vector<std::size_t> eligible(quarantined == 0 ? clients_.size() : 0);
+  std::vector<std::size_t> riders;
+  if (quarantined == 0) {
+    std::iota(eligible.begin(), eligible.end(), std::size_t{0});
   } else {
-    eligible = std::move(all);
+    eligible.reserve(clients_.size() - quarantined);
+    riders.reserve(quarantined);
+    for (std::size_t i = 0; i < clients_.size(); ++i)
+      (defense->quarantined(i) ? riders : eligible).push_back(i);
   }
+  if (full) return eligible;
   if (eligible.empty()) return riders;  // probation-only round
 
   const auto ceil_fraction = static_cast<std::size_t>(std::ceil(
@@ -342,23 +326,48 @@ std::vector<std::size_t> FederatedAveraging::draw_participants() {
                std::max({std::size_t{1}, sampling_.min_clients,
                          ceil_fraction}));
   participation_rng_.shuffle(eligible);
-  eligible.resize(count);
-  // Probation riders: quarantined clients participate every round (their
-  // uploads feed re-admission streaks, never the aggregate), so quarantine
-  // can end even when C is small.
-  for (const std::size_t r : riders) eligible.push_back(r);
-  std::sort(eligible.begin(), eligible.end());
-  return eligible;
+  // A result sized once for the draw plus the probation riders, so the
+  // fleet-sized buffer is freed before the round. Riders are quarantined
+  // clients that participate every round (their uploads feed re-admission
+  // streaks, never the aggregate), so quarantine can end even when C is
+  // small.
+  std::vector<std::size_t> drawn;
+  drawn.reserve(count + riders.size());
+  drawn.assign(eligible.begin(),
+               eligible.begin() + static_cast<std::ptrdiff_t>(count));
+  drawn.insert(drawn.end(), riders.begin(), riders.end());
+  std::sort(drawn.begin(), drawn.end());
+  return drawn;
 }
+
+namespace {
+
+/// Moves `payload` through `link` and back, adding the retries the link
+/// made for this transfer to `retries`, also when the transfer throws.
+/// Transfers are serial, so the delta of the link's counter is exactly this
+/// transfer's share even when several decorators share one inner link.
+void send(Transport& link, Direction direction,
+          std::vector<std::uint8_t>& payload, std::size_t& retries) {
+  const std::size_t before = link.stats().retries;
+  try {
+    payload = link.transfer(direction, std::move(payload));
+  } catch (...) {
+    retries += link.stats().retries - before;
+    throw;
+  }
+  retries += link.stats().retries - before;
+}
+
+}  // namespace
 
 RoundResult FederatedAveraging::run_round() {
   const std::vector<double>& global = global_model();
   FEDPOWER_EXPECTS(!global.empty());
   const ModelCodec& codec = committer_->codec();
   const std::vector<std::size_t> participants = draw_participants();
-  const std::size_t retries_before = total_transport_retries();
   committer_->begin_round(participants);
   const std::uint64_t base_version = committer_->version();
+  std::size_t retries = 0;
 
   // Broadcast theta_r to every participating client (Algorithm 2 line 3).
   // Each client receives its own transfer, as over a real network; a
@@ -367,7 +376,9 @@ RoundResult FederatedAveraging::run_round() {
   // deadline armed, each reached client's downlink latency is kept beside
   // it for the uplink check below. Transfers are serial in client-index
   // order, so the cumulative-latency delta around one transfer is exactly
-  // that client's share even when clients share a link.
+  // that client's share even when clients share a link. Every transfer
+  // moves through the driver's reused buffers, so the driver allocates
+  // nothing per participant.
   const bool deadline_armed = deadline_s_ > 0.0;
   std::vector<std::size_t> training;
   std::vector<double> downlink_latency;
@@ -378,10 +389,12 @@ RoundResult FederatedAveraging::run_round() {
     Transport& link = transport_for(i);
     const double latency_before =
         deadline_armed ? link.cumulative_latency_s() : 0.0;
+    downlink_payload_.assign(broadcast.begin(), broadcast.end());
     try {
-      const auto delivered = link.transfer(Direction::kDownlink, broadcast);
-      clients_[i]->receive_global(codec.decode(delivered));
-      downlink_bytes += delivered.size();
+      send(link, Direction::kDownlink, downlink_payload_, retries);
+      codec.decode_into(downlink_payload_, downlink_params_);
+      clients_[i]->receive_global(downlink_params_);
+      downlink_bytes += downlink_payload_.size();
     } catch (const TransportError&) {
       continue;  // unreachable device
     } catch (const std::invalid_argument&) {
@@ -414,8 +427,9 @@ RoundResult FederatedAveraging::run_round() {
     try {
       const double latency_before =
           deadline_armed ? link.cumulative_latency_s() : 0.0;
-      auto payload = link.transfer(
-          Direction::kUplink, codec.encode(clients_[i]->local_parameters()));
+      clients_[i]->copy_local_parameters_to(uplink_params_);
+      codec.encode_into(uplink_params_, uplink_payload_);
+      send(link, Direction::kUplink, uplink_payload_, retries);
       // Deadline demotion: a client whose downlink + uplink latency blew
       // the round budget is a dropout, not a suspect — its upload is
       // discarded before the committer sees it, so no defense observation
@@ -428,7 +442,7 @@ RoundResult FederatedAveraging::run_round() {
         continue;
       }
       committer_->submit(
-          i, base_version, std::move(payload),
+          i, base_version, uplink_payload_,
           static_cast<double>(clients_[i]->local_sample_count()));
     } catch (const TransportError&) {
       // Lost in flight: never submitted, so the committer books a dropout.
@@ -443,7 +457,7 @@ RoundResult FederatedAveraging::run_round() {
   result.round = rounds_completed_ + 1;
   result.stragglers = std::move(stragglers);
   result.downlink_bytes = downlink_bytes;
-  result.transport_retries = total_transport_retries() - retries_before;
+  result.transport_retries = retries;
   ++rounds_completed_;
   return result;
 }

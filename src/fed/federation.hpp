@@ -42,6 +42,13 @@ class FederatedClient {
   /// Current local model parameters.
   virtual std::vector<double> local_parameters() const = 0;
 
+  /// local_parameters() into a caller-owned buffer, replacing its contents.
+  /// The default wraps local_parameters(), so a decorator that overrides
+  /// only that stays correct.
+  virtual void copy_local_parameters_to(std::vector<double>& out) const {
+    out = local_parameters();
+  }
+
   /// Performs one round of local optimization (Algorithm 2 line 5).
   virtual void run_local_round() = 0;
 
@@ -119,7 +126,8 @@ struct RoundResult {
   /// True when dropouts shrank the survivor set enough that the requested
   /// trim count had to be clamped (see aggregate_trimmed_mean).
   bool trim_clamped = false;
-  /// Transport-level reconnect/retry attempts observed during the round.
+  /// Reconnect/retry attempts this round's transfers made (the delta of the
+  /// used link's stats().retries around each transfer).
   std::size_t transport_retries = 0;
   /// Participants demoted to dropouts by the per-round latency deadline
   /// (set_round_deadline); always a subset of dropped, sorted. A straggler
@@ -179,8 +187,11 @@ class RoundCommitter {
   /// Model version the round's clients train from.
   virtual std::uint64_t version() const noexcept = 0;
   /// Hands over one encoded upload; `weight` is the client's sample count.
+  /// The payload is only borrowed for the call, so the driver reuses one
+  /// buffer for every uplink.
   virtual void submit(std::size_t client, std::uint64_t base_version,
-                      std::vector<std::uint8_t> payload, double weight) = 0;
+                      std::span<const std::uint8_t> payload,
+                      double weight) = 0;
   /// Closes the round; throws QuorumError (global model untouched) when
   /// fewer than `quorum` uploads survived. Participants that never
   /// submitted are dropouts. The driver fills in the round number,
@@ -220,9 +231,9 @@ class LocalCommitter final : public RoundCommitter {
   /// wrong shape is a dropout; a non-finite upload is rejected. A finite
   /// upload counts its bytes and runs the defense screen; only a clean
   /// upload from a client that did not enter the round quarantined joins
-  /// the aggregate.
+  /// the aggregate. Uploads decode into rows recycled across rounds.
   void submit(std::size_t client, std::uint64_t base_version,
-              std::vector<std::uint8_t> payload, double weight) override;
+              std::span<const std::uint8_t> payload, double weight) override;
   /// Books every participant that never submitted as a dropout, checks the
   /// quorum against the participants minus the quarantined ones (at least
   /// one upload must survive), aggregates with aggregate_with_mode and
@@ -279,6 +290,9 @@ class LocalCommitter final : public RoundCommitter {
   std::vector<Status> status_;
   /// Uploads that join the aggregate. lint: ckpt-skip(in-flight round state; snapshots only between rounds)
   std::vector<std::vector<double>> locals_;
+  /// Rows for reuse: submit() decodes into the last and takes it only when
+  /// the upload joins locals_. lint: ckpt-skip(scratch: recycled upload rows)
+  std::vector<std::vector<double>> spare_rows_;
   std::vector<double> weights_;  // lint: ckpt-skip(in-flight round state; snapshots only between rounds)
   /// Verdicts for the defense commit. lint: ckpt-skip(in-flight round state; snapshots only between rounds)
   std::vector<ScreenObservation> observations_;
@@ -412,18 +426,11 @@ class FederatedAveraging {
 
   std::vector<std::size_t> draw_participants();
   Transport& transport_for(std::size_t client) noexcept;
-  std::size_t total_transport_retries() const;
 
   std::vector<FederatedClient*> clients_;
   Transport* transport_;  // lint: ckpt-skip(non-owning wiring; re-attached before resuming)
   /// Per-client overrides. lint: ckpt-skip(non-owning wiring; re-attached before resuming)
   std::vector<Transport*> client_transports_;
-  /// Distinct transports (shared + overrides), sorted by address; rebuilt
-  /// lazily after set_client_transport so per-round retry accounting is one
-  /// linear pass instead of the historic O(n^2) pointer scan.
-  // lint: ckpt-skip(lazy cache rebuilt from the transports on demand)
-  mutable std::vector<const Transport*> transport_dedup_;
-  mutable bool transport_dedup_stale_ = true;  // lint: ckpt-skip(lazy cache flag; stale default makes resume rebuild)
   /// Null over a caller's committer. lint: ckpt-skip(saved through committer_)
   std::unique_ptr<LocalCommitter> local_;
   RoundCommitter* committer_ = nullptr;
@@ -435,6 +442,14 @@ class FederatedAveraging {
   std::size_t quorum_ = 1;     // lint: ckpt-skip(construction config, fixed for the run)
   double deadline_s_ = 0.0;    // lint: ckpt-skip(construction config, fixed for the run)
   util::Rng participation_rng_{0};
+
+  // Buffers every participant of every round reuses, so a steady-state
+  // round allocates nothing per participant; none carries state between
+  // transfers.
+  std::vector<std::uint8_t> downlink_payload_;  // lint: ckpt-skip(scratch: one downlink's bytes)
+  std::vector<double> downlink_params_;  // lint: ckpt-skip(scratch: one decoded downlink)
+  std::vector<double> uplink_params_;  // lint: ckpt-skip(scratch: one client's local model)
+  std::vector<std::uint8_t> uplink_payload_;  // lint: ckpt-skip(scratch: one uplink's bytes)
 };
 
 }  // namespace fedpower::fed

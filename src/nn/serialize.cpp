@@ -10,30 +10,25 @@
 
 namespace fedpower::nn {
 
+// The payload is little-endian, so on a little-endian host every field is
+// its in-memory representation and can be copied with memcpy.
+static_assert(std::endian::native == std::endian::little,
+              "the float32 wire codec copies host-order bytes");
+
 namespace {
 
 constexpr std::uint8_t kMagic[4] = {'F', 'P', 'N', 'N'};
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
+template <typename T>
+T load(const std::uint8_t* at) noexcept {
+  T value;
+  std::memcpy(&value, at, sizeof value);
+  return value;
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8)
-    out.push_back(static_cast<std::uint8_t>((v >> shift) & 0xff));
-}
-
-std::uint16_t get_u16(std::span<const std::uint8_t> in, std::size_t offset) {
-  return static_cast<std::uint16_t>(in[offset] |
-                                    (static_cast<unsigned>(in[offset + 1]) << 8));
-}
-
-std::uint32_t get_u32(std::span<const std::uint8_t> in, std::size_t offset) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i)
-    v = (v << 8) | in[offset + static_cast<std::size_t>(i)];
-  return v;
+template <typename T>
+void store(std::uint8_t* at, T value) noexcept {
+  std::memcpy(at, &value, sizeof value);
 }
 
 }  // namespace
@@ -42,29 +37,29 @@ std::size_t payload_size(std::size_t param_count) noexcept {
   return kPayloadHeaderBytes + param_count * sizeof(float);
 }
 
-std::vector<std::uint8_t> encode_parameters(std::span<const double> params) {
+void encode_parameters_into(std::span<const double> params,
+                            std::vector<std::uint8_t>& out) {
   FEDPOWER_EXPECTS(params.size() <= std::numeric_limits<std::uint32_t>::max());
-  std::vector<std::uint8_t> out;
-  out.reserve(payload_size(params.size()));
-  out.insert(out.end(), std::begin(kMagic), std::end(kMagic));
-  put_u16(out, kPayloadVersion);
-  put_u16(out, 0);  // reserved
-  put_u32(out, static_cast<std::uint32_t>(params.size()));
-  for (const double p : params) {
-    const auto bits = std::bit_cast<std::uint32_t>(static_cast<float>(p));
-    put_u32(out, bits);
-  }
-  return out;
+  out.resize(payload_size(params.size()));
+  std::uint8_t* at = out.data();
+  std::memcpy(at, kMagic, sizeof kMagic);
+  store<std::uint16_t>(at + 4, kPayloadVersion);
+  store<std::uint16_t>(at + 6, 0);  // reserved
+  store(at + 8, static_cast<std::uint32_t>(params.size()));
+  at += kPayloadHeaderBytes;
+  for (std::size_t i = 0; i < params.size(); ++i)
+    store(at + i * sizeof(float), static_cast<float>(params[i]));
 }
 
-std::vector<double> decode_parameters(std::span<const std::uint8_t> payload) {
+void decode_parameters_into(std::span<const std::uint8_t> payload,
+                            std::vector<double>& out) {
   if (payload.size() < kPayloadHeaderBytes)
     throw std::invalid_argument("model payload truncated (header)");
   if (std::memcmp(payload.data(), kMagic, sizeof kMagic) != 0)
     throw std::invalid_argument("model payload has bad magic");
-  if (get_u16(payload, 4) != kPayloadVersion)
+  if (load<std::uint16_t>(payload.data() + 4) != kPayloadVersion)
     throw std::invalid_argument("model payload has unsupported version");
-  const std::uint32_t count = get_u32(payload, 8);
+  const auto count = load<std::uint32_t>(payload.data() + 8);
   // Distinct messages for the two corruption directions: a short payload
   // means the transfer/file was cut off, extra bytes mean trailing garbage
   // (e.g. a double write or a torn copy).
@@ -78,13 +73,22 @@ std::vector<double> decode_parameters(std::span<const std::uint8_t> payload) {
         "model payload has trailing garbage: " +
         std::to_string(payload.size() - payload_size(count)) +
         " byte(s) past the " + std::to_string(count) + "-parameter payload");
-  std::vector<double> params(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint32_t bits =
-        get_u32(payload, kPayloadHeaderBytes + i * sizeof(float));
-    params[i] = static_cast<double>(std::bit_cast<float>(bits));
-  }
-  return params;
+  out.resize(count);
+  const std::uint8_t* at = payload.data() + kPayloadHeaderBytes;
+  for (std::size_t i = 0; i < count; ++i)
+    out[i] = static_cast<double>(load<float>(at + i * sizeof(float)));
+}
+
+std::vector<std::uint8_t> encode_parameters(std::span<const double> params) {
+  std::vector<std::uint8_t> out;
+  encode_parameters_into(params, out);
+  return out;
+}
+
+std::vector<double> decode_parameters(std::span<const std::uint8_t> payload) {
+  std::vector<double> out;
+  decode_parameters_into(payload, out);
+  return out;
 }
 
 }  // namespace fedpower::nn

@@ -50,6 +50,12 @@ std::vector<double> NeuralBanditAgent::parameters() const {
   return model_.parameters();
 }
 
+void NeuralBanditAgent::copy_parameters_to(std::vector<double>& out) const {
+  materialize();
+  out.resize(model_.param_count());
+  model_.copy_parameters_to(out);
+}
+
 std::vector<double> NeuralBanditAgent::predict(
     std::span<const double> state) const {
   return forward_row(state).data();

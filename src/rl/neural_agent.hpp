@@ -90,6 +90,8 @@ class NeuralBanditAgent {
 
   // --- federation interface -------------------------------------------
   std::vector<double> parameters() const;
+  /// parameters() into `out`, resized to param_count().
+  void copy_parameters_to(std::vector<double>& out) const;
   void set_parameters(std::span<const double> params);
   std::size_t param_count() const noexcept { return model_.param_count(); }
 

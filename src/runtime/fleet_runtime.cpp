@@ -37,6 +37,11 @@ std::vector<double> LazyDeviceClient::local_parameters() const {
   return resolve().local_parameters();
 }
 
+void LazyDeviceClient::copy_local_parameters_to(
+    std::vector<double>& out) const {
+  resolve().copy_local_parameters_to(out);
+}
+
 void LazyDeviceClient::run_local_round() { resolve().run_local_round(); }
 
 std::size_t LazyDeviceClient::local_sample_count() const {

@@ -111,6 +111,7 @@ class LazyDeviceClient final : public fed::FederatedClient {
 
   void receive_global(std::span<const double> params) override;
   std::vector<double> local_parameters() const override;
+  void copy_local_parameters_to(std::vector<double>& out) const override;
   void run_local_round() override;
   std::size_t local_sample_count() const override;
 

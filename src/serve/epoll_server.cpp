@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -333,9 +334,8 @@ bool EpollFrontEnd::handle_frame(int fd, Connection& conn,
     UplinkHeader header;
     if (!decode_uplink_header(payload, header)) return false;
     if (header.client >= server_->client_count()) return false;
-    std::vector<std::uint8_t> model(payload.begin() + kUplinkHeaderBytes,
-                                    payload.end());
-    server_->submit(header.client, header.base_version, std::move(model),
+    server_->submit(header.client, header.base_version,
+                    std::span(payload).subspan(kUplinkHeaderBytes),
                     static_cast<double>(header.weight));
     uplinks_received_.fetch_add(1);
     // Ack once enqueued; the commit decides acceptance, the ack only

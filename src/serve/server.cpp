@@ -84,7 +84,8 @@ std::uint64_t ShardedServer::client_resumes(std::size_t client) const {
 }
 
 void ShardedServer::submit(std::size_t client, std::uint64_t base_version,
-                           std::vector<std::uint8_t> payload, double weight) {
+                           std::span<const std::uint8_t> payload,
+                           double weight) {
   FEDPOWER_EXPECTS(client < records_.size());
   FEDPOWER_EXPECTS(!global_.empty());  // initialize() must run first
   Shard& shard = *shards_[client % shards_.size()];
@@ -93,7 +94,7 @@ void ShardedServer::submit(std::size_t client, std::uint64_t base_version,
   upload.client = client;
   upload.base_version = base_version;
   upload.weight = weight;
-  upload.payload = std::move(payload);
+  upload.payload.assign(payload.begin(), payload.end());
   // Deferred frames must stay ahead of newer ones (per-shard FIFO), so a
   // non-empty overflow list forces this frame behind it.
   bool queued = false;

@@ -34,6 +34,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -142,8 +143,9 @@ class ShardedServer final : public fed::RoundCommitter {
   /// its sample count for weighted aggregation. Never blocks and never
   /// drops: a full shard queue defers the frame to an injector-side
   /// overflow list (stats().deferred) that flushes ahead of newer frames.
+  /// The shard keeps its own copy of the payload bytes.
   void submit(std::size_t client, std::uint64_t base_version,
-              std::vector<std::uint8_t> payload, double weight) override;
+              std::span<const std::uint8_t> payload, double weight) override;
 
   /// Opportunistic progress: flushes deferred frames and collects finished
   /// worker verdicts (merging them immediately in throughput mode).

@@ -75,6 +75,19 @@ TEST(QuantizedCodec, RejectsMalformedPayloads) {
   EXPECT_THROW(codec.decode(truncated), std::invalid_argument);
 }
 
+TEST(QuantizedCodec, RejectsUnsupportedVersion) {
+  const QuantizedCodec& codec = QuantizedCodec::instance();
+  auto payload = codec.encode(std::vector<double>{1.0, 2.0});
+  ASSERT_EQ(payload[4], 1);  // version 1, little-endian
+  payload[4] = 2;
+  EXPECT_THROW(codec.decode(payload), std::invalid_argument);
+  payload[4] = 1;
+  payload[5] = 1;  // version 257
+  EXPECT_THROW(codec.decode(payload), std::invalid_argument);
+  payload[5] = 0;
+  EXPECT_NO_THROW(codec.decode(payload));
+}
+
 TEST(QuantizedCodec, RealisticModelAccuracy) {
   // Quantizing a real policy network must not move any parameter by more
   // than the bound given its min/max spread.

@@ -1,0 +1,198 @@
+// Allocation gate for the synchronous round (DESIGN.md §12): in a
+// steady-state round with the float32 codec, no participant costs a heap
+// allocation on its downlink or its uplink, so a round's allocation count
+// does not grow with the participant count. This binary replaces the
+// global operator new with a counter that is switched on only around the
+// measured round.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "fed/federation.hpp"
+
+namespace {
+
+std::atomic<bool> counting{false};
+std::atomic<std::uint64_t> allocations{0};
+
+void* counted_allocate(std::size_t size) {
+  if (counting.load(std::memory_order_relaxed))
+    allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_allocate(size); }
+void* operator new[](std::size_t size) { return counted_allocate(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return std::malloc(size == 0 ? 1 : size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return std::malloc(size == 0 ? 1 : size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace fedpower::fed {
+namespace {
+
+std::uint64_t allocation_count() {
+  return allocations.load(std::memory_order_relaxed);
+}
+
+/// Trains by adding a small client-specific delta and hands its model over
+/// through copy_local_parameters_to, so it allocates nothing once its
+/// buffers have their size. The deltas keep every upload inside the
+/// defense screens' norm and cosine envelopes.
+class AllocationFreeClient final : public FederatedClient {
+ public:
+  explicit AllocationFreeClient(double delta) : delta_(delta) {}
+
+  void receive_global(std::span<const double> params) override {
+    params_.assign(params.begin(), params.end());
+  }
+  std::vector<double> local_parameters() const override { return params_; }
+  void copy_local_parameters_to(std::vector<double>& out) const override {
+    out.assign(params_.begin(), params_.end());
+  }
+  void run_local_round() override {
+    for (std::size_t j = 0; j < params_.size(); ++j)
+      params_[j] += delta_ * static_cast<double>(1 + j % 3);
+  }
+
+ private:
+  double delta_;
+  std::vector<double> params_;
+};
+
+/// In-process delivery that records the allocation count as each transfer
+/// starts, so the allocations between two consecutive transfers in one
+/// direction are exactly one participant's share.
+class ProbeTransport final : public Transport {
+ public:
+  explicit ProbeTransport(std::size_t capacity) {
+    downlink_marks_.reserve(capacity);
+    uplink_marks_.reserve(capacity);
+  }
+
+  std::vector<std::uint8_t> transfer(
+      Direction direction, std::vector<std::uint8_t> payload) override {
+    (direction == Direction::kUplink ? uplink_marks_ : downlink_marks_)
+        .push_back(allocation_count());
+    return inner_.transfer(direction, std::move(payload));
+  }
+  const TrafficStats& stats() const noexcept override {
+    return inner_.stats();
+  }
+
+  void clear_marks() {
+    downlink_marks_.clear();
+    uplink_marks_.clear();
+  }
+  const std::vector<std::uint64_t>& downlink_marks() const {
+    return downlink_marks_;
+  }
+  const std::vector<std::uint64_t>& uplink_marks() const {
+    return uplink_marks_;
+  }
+
+ private:
+  InProcessTransport inner_;
+  std::vector<std::uint64_t> downlink_marks_;
+  std::vector<std::uint64_t> uplink_marks_;
+};
+
+/// Largest allocation count between two consecutive transfer starts.
+std::uint64_t max_per_transfer(const std::vector<std::uint64_t>& marks) {
+  std::uint64_t worst = 0;
+  for (std::size_t k = 1; k < marks.size(); ++k)
+    worst = std::max(worst, marks[k] - marks[k - 1]);
+  return worst;
+}
+
+struct RoundAllocations {
+  std::uint64_t per_round = 0;
+  std::uint64_t per_downlink = 0;
+  std::uint64_t per_uplink = 0;
+};
+
+/// Runs warm-up rounds (past the defense warm-up, so every screen is
+/// armed), then counts the allocations of one steady-state round.
+RoundAllocations measure_round(std::size_t participants, bool defense) {
+  constexpr std::size_t kParams = 687;  // the paper's policy network
+  std::vector<AllocationFreeClient> clients;
+  clients.reserve(participants);
+  std::vector<FederatedClient*> pointers;
+  for (std::size_t c = 0; c < participants; ++c) {
+    clients.emplace_back(1e-3 * (1.0 + 0.05 * static_cast<double>(c % 4)));
+    pointers.push_back(&clients.back());
+  }
+  ProbeTransport transport(participants);
+  FederatedAveraging server(pointers, &transport);
+  DefenseConfig config;
+  config.enabled = defense;
+  server.enable_defense(config);
+  std::vector<double> global(kParams);
+  for (std::size_t j = 0; j < kParams; ++j)
+    global[j] = 0.5 + 0.01 * static_cast<double>(j % 7);
+  server.initialize(global);
+  for (int r = 0; r < 6; ++r) server.run_round();
+
+  transport.clear_marks();
+  const std::uint64_t before = allocation_count();
+  counting.store(true, std::memory_order_relaxed);
+  const RoundResult result = server.run_round();
+  counting.store(false, std::memory_order_relaxed);
+  EXPECT_EQ(result.effective_clients(), participants);
+  EXPECT_EQ(transport.downlink_marks().size(), participants);
+  EXPECT_EQ(transport.uplink_marks().size(), participants);
+  if (defense) {
+    EXPECT_TRUE(result.screened.empty());
+    EXPECT_EQ(server.defense()->rounds_committed(), 7u);
+  }
+  return {allocation_count() - before,
+          max_per_transfer(transport.downlink_marks()),
+          max_per_transfer(transport.uplink_marks())};
+}
+
+void expect_flat_in_participants(bool defense) {
+  const RoundAllocations small = measure_round(8, defense);
+  const RoundAllocations large = measure_round(64, defense);
+  EXPECT_EQ(small.per_downlink, 0u);
+  EXPECT_EQ(small.per_uplink, 0u);
+  EXPECT_EQ(large.per_downlink, 0u);
+  EXPECT_EQ(large.per_uplink, 0u);
+  EXPECT_GT(small.per_round, 0u);  // the counter covered the round
+  EXPECT_EQ(large.per_round, small.per_round)
+      << "a round's allocations grew with its participants";
+}
+
+TEST(RoundAllocations, NoneScaleWithParticipantsWithoutDefense) {
+  expect_flat_in_participants(false);
+}
+
+TEST(RoundAllocations, NoneScaleWithParticipantsWithDefense) {
+  expect_flat_in_participants(true);
+}
+
+TEST(RoundAllocations, CounterSeesAllocations) {
+  // Guards the gate itself: a counter that never counts would pass it.
+  const std::uint64_t before = allocation_count();
+  counting.store(true, std::memory_order_relaxed);
+  auto* probe = new std::vector<double>(16);
+  counting.store(false, std::memory_order_relaxed);
+  delete probe;
+  EXPECT_EQ(allocation_count() - before, 2u);
+}
+
+}  // namespace
+}  // namespace fedpower::fed

@@ -164,7 +164,7 @@ TEST(FedAsync, ZeroMergesLeaveMeanStalenessZeroAcrossRestore) {
   // must be exactly 0, never 0/0, and stay so after a snapshot round trip.
   ShardedServer server(2, throughput(0.5, 1.0));
   server.initialize({1.0, 2.0});
-  server.submit(0, 0, {0xAB}, 1.0);
+  server.submit(0, 0, std::vector<std::uint8_t>{0xAB}, 1.0);
   server.submit(1, 3, enc({std::numeric_limits<double>::quiet_NaN(), 0.0}),
                 1.0);
   server.drain();

@@ -69,7 +69,7 @@ TEST(ShardedServer, VerdictsClassifyCorruptWrongShapeAndNonFinite) {
   server.initialize({0.0});
   server.begin_round({0, 1, 2, 3});
   server.submit(0, 0, enc({2.0}), 1.0);              // clean
-  server.submit(1, 0, {0x01}, 1.0);                  // undecodable: corrupt
+  server.submit(1, 0, std::vector<std::uint8_t>{0x01}, 1.0);  // undecodable
   server.submit(2, 0, enc({1.0, 2.0}), 1.0);         // wrong shape: corrupt
   server.submit(3, 0,
                 enc({std::numeric_limits<double>::infinity()}), 1.0);
@@ -89,7 +89,7 @@ TEST(ShardedServer, ReputationCreditsAcceptsAndDebitsBadUploads) {
   server.initialize({0.0});
   server.begin_round({0, 1});
   server.submit(0, 0, enc({1.0}), 1.0);  // credit, already at the 1.0 cap
-  server.submit(1, 0, {0xFF}, 1.0);      // debit 0.25
+  server.submit(1, 0, std::vector<std::uint8_t>{0xFF}, 1.0);  // debit 0.25
   server.drain();
   server.commit_round(1);
   EXPECT_DOUBLE_EQ(server.client_record(0).reputation, 1.0);
@@ -101,7 +101,7 @@ TEST(ShardedServer, ReputationCreditsAcceptsAndDebitsBadUploads) {
   // would be dropped before the corruption check.
   for (int i = 0; i < 5; ++i) {
     server.begin_round({1});
-    server.submit(1, 1, {0xFF}, 1.0);
+    server.submit(1, 1, std::vector<std::uint8_t>{0xFF}, 1.0);
     server.drain();
     EXPECT_THROW(server.commit_round(1), fed::QuorumError);
   }
@@ -259,7 +259,7 @@ std::vector<std::uint8_t> snapshot_after_traffic(std::size_t workers) {
   server.begin_round({0, 1, 2, 3, 4});
   server.submit(0, 0, enc({1.0, 1.0}), 1.0);
   server.submit(1, 0, enc({3.0, 5.0}), 1.0);
-  server.submit(2, 0, {0xAB}, 1.0);  // corrupt
+  server.submit(2, 0, std::vector<std::uint8_t>{0xAB}, 1.0);  // corrupt
   server.submit(3, 0, enc({std::numeric_limits<double>::quiet_NaN(), 0.0}),
                 1.0);                // rejected
   server.submit(4, 0, enc({2.0, 0.0}), 1.0);
