@@ -31,6 +31,12 @@
 // reading, so the figure is the runtime's own bookkeeping. The bench
 // fails (exit 1) above kColdBytesBound.
 //
+// Part 5 gates the hot device: the heap bytes one pristine device costs
+// once a broadcast has hydrated it and installed the global model, the
+// per-participant working set of a lazy round. A device that has not
+// trained holds no gradient accumulators. The bench fails (exit 1) above
+// kHotBytesBound.
+//
 // Results land in BENCH_fleet_scale.json.
 #include <malloc.h>
 #include <sys/resource.h>
@@ -111,15 +117,16 @@ core::ControllerConfig bench_controller() {
 /// clients() slot come to ~132 B.
 constexpr double kColdBytesBound = 160.0;
 
-struct ColdFootprint {
+/// Heap bytes per device over `devices` devices, against a bound.
+struct HeapFootprint {
   std::size_t devices = 0;
   double bytes_per_device = 0.0;
   bool measured = false;  ///< false when heap statistics are unavailable
   bool passed = false;
 };
 
-ColdFootprint measure_cold_footprint() {
-  ColdFootprint result;
+HeapFootprint measure_cold_footprint() {
+  HeapFootprint result;
   result.devices = 100000;
   const auto apps = fleet_apps(result.devices);
   const std::size_t before = heap_in_use_bytes();
@@ -135,6 +142,39 @@ ColdFootprint measure_cold_footprint() {
                               static_cast<double>(result.devices);
   result.passed =
       !result.measured || result.bytes_per_device <= kColdBytesBound;
+  return result;
+}
+
+/// Upper bound on hot_bytes_per_device: a hydrated pristine Table I
+/// device (processor, workload, controller, the 687-parameter network
+/// with its workspaces and the installed global model) comes to ~9 KiB
+/// without gradient accumulators, ~14.4 KiB with them.
+constexpr double kHotBytesBound = 10240.0;
+
+HeapFootprint measure_hot_footprint() {
+  HeapFootprint result;
+  result.devices = 1000;
+  benchutil::Fleet fleet =
+      benchutil::make_fleet({bench_controller()}, sim::ProcessorConfig{},
+                            fleet_apps(result.devices), /*seed=*/2026,
+                            runtime::FleetOptions{1, /*lazy=*/true});
+  const std::vector<fed::FederatedClient*> clients = fleet.clients();
+  // The broadcast model comes from a device outside the fleet, so every
+  // measured device is still pristine when the broadcast reaches it.
+  const std::vector<double> global =
+      benchutil::make_fleet({bench_controller()}, sim::ProcessorConfig{},
+                            fleet_apps(1), /*seed=*/7,
+                            runtime::FleetOptions{1, /*lazy=*/false})
+          .controller(0)
+          .local_parameters();
+  const std::size_t before = heap_in_use_bytes();
+  for (fed::FederatedClient* client : clients) client->receive_global(global);
+  const std::size_t after = heap_in_use_bytes();
+  result.measured = before != 0 && after > before;
+  if (result.measured)
+    result.bytes_per_device = static_cast<double>(after - before) /
+                              static_cast<double>(result.devices);
+  result.passed = !result.measured || result.bytes_per_device <= kHotBytesBound;
   return result;
 }
 
@@ -422,7 +462,7 @@ int main() {
 
   // Last: its in-use delta does not depend on what ran before, while the
   // RSS readings above would see the heap it frees.
-  const ColdFootprint cold = measure_cold_footprint();
+  const HeapFootprint cold = measure_cold_footprint();
   if (cold.measured) {
     std::printf(
         "cold record: %.1f B/device over %zu lazy devices (bound %.0f B) — "
@@ -431,6 +471,16 @@ int main() {
         cold.passed ? "ok" : "REGRESSED");
   } else {
     std::printf("cold record: heap statistics unavailable, not gated\n");
+  }
+  const HeapFootprint hot = measure_hot_footprint();
+  if (hot.measured) {
+    std::printf(
+        "hot device: %.1f B/device over %zu hydrated pristine devices "
+        "(bound %.0f B) — %s\n",
+        hot.bytes_per_device, hot.devices, kHotBytesBound,
+        hot.passed ? "ok" : "REGRESSED");
+  } else {
+    std::printf("hot device: heap statistics unavailable, not gated\n");
   }
 
   bool all_bounded = horizon.bounded;
@@ -443,6 +493,9 @@ int main() {
     std::fprintf(out, "  \"cold_bytes_per_device\": %.1f,\n",
                  cold.bytes_per_device);
     std::fprintf(out, "  \"cold_bytes_bound\": %.0f,\n", kColdBytesBound);
+    std::fprintf(out, "  \"hot_bytes_per_device\": %.1f,\n",
+                 hot.bytes_per_device);
+    std::fprintf(out, "  \"hot_bytes_bound\": %.0f,\n", kHotBytesBound);
     std::fprintf(out, "  \"eager_kib_per_device\": %zu,\n", eager_kib);
     std::fprintf(out, "  \"peak_rss_kib\": %zu,\n", peak_rss_kib());
     std::fprintf(out, "  \"sweeps\": [\n");
@@ -487,5 +540,5 @@ int main() {
     std::printf("wrote BENCH_fleet_scale.json\n");
   }
 
-  return (all_bounded && guard.passed && cold.passed) ? 0 : 1;
+  return (all_bounded && guard.passed && cold.passed && hot.passed) ? 0 : 1;
 }

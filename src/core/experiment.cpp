@@ -345,6 +345,10 @@ FederatedRunResult run_federated(
     std::optional<fed::RoundResult> committed;
     std::size_t aborts_in_a_row = 0;
     while (!committed) {
+      // A lazy fleet's working set is one round: the previous round's
+      // participants (or an aborted attempt's) go cold before this attempt
+      // hydrates its own, so at most one round's devices are hot at once.
+      if (config.lazy_fleet) fleet.dehydrate_inactive({});
       if (chaos_engine) {
         // Apply this round's chaos plan before any transfer: flip link
         // availability from the engine's mask and deal the workload shock
@@ -368,6 +372,8 @@ FederatedRunResult run_federated(
       }
     }
     const fed::RoundResult round_result = *committed;
+    // The round's working set, before evaluation or the cooling below.
+    const std::size_t hot_devices = metrics ? fleet.hot_count() : 0;
     robustness.screened_per_round.push_back(round_result.screened.size());
     robustness.quarantined_per_round.push_back(
         round_result.quarantined.size());
@@ -411,13 +417,15 @@ FederatedRunResult run_federated(
           .field("stragglers",
                  static_cast<std::uint64_t>(round_result.stragglers.size()))
           .field("aborted", static_cast<std::uint64_t>(aborts_in_a_row))
+          .field("hot_devices", static_cast<std::uint64_t>(hot_devices))
           .field("rss_bytes", util::resident_bytes())
           .field("wall_s", wall_s);
       metrics->end_line();
     }
-    // Lazy fleets return out-of-round devices to their compact cold form:
-    // resident memory tracks the per-round working set, not the fleet.
-    // (Per-round eval above hydrates everything, so fleet-scale runs skip
+    // Lazy fleets return devices touched outside the round (per-round eval
+    // hydrates everything; a chaos shock hydrates its device) to their
+    // compact cold form. The participants stay hot until the next round
+    // starts, so a checkpoint saves them inline. (Fleet-scale runs skip
     // per-round eval.)
     if (config.lazy_fleet)
       fleet.dehydrate_inactive(round_result.participants);

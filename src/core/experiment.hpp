@@ -137,8 +137,9 @@ struct ExperimentConfig {
   std::size_t quorum = 1;
   /// Lazy device instantiation (runtime::FleetOptions::lazy): sampled-out
   /// devices stay as compact cold records and run_federated dehydrates
-  /// devices between rounds, so resident memory follows the per-round
-  /// working set. Results are bit-identical to an eager fleet.
+  /// the previous round's devices as each round starts, so resident
+  /// memory follows one round's working set. Results are bit-identical to
+  /// an eager fleet.
   bool lazy_fleet = false;
   /// Server-side Byzantine defense (run_federated only; off by default).
   fed::DefenseConfig defense{};
@@ -157,9 +158,10 @@ struct ExperimentConfig {
   /// fed::FederatedAveraging::set_round_deadline (run_federated only).
   double deadline_s = 0.0;
   /// Path for per-round JSON-Lines metrics (round index, reward, screening
-  /// and straggler counts, RSS, wall time); empty disables. Streaming
-  /// telemetry, not a durable artifact: lines flush per round, so a killed
-  /// soak keeps every completed round's record (run_federated only).
+  /// and straggler counts, hot devices after the commit, RSS, wall time);
+  /// empty disables. Streaming telemetry, not a durable artifact: lines
+  /// flush per round, so a killed soak keeps every completed round's
+  /// record (run_federated only).
   std::string metrics_jsonl;
 };
 

@@ -12,13 +12,22 @@ double l2_norm(std::span<const double> v) noexcept {
   return std::sqrt(sum_sq);
 }
 
-std::vector<double> clip_to_norm(std::vector<double> v, double max_norm) {
+namespace {
+
+/// clip_to_norm() in place.
+void clip_in_place(std::span<double> v, double max_norm) {
   FEDPOWER_EXPECTS(max_norm > 0.0);
   const double norm = l2_norm(v);
   if (norm > max_norm) {
     const double scale = max_norm / norm;
     for (double& x : v) x *= scale;
   }
+}
+
+}  // namespace
+
+std::vector<double> clip_to_norm(std::vector<double> v, double max_norm) {
+  clip_in_place(v, max_norm);
   return v;
 }
 
@@ -35,27 +44,29 @@ void DpClient::receive_global(std::span<const double> params) {
 }
 
 std::vector<double> DpClient::local_parameters() const {
-  const std::vector<double> raw = inner_->local_parameters();
+  std::vector<double> upload;
+  copy_local_parameters_to(upload);
+  return upload;
+}
+
+void DpClient::copy_local_parameters_to(std::vector<double>& out) const {
+  inner_->copy_local_parameters_to(out);
   if (anchor_.empty()) {
     // No global model received yet (round 0 initialization): nothing to
     // privatize an update against; upload as-is.
     last_update_norm_ = 0.0;
-    return raw;
+    return;
   }
-  FEDPOWER_EXPECTS(raw.size() == anchor_.size());
-  std::vector<double> update(raw.size());
-  for (std::size_t i = 0; i < raw.size(); ++i)
-    update[i] = raw[i] - anchor_[i];
-  last_update_norm_ = l2_norm(update);
-  update = clip_to_norm(std::move(update), config_.clip_norm);
+  FEDPOWER_EXPECTS(out.size() == anchor_.size());
+  // out holds the raw model, then the update, then the upload.
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] -= anchor_[i];
+  last_update_norm_ = l2_norm(out);
+  clip_in_place(out, config_.clip_norm);
   if (config_.noise_multiplier > 0.0) {
     const double sigma = config_.noise_multiplier * config_.clip_norm;
-    for (double& x : update) x += rng_.normal(0.0, sigma);
+    for (double& x : out) x += rng_.normal(0.0, sigma);
   }
-  std::vector<double> upload(raw.size());
-  for (std::size_t i = 0; i < raw.size(); ++i)
-    upload[i] = anchor_[i] + update[i];
-  return upload;
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = anchor_[i] + out[i];
 }
 
 }  // namespace fedpower::fed

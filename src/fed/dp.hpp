@@ -39,6 +39,10 @@ class DpClient final : public FederatedClient {
 
   void receive_global(std::span<const double> params) override;
   std::vector<double> local_parameters() const override;
+  /// The privatized upload, formed in out itself: the inner model is
+  /// copied in, turned into the update, clipped, noised and re-anchored
+  /// there, so an upload allocates nothing once out has its size.
+  void copy_local_parameters_to(std::vector<double>& out) const override;
   void run_local_round() override { inner_->run_local_round(); }
   std::size_t local_sample_count() const override {
     return inner_->local_sample_count();

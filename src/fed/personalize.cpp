@@ -18,11 +18,11 @@ PersonalizedClient::PersonalizedClient(FederatedClient* inner,
 
 void PersonalizedClient::receive_global(std::span<const double> params) {
   FEDPOWER_EXPECTS(params.size() == mask_.size());
-  std::vector<double> merged = inner_->local_parameters();
-  FEDPOWER_EXPECTS(merged.size() == mask_.size());
+  inner_->copy_local_parameters_to(merged_);
+  FEDPOWER_EXPECTS(merged_.size() == mask_.size());
   for (std::size_t i = 0; i < mask_.size(); ++i)
-    if (mask_[i]) merged[i] = params[i];
-  inner_->receive_global(merged);
+    if (mask_[i]) merged_[i] = params[i];
+  inner_->receive_global(merged_);
 }
 
 std::vector<bool> shared_body_mask(std::size_t total_params,

@@ -30,6 +30,9 @@ class PersonalizedClient final : public FederatedClient {
   std::vector<double> local_parameters() const override {
     return inner_->local_parameters();
   }
+  void copy_local_parameters_to(std::vector<double>& out) const override {
+    inner_->copy_local_parameters_to(out);
+  }
   void run_local_round() override { inner_->run_local_round(); }
   std::size_t local_sample_count() const override {
     return inner_->local_sample_count();
@@ -42,6 +45,7 @@ class PersonalizedClient final : public FederatedClient {
   FederatedClient* inner_;
   std::vector<bool> mask_;
   std::size_t shared_count_;
+  std::vector<double> merged_;  // receive_global's scratch, reused
 };
 
 /// Mask for the usual split of an MLP parameter vector: everything shared

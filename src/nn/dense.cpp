@@ -6,7 +6,7 @@
 namespace fedpower::nn {
 
 Dense::Dense(std::size_t in, std::size_t out, Init init, util::Rng& rng)
-    : in_(in), out_(out), w_(in, out), b_(1, out), gw_(in, out), gb_(1, out) {
+    : in_(in), out_(out), w_(in, out), b_(1, out) {
   FEDPOWER_EXPECTS(in > 0 && out > 0);
   double scale = 0.0;
   switch (init) {
@@ -47,8 +47,15 @@ void Dense::accumulate_grads(const Matrix& grad_output) {
 }
 
 void Dense::add_step_grads() {
-  // This step's gradients are formed apart and then added, so accumulating
-  // over several backward calls rounds exactly as it always has.
+  // The accumulators are sized, zero-filled, by the first backward pass: a
+  // layer that never trains (an evaluation policy, a device that has not
+  // reached its first update) never holds them. This step's gradients are
+  // formed apart and then added to the zeros, so accumulating over several
+  // backward calls rounds exactly as it always has.
+  if (gw_.empty()) {
+    gw_ = Matrix(in_, out_);
+    gb_ = Matrix(1, out_);
+  }
   gw_ += step_gw_;
   gb_ += step_gb_;
 }
@@ -184,6 +191,10 @@ void Dense::set_params_from(std::span<const double> src) {
 
 void Dense::copy_grads_to(std::span<double> dst) const {
   FEDPOWER_EXPECTS(dst.size() == param_count());
+  if (gw_.empty()) {  // no backward pass yet: the gradients are zero
+    std::fill(dst.begin(), dst.end(), 0.0);
+    return;
+  }
   std::copy(gw_.data().begin(), gw_.data().end(), dst.begin());
   std::copy(gb_.data().begin(), gb_.data().end(),
             dst.begin() + static_cast<std::ptrdiff_t>(gw_.size()));

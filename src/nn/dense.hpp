@@ -59,6 +59,8 @@ class Dense final : public Layer {
 
   const Matrix& weights() const noexcept { return w_; }
   const Matrix& bias() const noexcept { return b_; }
+  /// The accumulated gradients: empty (0 x 0) until the first backward
+  /// pass sizes them; copy_grads_to() reports zeros until then.
   const Matrix& weight_grads() const noexcept { return gw_; }
   const Matrix& bias_grads() const noexcept { return gb_; }
 
@@ -67,8 +69,8 @@ class Dense final : public Layer {
   std::size_t out_;
   Matrix w_;       // [in x out]
   Matrix b_;       // [1 x out]
-  Matrix gw_;      // accumulated dL/dW
-  Matrix gb_;      // accumulated dL/db
+  Matrix gw_;      // accumulated dL/dW; empty until the first backward
+  Matrix gb_;      // accumulated dL/db; empty until the first backward
   // Workspaces (Layer gives their lifetime rule).
   Matrix input_;       // forward input, cached for backward
   Matrix output_;      // forward result

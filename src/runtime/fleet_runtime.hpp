@@ -26,7 +26,9 @@
 // order stays canonical, and a hydrated device is bit-identical to one
 // built eagerly, so laziness never changes results. dehydrate_inactive()
 // returns devices to blob form between rounds, bounding resident memory by
-// the working set instead of the fleet.
+// the working set instead of the fleet: core::run_federated calls it with
+// an empty keep set as each round starts, so only one round's devices are
+// hot at once (DESIGN.md §11).
 //
 // Determinism (DESIGN.md §7): each device owns its processor, workload,
 // controller and split RNG; no state is shared between devices inside a
@@ -174,8 +176,10 @@ class FleetRuntime {
   void dehydrate(std::size_t device);
 
   /// Dehydrates every hot device whose index is not in keep_hot (which
-  /// must be sorted ascending). The between-rounds memory bound: pass the
-  /// round's participants to keep resident memory at the working set.
+  /// must be sorted ascending). The between-rounds memory bound: an empty
+  /// keep_hot before a round's broadcast leaves only that round's devices
+  /// hot; the round's participants as keep_hot after it cools whatever
+  /// else the round touched.
   void dehydrate_inactive(std::span<const std::size_t> keep_hot);
 
   /// Hydrates on demand in a lazy fleet (serial paths only).

@@ -11,17 +11,27 @@
 // (FLT2), captured from the last build that zero-filled its rings and
 // drew the He init at construction. Rings now grow on push and the init is
 // deferred to the first read; these pin that neither moved a byte.
+//
+// Experiment golden: the FEXP snapshots of a lazy run under chaos that
+// checkpoints every round, captured from the last build that kept a
+// round's participants hot until the end of the next round. Lazy fleets
+// now cool them as the next round starts; the hot set at each checkpoint,
+// and so every snapshot byte, must not move.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
 #include <vector>
 
 #include "ckpt/binary_io.hpp"
+#include "ckpt/rotation.hpp"
+#include "ckpt/snapshot.hpp"
 #include "core/controller.hpp"
+#include "core/experiment.hpp"
 #include "nn/matrix.hpp"
 #include "rl/neural_agent.hpp"
 #include "rl/q_replay_buffer.hpp"
@@ -358,6 +368,65 @@ TEST(LegacyGoldens, Flt2WithDehydratedRecordsRestoresIntoAnEagerFleet) {
   run_on(uninterrupted);
   run_on(eager);
   expect_same_devices(uninterrupted, eager);
+}
+
+// --- lazy experiment -------------------------------------------------------
+
+/// FNV-1a over the snapshot bytes, in order.
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : bytes) {
+    hash ^= b;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+TEST(ExperimentGoldens, LazyChaosRunWritesTheSameSnapshotEveryRound) {
+  // Ten devices with the small agent, two drawn per round (the same two
+  // in rounds 0 and 1, so both go cold and hydrate again), churn and a
+  // workload shock on most rounds; every round's snapshot is kept.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "fedpower_fexp_lazy_golden";
+  std::filesystem::remove_all(dir);
+  core::ExperimentConfig config;
+  config.controller = golden_controller();
+  config.rounds = 4;
+  config.seed = 2026;
+  config.sampling.fraction = 0.2;
+  config.sampling.seed = 6;
+  config.lazy_fleet = true;
+  config.chaos.enabled = true;
+  config.chaos.leave_probability = 0.2;
+  config.chaos.shock_probability = 0.75;
+  config.checkpoint.every_rounds = 1;
+  config.checkpoint.keep = config.rounds;
+  config.checkpoint.dir = dir.string();
+  const auto suite = sim::splash2_suite();
+  std::vector<std::vector<sim::AppProfile>> apps;
+  for (std::size_t d = 0; d < 10; ++d) apps.push_back({suite[d % suite.size()]});
+  const core::FederatedRunResult result =
+      core::run_federated(config, apps, suite, /*eval_each_round=*/false);
+  // Guard against a vacuous golden: churn and shocks must have fired.
+  EXPECT_GT(result.robustness.chaos.departures, 0u);
+  EXPECT_GT(result.robustness.chaos.shocks, 0u);
+
+  const ckpt::SnapshotRotation rotation(dir.string(), config.checkpoint.keep);
+  const std::vector<std::uint64_t> sequences = rotation.sequences();
+  ASSERT_EQ(sequences.size(), config.rounds);
+  std::vector<std::uint64_t> hashes;
+  std::vector<std::uint8_t> last;
+  for (const std::uint64_t sequence : sequences) {
+    last = ckpt::read_snapshot_file(rotation.path_for(sequence));
+    hashes.push_back(fnv1a(last));
+  }
+  std::filesystem::remove_all(dir);
+  ASSERT_EQ(std::string(last.begin(), last.begin() + 4), "FEXP");
+  EXPECT_EQ(last, read_golden("experiment_fexp_lazy_chaos.bin"));
+  EXPECT_EQ(hashes,
+            (std::vector<std::uint64_t>{
+                194169852533186936ULL, 15254714714119033630ULL,
+                11326721737228965774ULL, 17162058852917437846ULL}));
 }
 
 }  // namespace

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+
+#include "util/rng.hpp"
 
 namespace fedpower::fed {
 namespace {
@@ -114,6 +118,47 @@ TEST(DpClient, WorksInsideFederation) {
   // Each update clipped to norm 0.1, averaged over 2 clients -> 0.05.
   EXPECT_NEAR(server.global_model()[0], 0.05, 1e-6);
   EXPECT_NEAR(server.global_model()[1], 0.05, 1e-6);
+}
+
+TEST(DpClient, UploadsMatchTheByValueReference) {
+  // The three-vector form the decorator used to build per upload (raw
+  // model, update, clipped and noised upload), replayed from the same
+  // noise stream: the in-place upload must give the same bits.
+  DpConfig config;
+  config.clip_norm = 0.3;
+  config.noise_multiplier = 0.4;
+  config.seed = 11;
+  MovingClient inner({0.25, -0.5, 0.125, 1e-3});
+  DpClient client(&inner, config);
+  MovingClient witness({0.25, -0.5, 0.125, 1e-3});
+  util::Rng noise(config.seed);
+  std::vector<double> global = {1.0, -2.0, 0.5, 3.0};
+  std::vector<double> out = {9.0};  // stale contents are replaced
+  for (int round = 0; round < 3; ++round) {
+    client.receive_global(global);
+    witness.receive_global(global);
+    client.run_local_round();
+    witness.run_local_round();
+    const std::vector<double> raw = witness.local_parameters();
+    std::vector<double> update(raw.size());
+    for (std::size_t i = 0; i < raw.size(); ++i)
+      update[i] = raw[i] - global[i];
+    const double norm = l2_norm(update);
+    update = clip_to_norm(std::move(update), 0.3);
+    for (double& x : update) x += noise.normal(0.0, 0.4 * 0.3);
+    std::vector<double> expected(raw.size());
+    for (std::size_t i = 0; i < raw.size(); ++i)
+      expected[i] = global[i] + update[i];
+
+    client.copy_local_parameters_to(out);
+    ASSERT_EQ(out.size(), expected.size());
+    for (std::size_t i = 0; i < out.size(); ++i)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+                std::bit_cast<std::uint64_t>(expected[i]))
+          << "round " << round << " index " << i;
+    EXPECT_EQ(client.last_update_norm(), norm);
+    global = out;
+  }
 }
 
 TEST(DpClientDeathTest, RejectsBadConfig) {

@@ -1,7 +1,8 @@
 // Allocation gate for the synchronous round (DESIGN.md §12): in a
 // steady-state round with the float32 codec, no participant costs a heap
 // allocation on its downlink or its uplink, so a round's allocation count
-// does not grow with the participant count. This binary replaces the
+// does not grow with the participant count. That holds for plain clients
+// and behind the DP and personalisation decorators. This binary replaces the
 // global operator new with a counter that is switched on only around the
 // measured round.
 #include <gtest/gtest.h>
@@ -13,7 +14,9 @@
 #include <new>
 #include <vector>
 
+#include "fed/dp.hpp"
 #include "fed/federation.hpp"
+#include "fed/personalize.hpp"
 
 namespace {
 
@@ -125,25 +128,48 @@ struct RoundAllocations {
   std::uint64_t per_uplink = 0;
 };
 
+/// The decorator, if any, that each participant's client is wrapped in.
+enum class Wrap { kNone, kDp, kPersonalized };
+
+constexpr std::size_t kParams = 687;  // the paper's policy network
+
 /// Runs warm-up rounds (past the defense warm-up, so every screen is
 /// armed), then counts the allocations of one steady-state round.
-RoundAllocations measure_round(std::size_t participants, bool defense) {
-  constexpr std::size_t kParams = 687;  // the paper's policy network
+RoundAllocations measure_round(std::size_t participants, bool defense,
+                               Wrap wrap = Wrap::kNone) {
+  std::vector<double> global(kParams);
+  for (std::size_t j = 0; j < kParams; ++j)
+    global[j] = 0.5 + 0.01 * static_cast<double>(j % 7);
   std::vector<AllocationFreeClient> clients;
   clients.reserve(participants);
+  std::vector<DpClient> dp_clients;
+  dp_clients.reserve(participants);
+  std::vector<PersonalizedClient> personalized;
+  personalized.reserve(participants);
   std::vector<FederatedClient*> pointers;
   for (std::size_t c = 0; c < participants; ++c) {
     clients.emplace_back(1e-3 * (1.0 + 0.05 * static_cast<double>(c % 4)));
-    pointers.push_back(&clients.back());
+    FederatedClient* client = &clients.back();
+    if (wrap == Wrap::kDp) {
+      DpConfig config;  // clipping and noise both armed
+      config.clip_norm = 0.02;
+      config.noise_multiplier = 0.1;
+      config.seed = c;
+      dp_clients.emplace_back(client, config);
+      client = &dp_clients.back();
+    } else if (wrap == Wrap::kPersonalized) {
+      // The private head is merged from a model the device already holds.
+      clients.back().receive_global(global);
+      personalized.emplace_back(client, shared_body_mask(kParams, 99));
+      client = &personalized.back();
+    }
+    pointers.push_back(client);
   }
   ProbeTransport transport(participants);
   FederatedAveraging server(pointers, &transport);
   DefenseConfig config;
   config.enabled = defense;
   server.enable_defense(config);
-  std::vector<double> global(kParams);
-  for (std::size_t j = 0; j < kParams; ++j)
-    global[j] = 0.5 + 0.01 * static_cast<double>(j % 7);
   server.initialize(global);
   for (int r = 0; r < 6; ++r) server.run_round();
 
@@ -164,9 +190,9 @@ RoundAllocations measure_round(std::size_t participants, bool defense) {
           max_per_transfer(transport.uplink_marks())};
 }
 
-void expect_flat_in_participants(bool defense) {
-  const RoundAllocations small = measure_round(8, defense);
-  const RoundAllocations large = measure_round(64, defense);
+void expect_flat_in_participants(bool defense, Wrap wrap = Wrap::kNone) {
+  const RoundAllocations small = measure_round(8, defense, wrap);
+  const RoundAllocations large = measure_round(64, defense, wrap);
   EXPECT_EQ(small.per_downlink, 0u);
   EXPECT_EQ(small.per_uplink, 0u);
   EXPECT_EQ(large.per_downlink, 0u);
@@ -182,6 +208,14 @@ TEST(RoundAllocations, NoneScaleWithParticipantsWithoutDefense) {
 
 TEST(RoundAllocations, NoneScaleWithParticipantsWithDefense) {
   expect_flat_in_participants(true);
+}
+
+TEST(RoundAllocations, NoneScaleWithParticipantsInADpFleet) {
+  expect_flat_in_participants(false, Wrap::kDp);
+}
+
+TEST(RoundAllocations, NoneScaleWithParticipantsInAPersonalizedFleet) {
+  expect_flat_in_participants(false, Wrap::kPersonalized);
 }
 
 TEST(RoundAllocations, CounterSeesAllocations) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
+
+#include "nn/mlp.hpp"
 
 namespace fedpower::nn {
 namespace {
@@ -133,6 +138,99 @@ TEST(Dense, CloneIsDeepCopy) {
   bool any_nonzero = false;
   for (const double p : params) any_nonzero |= (p != 0.0);
   EXPECT_TRUE(any_nonzero);
+}
+
+// --- lazily sized gradient accumulators -----------------------------------
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (std::bit_cast<std::uint64_t>(a[i]) != std::bit_cast<std::uint64_t>(b[i]))
+      return false;
+  return true;
+}
+
+TEST(DenseLazyGrads, ReadZeroBeforeTheFirstBackward) {
+  util::Rng rng(11);
+  Dense layer(3, 2, Init::kHe, rng);
+  EXPECT_TRUE(layer.weight_grads().empty());
+  EXPECT_TRUE(layer.bias_grads().empty());
+  std::vector<double> grads(layer.param_count(), 7.0);
+  layer.copy_grads_to(grads);
+  for (const double g : grads)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(g), std::bit_cast<std::uint64_t>(0.0));
+  layer.zero_grads();  // nothing to clear, nothing sized
+  EXPECT_TRUE(layer.weight_grads().empty());
+  // A forward pass alone sizes nothing either.
+  layer.forward(Matrix{{1.0, 2.0, 3.0}});
+  EXPECT_TRUE(layer.weight_grads().empty());
+
+  util::Rng mlp_rng(12);
+  Mlp mlp = make_mlp(5, {8}, 3, mlp_rng);
+  const std::vector<double> mlp_grads = mlp.gradients();
+  ASSERT_EQ(mlp_grads.size(), mlp.param_count());
+  EXPECT_TRUE(same_bits(mlp_grads, std::vector<double>(mlp.param_count(), 0.0)));
+}
+
+TEST(DenseLazyGrads, CloneOfAnUntrainedLayerTrainsLikeTheOriginal) {
+  util::Rng rng(13);
+  Dense layer(2, 3, Init::kHe, rng);
+  const auto clone = layer.clone();
+  std::vector<double> cloned(clone->param_count(), 1.0);
+  clone->copy_grads_to(cloned);
+  EXPECT_TRUE(same_bits(cloned, std::vector<double>(cloned.size(), 0.0)));
+  const Matrix input{{0.5, -1.5}, {2.0, 0.25}};
+  const Matrix grad{{1.0, -0.5, 0.0}, {0.25, 2.0, -1.0}};
+  layer.forward(input);
+  layer.backward(grad);
+  clone->forward(input);
+  clone->backward(grad);
+  std::vector<double> original(layer.param_count());
+  layer.copy_grads_to(original);
+  clone->copy_grads_to(cloned);
+  EXPECT_TRUE(same_bits(original, cloned));
+}
+
+/// The first backward into unsized accumulators against a layer whose
+/// accumulators were sized and zero-filled beforehand (by a backward of an
+/// all-zero gradient), as they were when the constructor allocated them.
+/// The inputs and gradients carry -0.0, so the step gradients are built
+/// from -0.0 products; zero-fill-then-add keeps 0.0 + x's signed zeros.
+TEST(DenseLazyGrads, FirstBackwardMatchesAnEagerlyAllocatedReference) {
+  const Matrix input{{-0.0, 1.5, -0.0}, {2.0, -0.0, 0.0}, {-0.0, -0.0, -3.0}};
+  const Matrix grad{{0.0, -0.0}, {-0.0, 0.0}, {-0.0, 1.25}};
+  const std::vector<std::size_t> cols = {1, 0, 1};
+  const std::vector<double> selected = {-0.0, 0.0, 1.25};
+  for (const bool selected_path : {false, true}) {
+    SCOPED_TRACE(selected_path ? "backward_selected" : "backward");
+    util::Rng rng(14);
+    Dense lazy(3, 2, Init::kHe, rng);
+    Dense eager(lazy);
+    eager.forward(input);
+    eager.backward(Matrix(3, 2));
+    ASSERT_FALSE(eager.weight_grads().empty());
+    std::vector<double> out;
+    for (Dense* layer : {&lazy, &eager}) {
+      if (selected_path) {
+        layer->forward_selected(input, cols, out);
+        layer->backward_selected(cols, selected);
+      } else {
+        layer->forward(input);
+        layer->backward(grad);
+      }
+    }
+    EXPECT_TRUE(same_bits(lazy.weight_grads().data(),
+                          eager.weight_grads().data()));
+    EXPECT_TRUE(same_bits(lazy.bias_grads().data(), eager.bias_grads().data()));
+    EXPECT_EQ(lazy.weight_grads().rows(), 3u);
+    EXPECT_EQ(lazy.weight_grads().cols(), 2u);
+    // 0.0 + x never leaves a -0.0 behind.
+    for (const double g : lazy.weight_grads().data()) {
+      if (g == 0.0) {
+        EXPECT_FALSE(std::signbit(g));
+      }
+    }
+  }
 }
 
 }  // namespace

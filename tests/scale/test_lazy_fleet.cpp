@@ -1,13 +1,17 @@
 // Lazy FleetRuntime (FleetOptions::lazy): cold construction, hydration
 // bit-identity, between-round dehydration, the FLT1/FLT2 snapshot matrix,
-// all-or-nothing hydration, faulted devices across cold cycles and
-// bit-exact app-list interning (DESIGN.md §11).
+// all-or-nothing hydration, faulted devices across cold cycles, bit-exact
+// app-list interning and a one-round working set (DESIGN.md §11).
 #include "runtime/fleet_runtime.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "ckpt/binary_io.hpp"
@@ -530,6 +534,59 @@ TEST(LazyFleet, FaultedFederatedExperimentBitIdenticalToEager) {
   for (std::size_t d = 0; d < eager.devices.size(); ++d) {
     EXPECT_EQ(eager.devices[d].reward, lazy.devices[d].reward);
     EXPECT_EQ(eager.devices[d].mean_power_w, lazy.devices[d].mean_power_w);
+  }
+}
+
+/// The unsigned integer field `key` of a flat JSONL object line.
+std::uint64_t jsonl_field(const std::string& line, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = line.find(needle);
+  EXPECT_NE(at, std::string::npos) << key << " missing from " << line;
+  if (at == std::string::npos) return 0;
+  return std::stoull(line.substr(at + needle.size()));
+}
+
+TEST(LazyFleet, HotSetIsOneRoundsParticipants) {
+  // The per-round JSONL records the hot set right after the commit. The
+  // previous round's participants went cold before this round hydrated
+  // its own, so only this round's participants (plus a chaos shock's
+  // device) are hot; keeping them until the round ended would read ~2x.
+  for (const bool chaos : {false, true}) {
+    SCOPED_TRACE(chaos ? "chaos" : "clean");
+    const std::filesystem::path path =
+        std::filesystem::temp_directory_path() /
+        (chaos ? "fedpower_lazy_hot_chaos.jsonl"
+               : "fedpower_lazy_hot_clean.jsonl");
+    std::filesystem::remove(path);  // the writer appends
+    core::ExperimentConfig config;
+    config.rounds = 5;
+    config.controller.steps_per_round = 4;
+    config.seed = 23;
+    config.sampling.fraction = 0.05;
+    config.sampling.seed = 8;
+    config.lazy_fleet = true;
+    config.metrics_jsonl = path.string();
+    if (chaos) {
+      config.chaos.enabled = true;
+      config.chaos.leave_probability = 0.1;
+      config.chaos.shock_probability = 1.0;
+    }
+    core::run_federated(config, n_device_apps(2000), sim::splash2_suite(),
+                        /*eval_each_round=*/false);
+    std::ifstream in(path);
+    std::string line;
+    std::size_t rounds = 0;
+    while (std::getline(in, line)) {
+      SCOPED_TRACE(line);
+      const std::uint64_t participants = jsonl_field(line, "participants");
+      const std::uint64_t hot = jsonl_field(line, "hot_devices");
+      EXPECT_EQ(participants, 100u);
+      EXPECT_GT(hot, 0u);
+      EXPECT_LE(hot, participants + 1);
+      ++rounds;
+    }
+    EXPECT_EQ(rounds, config.rounds);
+    std::filesystem::remove(path);
   }
 }
 
