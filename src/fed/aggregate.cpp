@@ -31,19 +31,44 @@ void gather_coordinate(const std::vector<std::vector<double>>& models,
 
 }  // namespace
 
+void add_to_mean_sum(std::span<double> sum, std::span<const double> model) {
+  FEDPOWER_EXPECTS(model.size() == sum.size());
+  for (std::size_t i = 0; i < sum.size(); ++i) sum[i] += model[i];
+}
+
+void finish_mean(std::span<const double> sum, std::size_t model_count,
+                 std::span<double> out) {
+  FEDPOWER_EXPECTS(model_count > 0 && out.size() == sum.size());
+  const double inv_n = 1.0 / static_cast<double>(model_count);
+  for (std::size_t i = 0; i < sum.size(); ++i) out[i] = sum[i] * inv_n;
+}
+
 std::vector<double> average_unweighted(
     const std::vector<std::vector<double>>& models,
     const util::ParallelFor& parallel_for) {
   FEDPOWER_EXPECTS(!models.empty());
   const std::size_t dim = models.front().size();
   for (const auto& model : models) FEDPOWER_EXPECTS(model.size() == dim);
-  const double inv_n = 1.0 / static_cast<double>(models.size());
+  // Row-major over coordinate blocks: a block's sum stays in L1 while
+  // every model is folded into it in model order, so coordinate i still
+  // adds m0[i], m1[i], ... onto +0.0 in that order. Blocks are disjoint,
+  // which makes them the executor's unit without moving a bit.
+  constexpr std::size_t kBlock = 128;
   std::vector<double> global(dim, 0.0);
-  for_each_column(dim, models.size(), parallel_for, [&](std::size_t i) {
-    double sum = 0.0;
-    for (const auto& model : models) sum += model[i];
-    global[i] = sum * inv_n;
-  });
+  const auto mean_block = [&](std::size_t b) {
+    const std::size_t begin = b * kBlock;
+    const std::span<double> sum =
+        std::span(global).subspan(begin, std::min(kBlock, dim - begin));
+    for (const auto& model : models)
+      add_to_mean_sum(sum, std::span(model).subspan(begin, sum.size()));
+    finish_mean(sum, models.size(), sum);
+  };
+  const std::size_t blocks = (dim + kBlock - 1) / kBlock;
+  if (parallel_for && dim * models.size() >= kParallelAggregationMinWork) {
+    parallel_for(blocks, mean_block);
+  } else {
+    for (std::size_t b = 0; b < blocks; ++b) mean_block(b);
+  }
   return global;
 }
 

@@ -27,6 +27,18 @@ enum class AggregationMode {
 [[nodiscard]] std::vector<double> average_unweighted(
     const std::vector<std::vector<double>>& models);
 
+/// The unweighted mean's arithmetic, one model at a time. Starting from a
+/// sum of +0.0s, fold every model in with add_to_mean_sum in model order,
+/// then finish_mean; average_unweighted runs exactly these operations, so a
+/// caller that sees the models one by one (LocalCommitter's streamed mean)
+/// gets its bits without keeping the models. `model` must match `sum` in
+/// length.
+void add_to_mean_sum(std::span<double> sum, std::span<const double> model);
+
+/// out[i] = sum[i] * (1.0 / model_count); `out` may alias `sum`.
+void finish_mean(std::span<const double> sum, std::size_t model_count,
+                 std::span<double> out);
+
 /// Element-wise weighted mean; weights must be non-negative with a positive
 /// sum and match the number of models.
 [[nodiscard]] std::vector<double> average_weighted(

@@ -71,6 +71,7 @@ void LocalCommitter::clear_round() {
     spare_rows_.push_back(std::move(row));
   locals_.clear();
   weights_.clear();
+  accepted_ = 0;
   observations_.clear();
   uplink_bytes_ = 0;
 }
@@ -132,9 +133,17 @@ void LocalCommitter::submit(std::size_t client, std::uint64_t /*base_version*/,
     // stays out of the aggregate until re-admission.
     if (!clean || quarantined) return;
   }
-  locals_.push_back(std::move(local));
-  spare_rows_.pop_back();
-  weights_.push_back(weight);
+  // Uploads arrive in client-index order, the order locals_ would hold
+  // them in, so the running sum adds exactly what average_unweighted would.
+  if (streams_mean()) {
+    if (accepted_ == 0) sum_.assign(local.size(), 0.0);
+    add_to_mean_sum(sum_, local);
+  } else {
+    locals_.push_back(std::move(local));
+    spare_rows_.pop_back();
+    weights_.push_back(weight);
+  }
+  ++accepted_;
 }
 
 RoundResult LocalCommitter::commit_round(std::size_t quorum) {
@@ -174,22 +183,27 @@ RoundResult LocalCommitter::commit_round(std::size_t quorum) {
       result.participants.size() - result.quarantined.size();
   const std::size_t required =
       std::max<std::size_t>(1, std::min(quorum, eligible_drawn));
-  const std::size_t survivors = locals_.size();
-  if (survivors < required) {
+  if (accepted_ < required) {
+    const std::size_t survivors = accepted_;
     clear_round();
     throw QuorumError(survivors, required);
   }
 
-  // theta_{r+1} (line 8). The per-mode parameter policy lives in
+  // theta_{r+1} (line 8). The streamed mean only scales its sum, with the
+  // arithmetic average_unweighted uses. Every other rule goes through
   // aggregate_with_mode, shared with the serve pipeline's deterministic
-  // commit so both paths run the exact same floating-point operations.
-  // Large fleets shard the coordinate reduction across the executor
+  // commit so both paths run the exact same floating-point operations;
+  // large fleets shard its coordinate reduction across the executor
   // (bit-identical to serial; see aggregate.hpp).
-  AggregateOutcome outcome;
-  global_ = aggregate_with_mode(mode_, locals_, weights_, trim_override_,
-                                executor_, outcome);
-  result.trim_count = outcome.trim_count;
-  result.trim_clamped = outcome.trim_clamped;
+  if (streams_mean()) {
+    finish_mean(sum_, accepted_, global_);
+  } else {
+    AggregateOutcome outcome;
+    global_ = aggregate_with_mode(mode_, locals_, weights_, trim_override_,
+                                  executor_, outcome);
+    result.trim_count = outcome.trim_count;
+    result.trim_clamped = outcome.trim_clamped;
+  }
   if (defense_) {
     const DefenseRoundLog log = defense_->commit_round(observations_);
     result.readmitted = log.readmitted;

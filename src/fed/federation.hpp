@@ -231,13 +231,16 @@ class LocalCommitter final : public RoundCommitter {
   /// wrong shape is a dropout; a non-finite upload is rejected. A finite
   /// upload counts its bytes and runs the defense screen; only a clean
   /// upload from a client that did not enter the round quarantined joins
-  /// the aggregate. Uploads decode into rows recycled across rounds.
+  /// the aggregate. Uploads decode into rows recycled across rounds. Under
+  /// the unweighted mean an accepted upload is folded into the round's
+  /// running sum on the spot, so its row goes straight back to the pool.
   void submit(std::size_t client, std::uint64_t base_version,
               std::span<const std::uint8_t> payload, double weight) override;
   /// Books every participant that never submitted as a dropout, checks the
   /// quorum against the participants minus the quarantined ones (at least
-  /// one upload must survive), aggregates with aggregate_with_mode and
-  /// commits the defense observations. On QuorumError neither the global
+  /// one upload must survive), aggregates with aggregate_with_mode (the
+  /// unweighted mean finishes its running sum instead) and commits the
+  /// defense observations. On QuorumError neither the global
   /// model nor any reputation moves.
   RoundResult commit_round(std::size_t quorum) override;
   const std::vector<double>& global_model() const noexcept override {
@@ -272,6 +275,12 @@ class LocalCommitter final : public RoundCommitter {
   };
 
   void clear_round();
+  /// The unweighted mean needs no row kept: submit() folds each accepted
+  /// upload into sum_. Every other rule needs all rows (or the total
+  /// weight) before it can add anything.
+  bool streams_mean() const noexcept {
+    return mode_ == AggregationMode::kUnweightedMean;
+  }
 
   AggregationMode mode_;     // lint: ckpt-skip(construction config, fixed for the run)
   const ModelCodec* codec_;  // lint: ckpt-skip(non-owning strategy object; re-wired on resume)
@@ -288,12 +297,18 @@ class LocalCommitter final : public RoundCommitter {
   std::vector<std::size_t> quarantined_;
   /// One entry per client, kIdle outside the open round. lint: ckpt-skip(in-flight round state; snapshots only between rounds)
   std::vector<Status> status_;
-  /// Uploads that join the aggregate. lint: ckpt-skip(in-flight round state; snapshots only between rounds)
+  /// Uploads that join the aggregate, kept by every rule but the streamed
+  /// mean. lint: ckpt-skip(in-flight round state; snapshots only between rounds)
   std::vector<std::vector<double>> locals_;
   /// Rows for reuse: submit() decodes into the last and takes it only when
   /// the upload joins locals_. lint: ckpt-skip(scratch: recycled upload rows)
   std::vector<std::vector<double>> spare_rows_;
   std::vector<double> weights_;  // lint: ckpt-skip(in-flight round state; snapshots only between rounds)
+  /// The streamed mean's running sum over the accepted uploads; holds
+  /// nothing meaningful while accepted_ is 0. lint: ckpt-skip(in-flight round state; snapshots only between rounds)
+  std::vector<double> sum_;
+  /// Uploads that joined the aggregate this round. lint: ckpt-skip(in-flight round state; snapshots only between rounds)
+  std::size_t accepted_ = 0;
   /// Verdicts for the defense commit. lint: ckpt-skip(in-flight round state; snapshots only between rounds)
   std::vector<ScreenObservation> observations_;
   std::size_t uplink_bytes_ = 0;  // lint: ckpt-skip(in-flight round state; snapshots only between rounds)

@@ -158,6 +158,7 @@ FleetRuntime::FleetRuntime(
       devices_[d] = build_device(d, processor_rng, brain_rng);
     }
   }
+  rescan_hot();
   const std::size_t threads = resolve_num_threads(options.num_threads);
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
 }
@@ -193,11 +194,10 @@ void FleetRuntime::intern_app_sets(
   }
 }
 
-std::size_t FleetRuntime::hot_count() const noexcept {
-  std::size_t count = 0;
-  for (const auto& device : devices_)
-    if (device) ++count;
-  return count;
+void FleetRuntime::rescan_hot() {
+  hot_.clear();
+  for (std::size_t d = 0; d < devices_.size(); ++d)
+    if (devices_[d]) hot_.push_back(d);
 }
 
 std::unique_ptr<FleetRuntime::HotDevice> FleetRuntime::build_device(
@@ -224,6 +224,7 @@ void FleetRuntime::hydrate(std::size_t device) {
   std::unique_ptr<HotDevice> built =
       build_device(device, cold.processor_rng, cold.brain_rng);
   if (!cold.blob.empty()) restore_blob(*built, cold.blob);
+  hot_.push_back(device);
   devices_[device] = std::move(built);
   std::vector<std::uint8_t>().swap(cold.blob);
 }
@@ -241,6 +242,7 @@ void FleetRuntime::restore_blob(HotDevice& device,
 void FleetRuntime::dehydrate(std::size_t device) {
   ckpt::Writer scratch;
   dehydrate_with(device, scratch);
+  if (!hot(device)) std::erase(hot_, device);
 }
 
 void FleetRuntime::dehydrate_with(std::size_t device, ckpt::Writer& scratch) {
@@ -255,12 +257,28 @@ void FleetRuntime::dehydrate_with(std::size_t device, ckpt::Writer& scratch) {
 }
 
 void FleetRuntime::dehydrate_inactive(std::span<const std::size_t> keep_hot) {
+  if (!lazy_) return;
+  // Ascending index order, as a scan over every device would visit them.
+  // The kept devices are compacted to the front of hot_; if a dehydration
+  // throws, the devices not yet visited are still hot and stay listed.
+  std::sort(hot_.begin(), hot_.end());
   ckpt::Writer scratch;
-  for (std::size_t d = 0; d < devices_.size(); ++d) {
-    if (!hot(d)) continue;
-    if (!std::binary_search(keep_hot.begin(), keep_hot.end(), d))
-      dehydrate_with(d, scratch);
+  std::size_t kept = 0;
+  std::size_t next = 0;
+  try {
+    for (; next < hot_.size(); ++next) {
+      const std::size_t d = hot_[next];
+      if (std::binary_search(keep_hot.begin(), keep_hot.end(), d))
+        hot_[kept++] = d;
+      else
+        dehydrate_with(d, scratch);
+    }
+  } catch (...) {
+    hot_.erase(hot_.begin() + static_cast<std::ptrdiff_t>(kept),
+               hot_.begin() + static_cast<std::ptrdiff_t>(next));
+    throw;
   }
+  hot_.resize(kept);
 }
 
 void FleetRuntime::inject_faults(std::size_t device,
@@ -379,63 +397,70 @@ void FleetRuntime::save_state(ckpt::Writer& out) const {
 }
 
 void FleetRuntime::restore_state(ckpt::Reader& in) {
-  const bool lazy_format =
-      ckpt::expect_tag_of(in, {kFleetTag, kFleetTagLazy}, "fleet runtime") ==
-      1;
-  const std::uint64_t device_count = in.u64();
-  if (device_count != devices_.size())
-    throw ckpt::StateMismatchError(
-        "fleet snapshot holds " + std::to_string(device_count) +
-        " device(s), this fleet has " + std::to_string(devices_.size()));
+  // A restore flips devices hot and cold in bulk; one scan at the end
+  // (also after a corrupt record threw midway) rebuilds the hot list.
+  try {
+    const bool lazy_format =
+        ckpt::expect_tag_of(in, {kFleetTag, kFleetTagLazy},
+                            "fleet runtime") == 1;
+    const std::uint64_t device_count = in.u64();
+    if (device_count != devices_.size())
+      throw ckpt::StateMismatchError(
+          "fleet snapshot holds " + std::to_string(device_count) +
+          " device(s), this fleet has " + std::to_string(devices_.size()));
 
-  if (!lazy_format) {
-    for (std::size_t d = 0; d < devices_.size(); ++d) {
-      hydrate(d);  // no-op for eager fleets
-      devices_[d]->restore_state(in);
-    }
-    return;
-  }
-
-  // FLT2 restores into either kind of fleet: a lazy one keeps cold records
-  // cold; an eager one materializes them on the spot (it has nowhere else
-  // to put them).
-  for (std::size_t d = 0; d < devices_.size(); ++d) {
-    const std::uint8_t kind = in.u8();
-    switch (kind) {
-      case kColdPristine: {
-        const auto processor_rng = read_rng_state(in);
-        const auto brain_rng = read_rng_state(in);
-        if (lazy_) {
-          devices_[d].reset();
-          cold_[d].processor_rng = processor_rng;
-          cold_[d].brain_rng = brain_rng;
-          cold_[d].blob.clear();
-        } else {
-          devices_[d] = build_device(d, processor_rng, brain_rng);
-        }
-        break;
-      }
-      case kHotInline: {
-        hydrate(d);
+    if (!lazy_format) {
+      for (std::size_t d = 0; d < devices_.size(); ++d) {
+        hydrate(d);  // no-op for eager fleets
         devices_[d]->restore_state(in);
-        break;
       }
-      case kColdDehydrated: {
-        std::vector<std::uint8_t> blob = in.vec_u8();
-        if (lazy_) {
-          devices_[d].reset();
-          cold_[d].blob = std::move(blob);
-        } else {
-          restore_blob(*devices_[d], blob);
+    } else {
+      // FLT2 restores into either kind of fleet: a lazy one keeps cold
+      // records cold; an eager one materializes them on the spot (it has
+      // nowhere else to put them).
+      for (std::size_t d = 0; d < devices_.size(); ++d) {
+        const std::uint8_t kind = in.u8();
+        switch (kind) {
+          case kColdPristine: {
+            const auto processor_rng = read_rng_state(in);
+            const auto brain_rng = read_rng_state(in);
+            if (lazy_) {
+              devices_[d].reset();
+              cold_[d].processor_rng = processor_rng;
+              cold_[d].brain_rng = brain_rng;
+              cold_[d].blob.clear();
+            } else {
+              devices_[d] = build_device(d, processor_rng, brain_rng);
+            }
+            break;
+          }
+          case kHotInline: {
+            hydrate(d);
+            devices_[d]->restore_state(in);
+            break;
+          }
+          case kColdDehydrated: {
+            std::vector<std::uint8_t> blob = in.vec_u8();
+            if (lazy_) {
+              devices_[d].reset();
+              cold_[d].blob = std::move(blob);
+            } else {
+              restore_blob(*devices_[d], blob);
+            }
+            break;
+          }
+          default:
+            throw ckpt::CorruptSnapshotError(
+                "fleet snapshot device record has unknown kind " +
+                std::to_string(kind));
         }
-        break;
       }
-      default:
-        throw ckpt::CorruptSnapshotError(
-            "fleet snapshot device record has unknown kind " +
-            std::to_string(kind));
     }
+  } catch (...) {
+    rescan_hot();
+    throw;
   }
+  rescan_hot();
 }
 
 }  // namespace fedpower::runtime

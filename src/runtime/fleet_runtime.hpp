@@ -159,7 +159,11 @@ class FleetRuntime {
   /// (always, for an eager fleet).
   bool hot(std::size_t device) const { return devices_[device] != nullptr; }
   /// Number of materialized devices.
-  std::size_t hot_count() const noexcept;
+  std::size_t hot_count() const noexcept { return hot_.size(); }
+  /// The materialized devices' indices, in no particular order.
+  const std::vector<std::size_t>& hot_devices() const noexcept {
+    return hot_;
+  }
 
   /// Materializes a cold device: pristine devices are constructed from
   /// their recorded RNG stream states (bit-identical to eager
@@ -310,8 +314,10 @@ class FleetRuntime {
   static void restore_blob(HotDevice& device,
                            std::span<const std::uint8_t> blob);
   /// dehydrate() serializing through a caller-owned scratch writer, so a
-  /// sweep over many devices reuses one buffer.
+  /// sweep over many devices reuses one buffer. Leaves hot_ to the caller.
   void dehydrate_with(std::size_t device, ckpt::Writer& scratch);
+  /// Rebuilds hot_ from devices_ in one scan.
+  void rescan_hot();
   /// The device's federated-client view (attacker wrapper when armed).
   fed::FederatedClient& client_view(std::size_t d) {
     HotDevice& device = *devices_[d];
@@ -334,6 +340,9 @@ class FleetRuntime {
 
   std::vector<std::unique_ptr<HotDevice>> devices_;  ///< null = cold device
   std::vector<ColdDeviceState> cold_;                ///< lazy fleets only
+  /// Indices of the non-null devices_, so sweeps cost O(hot), not
+  /// O(fleet). lint: ckpt-skip(derived from devices_; restore_state rescans it)
+  std::vector<std::size_t> hot_;
   /// Injected fault configs, only for devices whose config is any().
   /// lint: ckpt-skip(construction recipe, fixed for the run)
   std::map<std::size_t, DeviceFaultConfig> faults_;

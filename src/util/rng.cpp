@@ -85,7 +85,14 @@ double Rng::normal() noexcept {
 }
 
 void Rng::skip_normals(std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) (void)box_muller_uniforms();
+  // box_muller_uniforms() without the doubles: uniform() <= 0.0 exactly
+  // when the top 53 bits of the draw are zero, so the same draws are
+  // redrawn and the stream ends where n normal() calls leave it.
+  for (std::size_t i = 0; i < n; ++i) {
+    while ((next_u64() >> 11) == 0) {
+    }
+    (void)next_u64();
+  }
 }
 
 double Rng::normal(double mean, double stddev) noexcept {

@@ -2,9 +2,11 @@
 // steady-state round with the float32 codec, no participant costs a heap
 // allocation on its downlink or its uplink, so a round's allocation count
 // does not grow with the participant count. That holds for plain clients
-// and behind the DP and personalisation decorators. This binary replaces the
-// global operator new with a counter that is switched on only around the
-// measured round.
+// and behind the DP and personalisation decorators. Under the unweighted
+// mean that holds from the first round on: the committer folds each upload
+// into one running sum instead of keeping a row per participant. This
+// binary replaces the global operator new with a counter that is switched
+// on only around the measured round.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -133,10 +135,13 @@ enum class Wrap { kNone, kDp, kPersonalized };
 
 constexpr std::size_t kParams = 687;  // the paper's policy network
 
-/// Runs warm-up rounds (past the defense warm-up, so every screen is
-/// armed), then counts the allocations of one steady-state round.
+/// Runs warm-up rounds (by default past the defense warm-up, so every
+/// screen is armed), then counts the allocations of the next round. The
+/// clients already hold a model, as a device does, so only the round's
+/// own allocations are counted, even in a first round.
 RoundAllocations measure_round(std::size_t participants, bool defense,
-                               Wrap wrap = Wrap::kNone) {
+                               Wrap wrap = Wrap::kNone,
+                               std::size_t warmup_rounds = 6) {
   std::vector<double> global(kParams);
   for (std::size_t j = 0; j < kParams; ++j)
     global[j] = 0.5 + 0.01 * static_cast<double>(j % 7);
@@ -149,6 +154,7 @@ RoundAllocations measure_round(std::size_t participants, bool defense,
   std::vector<FederatedClient*> pointers;
   for (std::size_t c = 0; c < participants; ++c) {
     clients.emplace_back(1e-3 * (1.0 + 0.05 * static_cast<double>(c % 4)));
+    clients.back().receive_global(global);
     FederatedClient* client = &clients.back();
     if (wrap == Wrap::kDp) {
       DpConfig config;  // clipping and noise both armed
@@ -158,8 +164,7 @@ RoundAllocations measure_round(std::size_t participants, bool defense,
       dp_clients.emplace_back(client, config);
       client = &dp_clients.back();
     } else if (wrap == Wrap::kPersonalized) {
-      // The private head is merged from a model the device already holds.
-      clients.back().receive_global(global);
+      // The private head is merged from the model the device holds.
       personalized.emplace_back(client, shared_body_mask(kParams, 99));
       client = &personalized.back();
     }
@@ -171,7 +176,7 @@ RoundAllocations measure_round(std::size_t participants, bool defense,
   config.enabled = defense;
   server.enable_defense(config);
   server.initialize(global);
-  for (int r = 0; r < 6; ++r) server.run_round();
+  for (std::size_t r = 0; r < warmup_rounds; ++r) server.run_round();
 
   transport.clear_marks();
   const std::uint64_t before = allocation_count();
@@ -183,7 +188,7 @@ RoundAllocations measure_round(std::size_t participants, bool defense,
   EXPECT_EQ(transport.uplink_marks().size(), participants);
   if (defense) {
     EXPECT_TRUE(result.screened.empty());
-    EXPECT_EQ(server.defense()->rounds_committed(), 7u);
+    EXPECT_EQ(server.defense()->rounds_committed(), warmup_rounds + 1);
   }
   return {allocation_count() - before,
           max_per_transfer(transport.downlink_marks()),
@@ -216,6 +221,17 @@ TEST(RoundAllocations, NoneScaleWithParticipantsInADpFleet) {
 
 TEST(RoundAllocations, NoneScaleWithParticipantsInAPersonalizedFleet) {
   expect_flat_in_participants(false, Wrap::kPersonalized);
+}
+
+TEST(RoundAllocations, FirstMeanRoundDoesNotScaleWithParticipants) {
+  // No warm-up: the mean's committer sizes its one decode row and its
+  // running sum in this round, once each. A committer that kept a decoded
+  // row per accepted upload would allocate once more per participant.
+  const RoundAllocations small = measure_round(8, false, Wrap::kNone, 0);
+  const RoundAllocations large = measure_round(64, false, Wrap::kNone, 0);
+  EXPECT_GT(small.per_round, 0u);
+  EXPECT_EQ(large.per_round, small.per_round)
+      << "a first round's allocations grew with its participants";
 }
 
 TEST(RoundAllocations, CounterSeesAllocations) {

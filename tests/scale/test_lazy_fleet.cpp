@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -19,6 +20,7 @@
 #include "core/experiment.hpp"
 #include "fed/transport.hpp"
 #include "sim/splash2.hpp"
+#include "util/rng.hpp"
 
 namespace fedpower::runtime {
 namespace {
@@ -588,6 +590,78 @@ TEST(LazyFleet, HotSetIsOneRoundsParticipants) {
     EXPECT_EQ(rounds, config.rounds);
     std::filesystem::remove(path);
   }
+}
+
+/// The hot devices found by looking at every device.
+std::vector<std::size_t> scanned_hot(const FleetRuntime& fleet) {
+  std::vector<std::size_t> out;
+  for (std::size_t d = 0; d < fleet.size(); ++d)
+    if (fleet.hot(d)) out.push_back(d);
+  return out;
+}
+
+TEST(LazyFleet, HotListMatchesAScanOfEveryDevice) {
+  // Seeded sequences of hydrations, dehydrations, sweeps, fault injections
+  // and snapshot restores (some of which throw, when the snapshot's
+  // attacker sections no longer match the fleet's faults): after each
+  // step the kept hot list holds exactly the hot devices, once each.
+  constexpr std::size_t kDevices = 12;
+  std::size_t restores = 0;
+  std::size_t failed_restores = 0;
+  for (const bool lazy : {true, false}) {
+    for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (lazy ? "lazy" : "eager") << " seed " << seed);
+      FleetRuntime fleet = make(kDevices, seed, lazy);
+      util::Rng rng(seed);
+      ckpt::Writer saved;
+      fleet.save_state(saved);
+      for (int step = 0; step < 120; ++step) {
+        SCOPED_TRACE(step);
+        const std::size_t d = rng.uniform_index(kDevices);
+        switch (rng.uniform_index(6)) {
+          case 0:
+            fleet.hydrate(d);
+            break;
+          case 1:
+            fleet.dehydrate(d);
+            break;
+          case 2: {
+            std::vector<std::size_t> keep;
+            for (std::size_t k = 0; k < kDevices; ++k)
+              if (rng.bernoulli(0.3)) keep.push_back(k);
+            fleet.dehydrate_inactive(keep);
+            break;
+          }
+          case 3:
+            fleet.inject_faults(d, rng.bernoulli(0.5)
+                                       ? replay_attack_with_frozen_counters()
+                                       : DeviceFaultConfig{});
+            break;
+          case 4:
+            saved.clear();
+            fleet.save_state(saved);
+            break;
+          default: {
+            ++restores;
+            ckpt::Reader in(saved.data());
+            try {
+              fleet.restore_state(in);
+            } catch (const ckpt::CkptError&) {
+              ++failed_restores;
+            }
+            break;
+          }
+        }
+        std::vector<std::size_t> listed = fleet.hot_devices();
+        std::sort(listed.begin(), listed.end());
+        ASSERT_EQ(listed, scanned_hot(fleet));
+        ASSERT_EQ(fleet.hot_count(), listed.size());
+      }
+    }
+  }
+  EXPECT_GT(restores, failed_restores);
+  EXPECT_GT(failed_restores, 0u);
 }
 
 }  // namespace

@@ -247,6 +247,20 @@ TEST(Rng, SkipNormalsRedrawsAZeroUniformAsNormalDoes) {
   (void)two_uniforms.next_u64();
   EXPECT_EQ(skipped.state(), drawn.state());
   EXPECT_NE(skipped.state(), two_uniforms.state());  // the retry happened
+
+  // Past more than one normal: the redraw shifts every later pair by one
+  // draw, and the skip must follow.
+  for (const std::size_t n : {2u, 3u, 687u}) {
+    SCOPED_TRACE(::testing::Message() << "n " << n);
+    Rng many_drawn(1);
+    many_drawn.set_state(state);
+    Rng many_skipped(1);
+    many_skipped.set_state(state);
+    for (std::size_t i = 0; i < n; ++i) (void)many_drawn.normal();
+    many_skipped.skip_normals(n);
+    EXPECT_EQ(many_skipped.state(), many_drawn.state());
+    EXPECT_EQ(many_skipped.normal(), many_drawn.normal());
+  }
 }
 
 TEST(Splitmix64, KnownSequenceIsDeterministic) {
