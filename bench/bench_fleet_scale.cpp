@@ -2,12 +2,15 @@
 // per-round transport-retry accounting guard.
 //
 // Part 1 sweeps devices × participation-fraction over lazy fleets up to
-// 100k devices at C = 0.01 and reports resident memory after construction
-// and after federated rounds with between-round dehydration. The
-// acceptance property: a lazy fleet's resident memory follows the
-// per-round working set (the C-fraction sample), not the fleet size — an
-// eager 100k-device fleet would need tens of gigabytes (extrapolated here
-// from a small eager fleet), the lazy one stays within a few hundred MB.
+// 100k devices at C = 0.01 and reports the heap bytes in use (glibc
+// mallinfo2, as parts 4 and 5) after construction and after federated
+// rounds with between-round dehydration, read while the fleet is alive.
+// The acceptance property: a lazy fleet's memory follows the per-round
+// working set (the C-fraction sample), not the fleet size — an eager
+// 100k-device fleet would need tens of gigabytes (extrapolated here from a
+// small eager fleet), the lazy one stays within a few tens of MB. (Process
+// RSS growth, measured here before, read 0 whenever glibc reused heap that
+// an earlier part had freed.)
 //
 // Part 2 is the long-horizon sweep: 10k devices at C = 0.01 for 300
 // rounds, after which ~95 % of the fleet has trained and gone cold. A
@@ -71,13 +74,6 @@ std::size_t current_rss_kib() {
   }
   std::fclose(status);
   return rss;
-}
-
-/// Growth of the resident set since `before`, in KiB; 0 when it shrank
-/// (freed heap returned to the kernel).
-std::size_t rss_growth_kib(std::size_t before) {
-  const std::size_t now = current_rss_kib();
-  return now > before ? now - before : 0;
 }
 
 /// Peak resident set size in KiB over the process lifetime.
@@ -183,12 +179,19 @@ struct SweepResult {
   double fraction = 0.0;
   std::size_t participants = 0;
   std::size_t hot_after_round = 0;
-  std::size_t rss_after_build_kib = 0;
-  std::size_t rss_after_rounds_kib = 0;
+  std::size_t heap_after_build_kib = 0;
+  std::size_t heap_after_rounds_kib = 0;
+  bool heap_measured = false;  ///< false when heap statistics are unavailable
   double build_seconds = 0.0;
   double round_seconds = 0.0;
   bool bounded = false;
 };
+
+/// Heap growth since `before` (heap_in_use_bytes), in KiB.
+std::size_t heap_growth_kib(std::size_t before) {
+  const std::size_t now = heap_in_use_bytes();
+  return now > before ? (now - before) / 1024 : 0;
+}
 
 SweepResult run_sweep(std::size_t devices, double fraction,
                       std::size_t eager_kib_per_device) {
@@ -196,7 +199,8 @@ SweepResult run_sweep(std::size_t devices, double fraction,
   result.devices = devices;
   result.fraction = fraction;
 
-  const std::size_t rss_before = current_rss_kib();
+  const std::size_t heap_before = heap_in_use_bytes();
+  result.heap_measured = heap_before != 0;
   // lint: nondet-ok(wall-clock timing of the run, never fed into a seed)
   const auto build_start = std::chrono::steady_clock::now();
   benchutil::Fleet fleet =
@@ -207,7 +211,7 @@ SweepResult run_sweep(std::size_t devices, double fraction,
       std::chrono::duration<double>(
           std::chrono::steady_clock::now() - build_start)  // lint: nondet-ok(timing)
           .count();
-  result.rss_after_build_kib = rss_growth_kib(rss_before);
+  result.heap_after_build_kib = heap_growth_kib(heap_before);
 
   fed::InProcessTransport transport;
   fed::FederatedAveraging server(fleet.clients(), &transport);
@@ -231,14 +235,14 @@ SweepResult run_sweep(std::size_t devices, double fraction,
           .count() /
       static_cast<double>(kRounds);
   result.hot_after_round = fleet.hot_count();
-  result.rss_after_rounds_kib = rss_growth_kib(rss_before);
+  result.heap_after_rounds_kib = heap_growth_kib(heap_before);
 
   // Bounded-memory acceptance: the working set stays hot, the fleet does
-  // not. Demand (a) the hot set tracks the sample, and (b) resident memory
-  // is at most a quarter of what an eager fleet of this size would take.
+  // not. Demand (a) the hot set tracks the sample, and (b) the fleet's heap
+  // is under a quarter of what an eager fleet of this size would take.
   const std::size_t eager_estimate_kib = devices * eager_kib_per_device;
   result.bounded = result.hot_after_round <= result.participants &&
-                   result.rss_after_rounds_kib < eager_estimate_kib / 4;
+                   result.heap_after_rounds_kib < eager_estimate_kib / 4;
   return result;
 }
 
@@ -445,10 +449,11 @@ int main() {
       const SweepResult& s = sweeps.back();
       std::printf(
           "  devices=%-7zu C=%.3f  participants=%zu  hot=%zu  "
-          "rss build=%zu KiB rounds=%zu KiB (eager est %zu KiB)  "
+          "heap build=%zu KiB rounds=%zu KiB%s (eager est %zu KiB)  "
           "build=%.2fs round=%.2fs  bounded=%s\n",
           s.devices, s.fraction, s.participants, s.hot_after_round,
-          s.rss_after_build_kib, s.rss_after_rounds_kib,
+          s.heap_after_build_kib, s.heap_after_rounds_kib,
+          s.heap_measured ? "" : " (heap statistics unavailable)",
           s.devices * eager_kib, s.build_seconds, s.round_seconds,
           s.bounded ? "yes" : "NO");
     }
@@ -504,13 +509,13 @@ int main() {
       std::fprintf(out,
                    "    {\"devices\": %zu, \"fraction\": %.3f, "
                    "\"participants\": %zu, \"hot_after_round\": %zu, "
-                   "\"rss_after_build_kib\": %zu, "
-                   "\"rss_after_rounds_kib\": %zu, "
+                   "\"heap_after_build_kib\": %zu, "
+                   "\"heap_after_rounds_kib\": %zu, "
                    "\"eager_estimate_kib\": %zu, "
                    "\"build_seconds\": %.3f, \"round_seconds\": %.3f, "
                    "\"bounded\": %s}%s\n",
                    s.devices, s.fraction, s.participants, s.hot_after_round,
-                   s.rss_after_build_kib, s.rss_after_rounds_kib,
+                   s.heap_after_build_kib, s.heap_after_rounds_kib,
                    s.devices * eager_kib, s.build_seconds, s.round_seconds,
                    s.bounded ? "true" : "false",
                    i + 1 < sweeps.size() ? "," : "");

@@ -8,26 +8,28 @@
 
 namespace fedpower::ckpt {
 
+// The scalar and bulk paths copy host memory verbatim, which is the
+// little-endian encoding only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "ckpt binary I/O assumes a little-endian host");
+
+template <class T>
+void Writer::append_scalar(T v) {
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(&v);
+  buffer_.insert(buffer_.end(), bytes, bytes + sizeof(T));
+}
+
 void Writer::u8(std::uint8_t v) { buffer_.push_back(v); }
 
-void Writer::u16(std::uint16_t v) {
-  buffer_.push_back(static_cast<std::uint8_t>(v & 0xffu));
-  buffer_.push_back(static_cast<std::uint8_t>(v >> 8));
-}
+void Writer::u16(std::uint16_t v) { append_scalar(v); }
 
-void Writer::u32(std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8)
-    buffer_.push_back(static_cast<std::uint8_t>((v >> shift) & 0xffu));
-}
+void Writer::u32(std::uint32_t v) { append_scalar(v); }
 
-void Writer::u64(std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8)
-    buffer_.push_back(static_cast<std::uint8_t>((v >> shift) & 0xffu));
-}
+void Writer::u64(std::uint64_t v) { append_scalar(v); }
 
-void Writer::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+void Writer::f64(double v) { append_scalar(v); }
 
-void Writer::f32(float v) { u32(std::bit_cast<std::uint32_t>(v)); }
+void Writer::f32(float v) { append_scalar(v); }
 
 void Writer::str(const std::string& s) {
   FEDPOWER_EXPECTS(s.size() <= std::numeric_limits<std::uint32_t>::max());
@@ -45,14 +47,14 @@ void Writer::raw(std::span<const std::uint8_t> data) {
   buffer_.insert(buffer_.end(), data.begin(), data.end());
 }
 
-// The bulk vector paths copy host memory verbatim, which is the
-// little-endian encoding only on a little-endian host.
-static_assert(std::endian::native == std::endian::little,
-              "ckpt bulk vector I/O assumes a little-endian host");
-
 template <class T>
 void Writer::append_vec(std::span<const T> v) {
   u64(v.size());
+  append_block(v);
+}
+
+template <class T>
+void Writer::append_block(std::span<const T> v) {
   const auto* bytes = reinterpret_cast<const std::uint8_t*>(v.data());
   buffer_.insert(buffer_.end(), bytes, bytes + v.size_bytes());
 }
@@ -64,6 +66,8 @@ void Writer::vec_f32(std::span<const float> v) { append_vec(v); }
 void Writer::vec_u8(std::span<const std::uint8_t> v) { append_vec(v); }
 
 void Writer::vec_u64(std::span<const std::uint64_t> v) { append_vec(v); }
+
+void Writer::f64_block(std::span<const double> v) { append_block(v); }
 
 void Reader::require(std::size_t n) const {
   if (remaining() < n)
@@ -78,31 +82,20 @@ std::uint8_t Reader::u8() {
   return data_[pos_++];
 }
 
-std::uint16_t Reader::u16() {
-  require(2);
-  const auto v = static_cast<std::uint16_t>(
-      data_[pos_] | (static_cast<unsigned>(data_[pos_ + 1]) << 8));
-  pos_ += 2;
+template <class T>
+T Reader::read_scalar() {
+  require(sizeof(T));
+  T v;
+  std::memcpy(&v, data_.data() + pos_, sizeof(T));
+  pos_ += sizeof(T);
   return v;
 }
 
-std::uint32_t Reader::u32() {
-  require(4);
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i)
-    v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
-  pos_ += 4;
-  return v;
-}
+std::uint16_t Reader::u16() { return read_scalar<std::uint16_t>(); }
 
-std::uint64_t Reader::u64() {
-  require(8);
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i)
-    v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
-  pos_ += 8;
-  return v;
-}
+std::uint32_t Reader::u32() { return read_scalar<std::uint32_t>(); }
+
+std::uint64_t Reader::u64() { return read_scalar<std::uint64_t>(); }
 
 double Reader::f64() { return std::bit_cast<double>(u64()); }
 
@@ -184,6 +177,15 @@ std::vector<std::uint64_t> Reader::vec_u64() {
 void Reader::vec_f32_into(std::span<float> out) { read_vec_into(out); }
 
 void Reader::vec_u8_into(std::span<std::uint8_t> out) { read_vec_into(out); }
+
+void Reader::vec_f64_into(std::vector<double>& out) {
+  const std::uint64_t n = u64();
+  check_count(n, sizeof(double), remaining());
+  out.resize(static_cast<std::size_t>(n));
+  copy_out(std::span<double>(out));
+}
+
+void Reader::f64_block_into(std::span<double> out) { copy_out(out); }
 
 void write_tag(Writer& out, const Tag& tag) {
   for (const char c : tag) out.u8(static_cast<std::uint8_t>(c));

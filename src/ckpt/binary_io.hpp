@@ -5,8 +5,9 @@
 // past the end, so a truncated or bit-flipped payload that somehow slips
 // past the container CRC still cannot make restore_state() read garbage.
 // Every multi-byte value is little-endian, so a snapshot written on one
-// machine restores on any other; the homogeneous vectors are copied in bulk,
-// which is why the build requires a little-endian host (binary_io.cpp).
+// machine restores on any other. Scalars and homogeneous vectors are copied
+// as host memory, one grow of the buffer each, which is why the build
+// requires a little-endian host (binary_io.cpp).
 //
 // Components frame their state with a 4-byte tag (write_tag/expect_tag):
 // the tag turns "restore read the wrong bytes" into a named error ("expected
@@ -47,6 +48,11 @@ class Writer {
   void vec_u8(std::span<const std::uint8_t> v);
   void vec_u64(std::span<const std::uint64_t> v);
 
+  /// A run of doubles with no length prefix: the caller writes the count
+  /// (or it is implied), so a value kept in several pieces is written
+  /// piece by piece with the bytes vec_f64 gives for the whole.
+  void f64_block(std::span<const double> v);
+
   [[nodiscard]] const std::vector<std::uint8_t>& data() const noexcept {
     return buffer_;
   }
@@ -61,7 +67,11 @@ class Writer {
 
  private:
   template <class T>
+  void append_scalar(T v);
+  template <class T>
   void append_vec(std::span<const T> v);
+  template <class T>
+  void append_block(std::span<const T> v);
 
   std::vector<std::uint8_t> buffer_;
 };
@@ -94,6 +104,12 @@ class Reader {
   /// CorruptSnapshotError unless it holds exactly out.size() elements.
   void vec_f32_into(std::span<float> out);
   void vec_u8_into(std::span<std::uint8_t> out);
+  /// vec_f64() into caller-owned storage, resized to the stored count and
+  /// reusing its capacity.
+  void vec_f64_into(std::vector<double>& out);
+  /// The read side of Writer::f64_block: fills out from the next
+  /// out.size() doubles.
+  void f64_block_into(std::span<double> out);
 
   [[nodiscard]] std::size_t remaining() const noexcept {
     return data_.size() - pos_;
@@ -104,6 +120,8 @@ class Reader {
   /// Throws CorruptSnapshotError when fewer than n bytes remain.
   void require(std::size_t n) const;
 
+  template <class T>
+  T read_scalar();
   template <class T>
   std::vector<T> read_vec();
   template <class T>

@@ -17,6 +17,19 @@ PowerController::PowerController(ControllerConfig config,
   FEDPOWER_EXPECTS(config.dvfs_interval_s > 0.0);
   FEDPOWER_EXPECTS(std::isfinite(config.reward_poison_scale));
   if (config.drift_adaptation) drift_.emplace(config.drift);
+  reset_observation();
+}
+
+void PowerController::reset(util::Rng rng) {
+  agent_.reset(rng);
+  if (drift_) drift_->reset();
+  reset_observation();
+}
+
+void PowerController::reset_observation() {
+  last_sample_ = sim::TelemetrySample{};
+  have_state_ = false;
+  last_reward_ = 0.0;
 }
 
 const sim::TelemetrySample& PowerController::observed_state() {
@@ -30,7 +43,8 @@ const sim::TelemetrySample& PowerController::observed_state() {
 }
 
 sim::TelemetrySample PowerController::step() {
-  const std::vector<double> features = featurizer_.featurize(observed_state());
+  Features features;
+  featurizer_.featurize_into(observed_state(), features);
   const std::size_t action = agent_.select_action(features);
   processor_->set_level(action);
   const sim::TelemetrySample sample =
@@ -52,7 +66,8 @@ void PowerController::run_steps(std::size_t n) {
 }
 
 sim::TelemetrySample PowerController::greedy_step() {
-  const std::vector<double> features = featurizer_.featurize(observed_state());
+  Features features;
+  featurizer_.featurize_into(observed_state(), features);
   const std::size_t action = agent_.greedy_action(features);
   processor_->set_level(action);
   const sim::TelemetrySample sample =

@@ -8,10 +8,10 @@
 // composition *is* the paper's federated power control (Fig. 1).
 #pragma once
 
+#include <array>
+#include <optional>
 #include <span>
 #include <vector>
-
-#include <optional>
 
 #include "ckpt/binary_io.hpp"
 #include "fed/federation.hpp"
@@ -52,6 +52,11 @@ class PowerController final : public fed::FederatedClient {
   /// MulticoreProcessor.
   PowerController(ControllerConfig config, sim::CpuDevice* processor,
                   util::Rng rng);
+
+  /// Returns the controller to the state the constructor leaves with this
+  /// rng: a reset agent and drift monitor, and nothing observed yet. The
+  /// config and the device stay; so does the storage of every buffer.
+  void reset(util::Rng rng);
 
   /// One training interaction (one iteration of Algorithm 1's loop):
   /// observe state, sample an action from the softmax policy, execute it
@@ -97,7 +102,13 @@ class PowerController final : public fed::FederatedClient {
   void restore_state(ckpt::Reader& in);
 
  private:
+  /// One step's state, built on the stack so a step allocates nothing.
+  using Features = std::array<double, rl::StateFeaturizer::kStateDim>;
+
   const sim::TelemetrySample& observed_state();
+  /// Forgets the last observation: the part of reset() the constructor
+  /// shares (its agent and drift monitor are constructed reset).
+  void reset_observation();
 
   ControllerConfig config_;       // lint: ckpt-skip(construction config, fixed for the run)
   sim::CpuDevice* processor_;     // lint: ckpt-skip(non-owning; the device owner snapshots it)

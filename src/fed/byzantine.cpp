@@ -10,11 +10,18 @@ namespace fedpower::fed {
 
 ByzantineClient::ByzantineClient(FederatedClient* inner,
                                  ClientFaultConfig config)
-    : inner_(inner), config_(config) {
+    : inner_(inner) {
   FEDPOWER_EXPECTS(inner_ != nullptr);
-  FEDPOWER_EXPECTS(std::isfinite(config_.scale));
-  if (config_.attack == UploadAttack::kStaleReplay)
-    FEDPOWER_EXPECTS(config_.stale_rounds >= 1);
+  reset(config);
+}
+
+void ByzantineClient::reset(ClientFaultConfig config) {
+  FEDPOWER_EXPECTS(std::isfinite(config.scale));
+  if (config.attack == UploadAttack::kStaleReplay)
+    FEDPOWER_EXPECTS(config.stale_rounds >= 1);
+  config_ = config;
+  rounds_seen_ = 0;
+  history_.clear();
 }
 
 void ByzantineClient::receive_global(std::span<const double> params) {

@@ -46,6 +46,10 @@ class ByzantineClient final : public FederatedClient {
  public:
   ByzantineClient(FederatedClient* inner, ClientFaultConfig config);
 
+  /// Re-arms the wrapper with config as if newly constructed around the
+  /// same inner client: no rounds seen, no replay history.
+  void reset(ClientFaultConfig config);
+
   void receive_global(std::span<const double> params) override;
   std::vector<double> local_parameters() const override;
   void run_local_round() override;

@@ -392,22 +392,39 @@ RoundResult FederatedAveraging::run_round() {
   // order, so the cumulative-latency delta around one transfer is exactly
   // that client's share even when clients share a link. Every transfer
   // moves through the driver's reused buffers, so the driver allocates
-  // nothing per participant.
+  // nothing per participant. The broadcast is decoded once: a client whose
+  // link delivers its bytes unchanged receives that decode, and only bytes
+  // a transport changed (fault injection truncates or corrupts them) are
+  // decoded again, so every client receives what decoding its own bytes
+  // gives.
   const bool deadline_armed = deadline_s_ > 0.0;
   std::vector<std::size_t> training;
   std::vector<double> downlink_latency;
   training.reserve(participants.size());
   std::size_t downlink_bytes = 0;
-  const std::vector<std::uint8_t> broadcast = codec.encode(global);
+  codec.encode_into(global, broadcast_payload_);
+  bool broadcast_decodes = true;
+  try {
+    codec.decode_into(broadcast_payload_, broadcast_params_);
+  } catch (const std::invalid_argument&) {
+    broadcast_decodes = false;  // so every unchanged copy is rejected below
+  }
   for (const std::size_t i : participants) {
     Transport& link = transport_for(i);
     const double latency_before =
         deadline_armed ? link.cumulative_latency_s() : 0.0;
-    downlink_payload_.assign(broadcast.begin(), broadcast.end());
+    downlink_payload_.assign(broadcast_payload_.begin(),
+                             broadcast_payload_.end());
     try {
       send(link, Direction::kDownlink, downlink_payload_, retries);
-      codec.decode_into(downlink_payload_, downlink_params_);
-      clients_[i]->receive_global(downlink_params_);
+      const std::vector<double>* params = &broadcast_params_;
+      if (downlink_payload_ != broadcast_payload_) {
+        codec.decode_into(downlink_payload_, downlink_params_);
+        params = &downlink_params_;
+      } else if (!broadcast_decodes) {
+        continue;  // the codec rejects the broadcast itself
+      }
+      clients_[i]->receive_global(*params);
       downlink_bytes += downlink_payload_.size();
     } catch (const TransportError&) {
       continue;  // unreachable device

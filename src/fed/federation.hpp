@@ -461,8 +461,10 @@ class FederatedAveraging {
   // Buffers every participant of every round reuses, so a steady-state
   // round allocates nothing per participant; none carries state between
   // transfers.
+  std::vector<std::uint8_t> broadcast_payload_;  // lint: ckpt-skip(scratch: this round's encoded global model)
+  std::vector<double> broadcast_params_;  // lint: ckpt-skip(scratch: this round's broadcast, decoded once)
   std::vector<std::uint8_t> downlink_payload_;  // lint: ckpt-skip(scratch: one downlink's bytes)
-  std::vector<double> downlink_params_;  // lint: ckpt-skip(scratch: one decoded downlink)
+  std::vector<double> downlink_params_;  // lint: ckpt-skip(scratch: a downlink a transport changed, decoded)
   std::vector<double> uplink_params_;  // lint: ckpt-skip(scratch: one client's local model)
   std::vector<std::uint8_t> uplink_payload_;  // lint: ckpt-skip(scratch: one uplink's bytes)
 };

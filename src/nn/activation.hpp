@@ -13,6 +13,8 @@ class Relu final : public Layer {
   std::size_t param_count() const noexcept override { return 0; }
   void copy_params_to(std::span<double>) const override {}
   void set_params_from(std::span<const double>) override {}
+  void write_params(ckpt::Writer&) const override {}
+  void read_params(ckpt::Reader&) override {}
   void copy_grads_to(std::span<double>) const override {}
   void zero_grads() noexcept override {}
   std::unique_ptr<Layer> clone() const override;
@@ -31,6 +33,8 @@ class Tanh final : public Layer {
   std::size_t param_count() const noexcept override { return 0; }
   void copy_params_to(std::span<double>) const override {}
   void set_params_from(std::span<const double>) override {}
+  void write_params(ckpt::Writer&) const override {}
+  void read_params(ckpt::Reader&) override {}
   void copy_grads_to(std::span<double>) const override {}
   void zero_grads() noexcept override {}
   std::unique_ptr<Layer> clone() const override;

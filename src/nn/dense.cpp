@@ -189,6 +189,16 @@ void Dense::set_params_from(std::span<const double> src) {
             b_.data().begin());
 }
 
+void Dense::write_params(ckpt::Writer& out) const {
+  out.f64_block(w_.data());
+  out.f64_block(b_.data());
+}
+
+void Dense::read_params(ckpt::Reader& in) {
+  in.f64_block_into(w_.data());
+  in.f64_block_into(b_.data());
+}
+
 void Dense::copy_grads_to(std::span<double> dst) const {
   FEDPOWER_EXPECTS(dst.size() == param_count());
   if (gw_.empty()) {  // no backward pass yet: the gradients are zero

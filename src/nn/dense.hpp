@@ -50,6 +50,8 @@ class Dense final : public Layer {
   std::size_t param_count() const noexcept override;
   void copy_params_to(std::span<double> dst) const override;
   void set_params_from(std::span<const double> src) override;
+  void write_params(ckpt::Writer& out) const override;
+  void read_params(ckpt::Reader& in) override;
   void copy_grads_to(std::span<double> dst) const override;
   void zero_grads() noexcept override;
   std::unique_ptr<Layer> clone() const override;

@@ -14,6 +14,7 @@
 #include <memory>
 #include <span>
 
+#include "ckpt/binary_io.hpp"
 #include "nn/matrix.hpp"
 
 namespace fedpower::nn {
@@ -41,6 +42,13 @@ class Layer {
 
   /// Overwrites parameters from src (size must equal param_count()).
   virtual void set_params_from(std::span<const double> src) = 0;
+
+  /// Appends the parameters to out as param_count() doubles in
+  /// copy_params_to() order, with no length prefix (Writer::f64_block).
+  virtual void write_params(ckpt::Writer& out) const = 0;
+
+  /// The read side of write_params(): overwrites the parameters.
+  virtual void read_params(ckpt::Reader& in) = 0;
 
   /// Copies accumulated gradients into dst (size must equal param_count()).
   virtual void copy_grads_to(std::span<double> dst) const = 0;

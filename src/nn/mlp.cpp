@@ -98,6 +98,14 @@ void Mlp::set_parameters(std::span<const double> params) {
   }
 }
 
+void Mlp::write_parameters(ckpt::Writer& out) const {
+  for (const auto& layer : layers_) layer->write_params(out);
+}
+
+void Mlp::read_parameters(ckpt::Reader& in) {
+  for (const auto& layer : layers_) layer->read_params(in);
+}
+
 std::vector<double> Mlp::gradients() const {
   std::vector<double> flat(param_count());
   copy_gradients_to(flat);

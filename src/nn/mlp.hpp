@@ -59,6 +59,12 @@ class Mlp {
   /// Scatters a flat vector back into the layers.
   void set_parameters(std::span<const double> params);
 
+  /// Writes parameters() to out as a block of param_count() doubles with
+  /// no length prefix, straight from the layers; read_parameters() is its
+  /// inverse.
+  void write_parameters(ckpt::Writer& out) const;
+  void read_parameters(ckpt::Reader& in);
+
   /// Gathers accumulated gradients (same layout as parameters()).
   std::vector<double> gradients() const;
 

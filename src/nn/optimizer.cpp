@@ -100,21 +100,21 @@ void Adam::save_state(ckpt::Writer& out) const {
 void Adam::restore_state(ckpt::Reader& in) {
   expect_tag(in, kAdamTag, "Adam optimizer");
   const auto t = static_cast<long>(in.u64());
-  auto m = in.vec_f64();
-  auto v = in.vec_f64();
-  if (m.size() != v.size())
+  // An optimizer that already stepped knows its parameter dimension; a
+  // snapshot of a different dimension belongs to a different model. The
+  // moments are read into the optimizer's own storage.
+  const std::size_t tracked = m_.size();
+  in.vec_f64_into(m_);
+  in.vec_f64_into(v_);
+  if (m_.size() != v_.size())
     throw ckpt::StateMismatchError(
         "Adam snapshot has mismatched moment vectors (" +
-        std::to_string(m.size()) + " vs " + std::to_string(v.size()) + ")");
-  // An optimizer that already stepped knows its parameter dimension; a
-  // snapshot of a different dimension belongs to a different model.
-  if (!m_.empty() && !m.empty() && m.size() != m_.size())
+        std::to_string(m_.size()) + " vs " + std::to_string(v_.size()) + ")");
+  if (tracked != 0 && !m_.empty() && m_.size() != tracked)
     throw ckpt::StateMismatchError(
-        "Adam snapshot is for " + std::to_string(m.size()) +
-        " parameter(s), this optimizer tracks " + std::to_string(m_.size()));
+        "Adam snapshot is for " + std::to_string(m_.size()) +
+        " parameter(s), this optimizer tracks " + std::to_string(tracked));
   t_ = t;
-  m_ = std::move(m);
-  v_ = std::move(v);
 }
 
 }  // namespace fedpower::nn

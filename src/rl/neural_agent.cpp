@@ -14,7 +14,6 @@ NeuralBanditAgent::NeuralBanditAgent(NeuralAgentConfig config, util::Rng rng)
       rng_(rng),
       model_(nn::make_mlp(config.state_dim, config.hidden_sizes,
                           config.action_count, rng_, nn::Init::kZero)),
-      pending_init_(rng),
       loss_(config.huber_delta),
       optimizer_(config.learning_rate),
       replay_(config.replay_capacity, config.state_dim),
@@ -24,9 +23,23 @@ NeuralBanditAgent::NeuralBanditAgent(NeuralAgentConfig config, util::Rng rng)
   FEDPOWER_EXPECTS(config.batch_size > 0);
   FEDPOWER_EXPECTS(config.optimize_interval > 0);
   FEDPOWER_EXPECTS(config.prox_mu >= 0.0);
+  reset(rng);
+}
+
+void NeuralBanditAgent::reset(util::Rng rng) {
+  // The weights are left as they are: with the init pending, every read
+  // of them redraws the He init from pending_init_ first.
+  pending_init_ = rng;
+  rng_ = rng;
   // Leave rng_ where an eager He init would have left it.
   rng_.skip_normals(nn::init_normal_count(
-      config.state_dim, config.hidden_sizes, config.action_count));
+      config_.state_dim, config_.hidden_sizes, config_.action_count));
+  optimizer_.reset();
+  replay_.clear();
+  global_anchor_.clear();
+  step_ = 0;
+  updates_ = 0;
+  last_loss_ = 0.0;
 }
 
 void NeuralBanditAgent::materialize() const {
@@ -137,7 +150,9 @@ void NeuralBanditAgent::save_state(ckpt::Writer& out) const {
   write_tag(out, kAgentTag);
   ckpt::save_rng(out, rng_);
   materialize();
-  out.vec_f64(model_.parameters());
+  // The vec_f64 layout, written straight from the layers.
+  out.u64(model_.param_count());
+  model_.write_parameters(out);
   optimizer_.save_state(out);
   replay_.save_state(out);
   out.vec_f64(global_anchor_);
@@ -149,13 +164,13 @@ void NeuralBanditAgent::save_state(ckpt::Writer& out) const {
 void NeuralBanditAgent::restore_state(ckpt::Reader& in) {
   expect_tag(in, kAgentTag, "bandit agent");
   ckpt::restore_rng(in, rng_);
-  const std::vector<double> params = in.vec_f64();
-  if (params.size() != model_.param_count())
+  const std::uint64_t param_count = in.u64();
+  if (param_count != model_.param_count())
     throw ckpt::StateMismatchError(
-        "agent snapshot holds " + std::to_string(params.size()) +
+        "agent snapshot holds " + std::to_string(param_count) +
         " model parameter(s), this architecture has " +
         std::to_string(model_.param_count()));
-  model_.set_parameters(params);
+  model_.read_parameters(in);
   pending_init_.reset();
   optimizer_.restore_state(in);
   replay_.restore_state(in);
@@ -164,8 +179,8 @@ void NeuralBanditAgent::restore_state(ckpt::Reader& in) {
         "agent snapshot replays action " +
         std::to_string(replay_.max_action()) + ", this agent has " +
         std::to_string(config_.action_count) + " action(s)");
-  global_anchor_ = in.vec_f64();
-  if (!global_anchor_.empty() && global_anchor_.size() != params.size())
+  in.vec_f64_into(global_anchor_);
+  if (!global_anchor_.empty() && global_anchor_.size() != param_count)
     throw ckpt::StateMismatchError(
         "agent snapshot FedProx anchor size does not match the model");
   step_ = in.u64();

@@ -15,7 +15,9 @@
 // weights and every later draw are bit-identical to an eager init. A
 // federated device's first touch is usually set_parameters (the broadcast)
 // or restore_state (hydration), which overwrite the weights and drop the
-// pending init, so most devices never pay for it.
+// pending init, so most devices never pay for it. reset() re-arms the
+// pending init on the same storage, which is how a lazy fleet reuses a
+// dehydrated device's agent for the next device it hydrates.
 #pragma once
 
 #include <cstddef>
@@ -63,6 +65,12 @@ struct NeuralAgentConfig {
 class NeuralBanditAgent {
  public:
   NeuralBanditAgent(NeuralAgentConfig config, util::Rng rng);
+
+  /// Returns the agent to the state the constructor leaves with this rng
+  /// (pending weight init, no optimizer moments, empty replay, no FedProx
+  /// anchor, zero counters), keeping the storage of the replay ring and of
+  /// every scratch buffer. The constructor ends with it.
+  void reset(util::Rng rng);
 
   /// Softmax-explores an action for the given state (training behaviour).
   std::size_t select_action(std::span<const double> state);
@@ -124,6 +132,7 @@ class NeuralBanditAgent {
   mutable util::Rng rng_;
   // Mutable: the weights materialize on their first read, which may be a
   // const one, and forward() caches activations even for inference.
+  // lint: reset-ok(reset arms pending_init_: the weights are redrawn first)
   mutable nn::Mlp model_;
   /// The stream as it stood before the init draws, while the init is
   /// pending; empty once the weights are materialized or overwritten.

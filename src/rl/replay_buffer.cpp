@@ -110,6 +110,7 @@ std::size_t ReplayBuffer::max_action() const noexcept {
 void ReplayBuffer::clear() noexcept {
   head_ = 0;
   size_ = 0;
+  resize_slots(0);  // no slot is stored; the capacity is kept for pushes
 }
 
 namespace {

@@ -66,6 +66,8 @@ class ReplayBuffer {
   /// Largest action among the stored transitions (0 when empty).
   std::size_t max_action() const noexcept;
 
+  /// Empties the buffer; the storage keeps its capacity, so refilling it
+  /// up to the slots it held before allocates nothing.
   void clear() noexcept;
 
   /// Serializes the head/size cursors and only the size() live slots

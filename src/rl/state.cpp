@@ -13,13 +13,18 @@ StateFeaturizer::StateFeaturizer(FeaturizerConfig config) : config_(config) {
 
 std::vector<double> StateFeaturizer::featurize(
     const sim::TelemetrySample& sample) const {
-  return {
-      sample.freq_mhz / config_.f_max_mhz,
-      sample.power_w / config_.power_scale_w,
-      sample.ipc / config_.ipc_scale,
-      sample.miss_rate,
-      sample.mpki / config_.mpki_scale,
-  };
+  std::vector<double> features(kStateDim);
+  featurize_into(sample, std::span<double, kStateDim>(features));
+  return features;
+}
+
+void StateFeaturizer::featurize_into(const sim::TelemetrySample& sample,
+                                     std::span<double, kStateDim> out) const {
+  out[0] = sample.freq_mhz / config_.f_max_mhz;
+  out[1] = sample.power_w / config_.power_scale_w;
+  out[2] = sample.ipc / config_.ipc_scale;
+  out[3] = sample.miss_rate;
+  out[4] = sample.mpki / config_.mpki_scale;
 }
 
 }  // namespace fedpower::rl

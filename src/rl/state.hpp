@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "sim/telemetry.hpp"
@@ -27,6 +28,10 @@ class StateFeaturizer {
   static constexpr std::size_t kStateDim = 5;
 
   std::vector<double> featurize(const sim::TelemetrySample& sample) const;
+
+  /// featurize() into caller-owned storage, allocating nothing.
+  void featurize_into(const sim::TelemetrySample& sample,
+                      std::span<double, kStateDim> out) const;
 
   const FeaturizerConfig& config() const noexcept { return config_; }
 

@@ -95,22 +95,32 @@ bool same_bits(const std::vector<sim::AppProfile>& a,
 
 FleetRuntime::HotDevice::HotDevice(
     const sim::ProcessorConfig& processor_config,
-    const std::vector<sim::AppProfile>& apps,
-    const core::ControllerConfig& config,
-    const std::array<std::uint64_t, 4>& processor_rng,
-    const std::array<std::uint64_t, 4>& brain_rng)
-    : workload(apps),
-      processor(processor_config, rng_at(processor_rng)),
-      controller(config, &processor, rng_at(brain_rng)) {
+    const core::ControllerConfig& config, const DeviceRecipe& recipe)
+    : processor(processor_config, rng_at(recipe.processor_rng)),
+      controller(config, &processor, rng_at(recipe.brain_rng)) {
   processor.set_workload(&workload);
+  attach(recipe);
+}
+
+void FleetRuntime::HotDevice::reset(const DeviceRecipe& recipe) {
+  processor.reset(rng_at(recipe.processor_rng));
+  controller.reset(rng_at(recipe.brain_rng));
+  attach(recipe);
+}
+
+void FleetRuntime::HotDevice::attach(const DeviceRecipe& recipe) {
+  workload.bind(recipe.apps);
+  arm(recipe.faults);
 }
 
 void FleetRuntime::HotDevice::arm(const DeviceFaultConfig& faults) {
   processor.inject_faults(faults.hardware);
-  if (faults.upload.attack != fed::UploadAttack::kNone) {
-    attacker.emplace(&controller, faults.upload);
-  } else {
+  if (faults.upload.attack == fed::UploadAttack::kNone) {
     attacker.reset();
+  } else if (attacker) {
+    attacker->reset(faults.upload);
+  } else {
+    attacker.emplace(&controller, faults.upload);
   }
 }
 
@@ -175,7 +185,8 @@ void FleetRuntime::intern_app_sets(
     const std::vector<std::vector<sim::AppProfile>>& device_apps) {
   // Hash -> indices into app_sets_. Only looked up, never iterated, so its
   // bucket order cannot reach the results; a hash collision costs one
-  // extra comparison, never a merge.
+  // extra comparison, never a merge. Each distinct list is validated once,
+  // as sim::RandomWorkload validates the lists it copies.
   std::unordered_multimap<std::uint64_t, std::uint32_t> by_hash;
   app_set_of_.reserve(device_apps.size());
   for (const std::vector<sim::AppProfile>& apps : device_apps) {
@@ -186,6 +197,8 @@ void FleetRuntime::intern_app_sets(
     });
     if (match == last) {
       FEDPOWER_EXPECTS(app_sets_.size() < UINT32_MAX);
+      FEDPOWER_EXPECTS(!apps.empty());
+      for (const sim::AppProfile& app : apps) sim::validate(app);
       match = by_hash.emplace(
           hash, static_cast<std::uint32_t>(app_sets_.size()));
       app_sets_.push_back(apps);
@@ -202,17 +215,30 @@ void FleetRuntime::rescan_hot() {
 
 std::unique_ptr<FleetRuntime::HotDevice> FleetRuntime::build_device(
     std::size_t d, const std::array<std::uint64_t, 4>& processor_rng,
-    const std::array<std::uint64_t, 4>& brain_rng) const {
-  const core::ControllerConfig& config =
-      configs_.size() == 1 ? configs_.front() : configs_[d];
-  auto device =
-      std::make_unique<HotDevice>(processor_config_, app_sets_[app_set_of_[d]],
-                                  config, processor_rng, brain_rng);
+    const std::array<std::uint64_t, 4>& brain_rng) {
   // Fault configs survive the cold state (configuration, not state):
   // re-arm them exactly as inject_faults did.
-  if (const auto it = faults_.find(d); it != faults_.end())
-    device->arm(it->second);
-  return device;
+  static const DeviceFaultConfig kHonest{};
+  const auto faults = faults_.find(d);
+  const DeviceRecipe recipe{app_sets_[app_set_of_[d]], processor_rng,
+                            brain_rng,
+                            faults == faults_.end() ? kHonest : faults->second};
+  if (!spares_.empty()) {
+    std::unique_ptr<HotDevice> device = std::move(spares_.back());
+    spares_.pop_back();
+    device->reset(recipe);
+    return device;
+  }
+  const core::ControllerConfig& config =
+      configs_.size() == 1 ? configs_.front() : configs_[d];
+  return std::make_unique<HotDevice>(processor_config_, config, recipe);
+}
+
+void FleetRuntime::recycle(std::unique_ptr<HotDevice> device) {
+  // A spare is reset into whichever device hydrates next, so it must have
+  // been built with that device's config: with per-device configs (reward
+  // poisoning gives compromised devices their own) none is kept.
+  if (configs_.size() == 1) spares_.push_back(std::move(device));
 }
 
 void FleetRuntime::hydrate(std::size_t device) {
@@ -220,10 +246,18 @@ void FleetRuntime::hydrate(std::size_t device) {
   if (hot(device)) return;
   ColdDeviceState& cold = cold_[device];
   // Built aside and installed only once fully restored: a blob that fails
-  // to restore leaves the device cold, its blob intact.
+  // to restore leaves the device cold, its blob intact, and the objects
+  // spare.
   std::unique_ptr<HotDevice> built =
       build_device(device, cold.processor_rng, cold.brain_rng);
-  if (!cold.blob.empty()) restore_blob(*built, cold.blob);
+  if (!cold.blob.empty()) {
+    try {
+      restore_blob(*built, cold.blob);
+    } catch (...) {
+      recycle(std::move(built));
+      throw;
+    }
+  }
   hot_.push_back(device);
   devices_[device] = std::move(built);
   std::vector<std::uint8_t>().swap(cold.blob);
@@ -253,7 +287,7 @@ void FleetRuntime::dehydrate_with(std::size_t device, ckpt::Writer& scratch) {
   // An exact-sized copy: the scratch keeps its growth slack for the next
   // device, the blob that stays resident does not.
   cold_[device].blob.assign(scratch.data().begin(), scratch.data().end());
-  devices_[device].reset();
+  recycle(std::move(devices_[device]));
 }
 
 void FleetRuntime::dehydrate_inactive(std::span<const std::size_t> keep_hot) {
@@ -262,6 +296,7 @@ void FleetRuntime::dehydrate_inactive(std::span<const std::size_t> keep_hot) {
   // The kept devices are compacted to the front of hot_; if a dehydration
   // throws, the devices not yet visited are still hot and stay listed.
   std::sort(hot_.begin(), hot_.end());
+  spares_.clear();
   ckpt::Writer scratch;
   std::size_t kept = 0;
   std::size_t next = 0;

@@ -28,7 +28,9 @@
 // returns devices to blob form between rounds, bounding resident memory by
 // the working set instead of the fleet: core::run_federated calls it with
 // an empty keep set as each round starts, so only one round's devices are
-// hot at once (DESIGN.md §11).
+// hot at once. A dehydrated device's objects are kept as a spare, and the
+// next hydration resets them to its own initial state instead of
+// constructing new ones (DESIGN.md §11).
 //
 // Determinism (DESIGN.md §7): each device owns its processor, workload,
 // controller and split RNG; no state is shared between devices inside a
@@ -165,26 +167,35 @@ class FleetRuntime {
     return hot_;
   }
 
-  /// Materializes a cold device: pristine devices are constructed from
-  /// their recorded RNG stream states (bit-identical to eager
-  /// construction); previously dehydrated devices are reconstructed and
-  /// their state blob restored. No-op when already hot. Not thread-safe.
-  /// All-or-nothing: a blob that fails to restore (truncated, or with
-  /// bytes left over) throws ckpt::CorruptSnapshotError and leaves the
-  /// device cold with its blob intact.
+  /// Materializes a cold device: pristine devices are built from their
+  /// recorded RNG stream states (bit-identical to eager construction);
+  /// previously dehydrated devices are built and their state blob
+  /// restored. The objects come from a dehydrated device when one is
+  /// spare (reset to the new device's initial state), else they are
+  /// constructed. No-op when already hot. Not thread-safe. All-or-nothing:
+  /// a blob that fails to restore (truncated, or with bytes left over)
+  /// throws ckpt::CorruptSnapshotError and leaves the device cold with its
+  /// blob intact.
   void hydrate(std::size_t device);
 
-  /// Serializes a hot device into its compact cold record and destroys
-  /// the live objects; a later hydrate() restores it bit-identically.
-  /// No-op when the device is already cold. Lazy fleets only.
+  /// Serializes a hot device into its compact cold record and keeps its
+  /// objects as a spare for the next hydration; a later hydrate() restores
+  /// it bit-identically. No-op when the device is already cold. Lazy
+  /// fleets only.
   void dehydrate(std::size_t device);
 
   /// Dehydrates every hot device whose index is not in keep_hot (which
   /// must be sorted ascending). The between-rounds memory bound: an empty
   /// keep_hot before a round's broadcast leaves only that round's devices
   /// hot; the round's participants as keep_hot after it cools whatever
-  /// else the round touched.
+  /// else the round touched. The spares left over from earlier sweeps are
+  /// freed first, so the spares never outnumber what this sweep released.
   void dehydrate_inactive(std::span<const std::size_t> keep_hot);
+
+  /// Objects of dehydrated devices waiting to be reused by hydrate().
+  /// Always 0 for an eager fleet, and for a fleet with per-device
+  /// controller configs (its devices are always constructed).
+  std::size_t spare_count() const noexcept { return spares_.size(); }
 
   /// Hydrates on demand in a lazy fleet (serial paths only).
   core::PowerController& controller(std::size_t device) {
@@ -266,17 +277,50 @@ class FleetRuntime {
  private:
   friend class LazyDeviceClient;
 
+  /// sim::RandomWorkload's draw over an app list the fleet interns, so a
+  /// device holds a pointer to its list instead of a copy, and binding a
+  /// recycled device to another list copies nothing.
+  class InternedWorkload final : public sim::Workload {
+   public:
+    void bind(const std::vector<sim::AppProfile>& apps) noexcept {
+      apps_ = &apps;
+    }
+    const sim::AppProfile& next(util::Rng& rng) override {
+      return (*apps_)[rng.uniform_index(apps_->size())];
+    }
+    const std::vector<sim::AppProfile>& apps() const noexcept override {
+      return *apps_;
+    }
+
+   private:
+    const std::vector<sim::AppProfile>* apps_ = nullptr;
+  };
+
+  /// What a device is built from besides the fleet-wide configs.
+  struct DeviceRecipe {
+    const std::vector<sim::AppProfile>& apps;
+    const std::array<std::uint64_t, 4>& processor_rng;
+    const std::array<std::uint64_t, 4>& brain_rng;
+    const DeviceFaultConfig& faults;
+  };
+
   /// One materialized device, in one allocation. Members are declared in
   /// construction order, so destruction mirrors the dependency chain: the
   /// attacker wraps the controller, the controller drives the processor,
   /// the processor reads the workload.
   struct HotDevice {
     HotDevice(const sim::ProcessorConfig& processor_config,
-              const std::vector<sim::AppProfile>& apps,
               const core::ControllerConfig& config,
-              const std::array<std::uint64_t, 4>& processor_rng,
-              const std::array<std::uint64_t, 4>& brain_rng);
+              const DeviceRecipe& recipe);
 
+    /// Puts the device a recipe builds into these objects: the state the
+    /// constructor leaves, with the storage of every buffer kept. Only for
+    /// objects built with the same configs.
+    void reset(const DeviceRecipe& recipe);
+    /// Binds the app list and arms the faults: the part of reset() the
+    /// constructor shares (its processor and controller are constructed
+    /// reset).
+    void attach(const DeviceRecipe& recipe);
     /// Arms (or, for a config that is not any(), clears) the device's
     /// hardware faults and upload attacker.
     void arm(const DeviceFaultConfig& faults);
@@ -285,7 +329,7 @@ class FleetRuntime {
     void save_state(ckpt::Writer& out) const;
     void restore_state(ckpt::Reader& in);
 
-    sim::RandomWorkload workload;  // lint: ckpt-skip(the app list: construction recipe, not state)
+    InternedWorkload workload;  // lint: ckpt-skip(the app list: construction recipe, not state)
     sim::Processor processor;
     core::PowerController controller;
     std::optional<fed::ByzantineClient> attacker;  ///< armed upload attack
@@ -305,10 +349,14 @@ class FleetRuntime {
   void intern_app_sets(
       const std::vector<std::vector<sim::AppProfile>>& device_apps);
   /// Builds device d's objects from the given RNG stream states and
-  /// re-applies its recorded fault config. Does not install them.
+  /// re-applies its recorded fault config, reusing a spare when there is
+  /// one. Does not install them.
   std::unique_ptr<HotDevice> build_device(
       std::size_t d, const std::array<std::uint64_t, 4>& processor_rng,
-      const std::array<std::uint64_t, 4>& brain_rng) const;
+      const std::array<std::uint64_t, 4>& brain_rng);
+  /// Keeps a dehydrated device's objects for build_device() when every
+  /// device shares one controller config; frees them otherwise.
+  void recycle(std::unique_ptr<HotDevice> device);
   /// Restores a dehydrated device's state blob into device; throws
   /// ckpt::CorruptSnapshotError unless the blob is consumed exactly.
   static void restore_blob(HotDevice& device,
@@ -343,6 +391,9 @@ class FleetRuntime {
   /// Indices of the non-null devices_, so sweeps cost O(hot), not
   /// O(fleet). lint: ckpt-skip(derived from devices_; restore_state rescans it)
   std::vector<std::size_t> hot_;
+  /// Objects of dehydrated devices, reset and reused by build_device().
+  /// lint: ckpt-skip(recycled storage: no device's state lives here)
+  std::vector<std::unique_ptr<HotDevice>> spares_;
   /// Injected fault configs, only for devices whose config is any().
   /// lint: ckpt-skip(construction recipe, fixed for the run)
   std::map<std::size_t, DeviceFaultConfig> faults_;

@@ -31,11 +31,27 @@ Processor::Processor(ProcessorConfig config, util::Rng rng)
                    config_.workload_jitter < 1.0);
   FEDPOWER_EXPECTS(config_.dvfs_transition_us >= 0.0);
   if (config_.enable_thermal) thermal_.emplace(config_.thermal);
+  reset(rng);
+}
+
+void Processor::reset(util::Rng rng) {
+  rng_ = rng;
+  if (thermal_) thermal_->reset();
+  end_run();
+  completed_.clear();
+  level_ = 0;
+  previous_level_ = 0;
+  time_s_ = 0.0;
+  jitter_miss_ = 1.0;
+  jitter_activity_ = 1.0;
+  mem_latency_scale_ = 1.0;
+  faults_ = HardwareFaultConfig{};
+  frozen_.reset();
 }
 
 void Processor::set_workload(Workload* workload) {
   workload_ = workload;
-  run_.reset();
+  end_run();
 }
 
 void Processor::set_level(std::size_t level) {
@@ -70,7 +86,13 @@ void Processor::apply_faults(TelemetrySample& sample) {
   }
 }
 
-void Processor::reset_app() { run_.reset(); }
+void Processor::reset_app() { end_run(); }
+
+void Processor::end_run() {
+  if (!run_) return;
+  spare_app_ = std::move(run_->app);
+  run_.reset();
+}
 
 void Processor::set_memory_latency_scale(double scale) {
   FEDPOWER_EXPECTS(scale >= 1.0);
@@ -87,10 +109,12 @@ double Processor::temperature_c() const noexcept {
 
 void Processor::start_next_app() {
   if (workload_ == nullptr) {
-    run_.reset();
+    end_run();
     return;
   }
   AppRun next;
+  // A copy into the storage of the last finished run's profile.
+  next.app = std::move(spare_app_);
   next.app = workload_->next(rng_);
   next.start_time_s = time_s_;
   run_ = std::move(next);
@@ -197,7 +221,7 @@ TelemetrySample Processor::run_interval(double dt_s) {
                            ? done.instructions / done.exec_time_s
                            : 0.0;
         completed_.push_back(std::move(done));
-        run_.reset();
+        end_run();
       }
     }
   }
@@ -312,11 +336,13 @@ void Processor::restore_state(ckpt::Reader& in) {
     throw ckpt::StateMismatchError(
         "processor snapshot thermal-model flag does not match this config");
   if (thermal_) thermal_->set_temperature_c(in.f64());
-  run_.reset();
+  end_run();
   if (in.u8() != 0) {
     AppRun run;
+    run.app = std::move(spare_app_);
     run.app.name = in.str();
     const std::uint64_t phase_count = in.u64();
+    run.app.phases.clear();
     run.app.phases.reserve(phase_count);
     for (std::uint64_t i = 0; i < phase_count; ++i)
       run.app.phases.push_back(restore_phase(in));

@@ -72,6 +72,12 @@ class Processor final : public CpuDevice {
  public:
   Processor(ProcessorConfig config, util::Rng rng);
 
+  /// Returns the processor to the state the constructor leaves with this
+  /// rng: ambient die, no application in flight, empty completed-run log
+  /// (its storage kept), level 0, clock 0 and no faults. The config and the
+  /// attached workload stay. The constructor ends with it.
+  void reset(util::Rng rng);
+
   /// Sets the workload supplying applications. The processor pulls the first
   /// application lazily on the next run_interval(). Pointer is non-owning
   /// and must outlive the processor's use.
@@ -144,6 +150,8 @@ class Processor final : public CpuDevice {
   };
 
   void start_next_app();
+  /// Drops the in-flight run, keeping its profile's storage for the next.
+  void end_run();
   PhaseProfile jittered(const PhaseProfile& phase) const;
   void apply_faults(TelemetrySample& sample);
 
@@ -154,6 +162,7 @@ class Processor final : public CpuDevice {
   std::optional<ThermalModel> thermal_;
   Workload* workload_ = nullptr;  // lint: ckpt-skip(non-owning; re-attach the same workload before resuming)
   std::optional<AppRun> run_;
+  AppProfile spare_app_;  // lint: ckpt-skip(scratch: storage of the last run's profile)
   std::vector<AppExecution> completed_;
   std::size_t level_ = 0;
   std::size_t previous_level_ = 0;

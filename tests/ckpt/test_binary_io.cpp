@@ -44,6 +44,19 @@ TEST(BinaryIo, MultiByteValuesAreLittleEndian) {
   EXPECT_EQ(bytes[3], 0x04);
 }
 
+TEST(BinaryIo, ScalarsMatchTheBytewiseLittleEndianEncoding) {
+  // Scalars are appended as host memory; on the little-endian hosts the
+  // build admits that is the byte-by-byte encoding they always had.
+  Writer out;
+  out.u16(0x0201);
+  out.u64(0x0a09080706050403ULL);
+  out.f64(std::bit_cast<double>(std::uint64_t{0x1211100f0e0d0c0bULL}));
+  out.f32(std::bit_cast<float>(std::uint32_t{0x16151413u}));
+  std::vector<std::uint8_t> expected;
+  for (std::uint8_t b = 1; b <= 0x16; ++b) expected.push_back(b);
+  EXPECT_EQ(out.data(), expected);
+}
+
 TEST(BinaryIo, NonFiniteDoublesRoundTripBitExact) {
   Writer out;
   out.f64(std::numeric_limits<double>::quiet_NaN());
@@ -210,6 +223,55 @@ TEST(BinaryIo, BulkVectorsMatchThePerElementEncodingBitForBit) {
               bits_of<std::uint32_t>(floats));
     EXPECT_TRUE(in.exhausted());
   }
+}
+
+TEST(BinaryIo, BlocksWrittenPieceByPieceReadAsOneVector) {
+  // A length prefix plus f64 blocks is vec_f64's layout, so a value kept in
+  // pieces (a model's layers) writes the bytes of the flattened vector and
+  // reads back either way.
+  const auto doubles = awkward_doubles();
+  const std::size_t half = doubles.size() / 2;
+  Writer pieces;
+  pieces.u64(doubles.size());
+  pieces.f64_block(std::span(doubles).first(half));
+  pieces.f64_block(std::span(doubles).subspan(half));
+  Writer whole;
+  whole.vec_f64(doubles);
+  EXPECT_EQ(pieces.data(), whole.data());
+
+  Reader in(pieces.data());
+  ASSERT_EQ(in.u64(), doubles.size());
+  std::vector<double> back(doubles.size());
+  in.f64_block_into(std::span(back).first(half));
+  in.f64_block_into(std::span(back).subspan(half));
+  EXPECT_EQ(bits_of<std::uint64_t>(back), bits_of<std::uint64_t>(doubles));
+  EXPECT_TRUE(in.exhausted());
+
+  Reader short_read(std::span(pieces.data()).first(pieces.size() - 1));
+  (void)short_read.u64();
+  EXPECT_THROW(short_read.f64_block_into(back), CorruptSnapshotError);
+}
+
+TEST(BinaryIo, VecF64IntoResizesTheTargetAndKeepsItsStorage) {
+  Writer out;
+  out.vec_f64(std::vector<double>{1.0, 2.0});
+  out.vec_f64(std::vector<double>{});
+  std::vector<double> target(8, 9.0);
+  const double* storage = target.data();
+  Reader in(out.data());
+  in.vec_f64_into(target);
+  EXPECT_EQ(target, (std::vector<double>{1.0, 2.0}));
+  EXPECT_EQ(target.data(), storage);
+  in.vec_f64_into(target);
+  EXPECT_TRUE(target.empty());
+  EXPECT_TRUE(in.exhausted());
+
+  // A forged count is rejected before the target grows.
+  Writer forged;
+  forged.u64(std::numeric_limits<std::uint64_t>::max() / 8 + 1);
+  forged.f64(1.0);
+  Reader bad(forged.data());
+  EXPECT_THROW(bad.vec_f64_into(target), CorruptSnapshotError);
 }
 
 TEST(BinaryIo, InPlaceReadsRejectACountOtherThanTheTarget) {

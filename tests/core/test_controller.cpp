@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "ckpt/binary_io.hpp"
 #include "sim/processor.hpp"
 #include "sim/splash2.hpp"
 #include "sim/workload.hpp"
@@ -108,6 +112,38 @@ TEST(PowerController, LocalSampleCountTracksReplaySize) {
   EXPECT_EQ(rig.controller.local_sample_count(), 0u);
   rig.controller.run_steps(3);
   EXPECT_EQ(rig.controller.local_sample_count(), 3u);
+}
+
+TEST(PowerController, ResetMatchesAFreshController) {
+  // A controller that trained (updates fired, drift adaptation and the
+  // FedProx anchor armed) and is then reset must equal one constructed
+  // with the reset's rng: in its state bytes, and as it trains on.
+  ControllerConfig config = fast_config();
+  config.agent.optimize_interval = 3;
+  config.agent.batch_size = 8;
+  config.agent.prox_mu = 0.1;
+  config.drift_adaptation = true;
+  config.drift.warmup = 2;
+  Rig used("fft", 1, config);
+  used.controller.receive_global(used.controller.local_parameters());
+  used.controller.run_steps(25);
+  ASSERT_GT(used.controller.agent().update_count(), 0u);
+
+  // Rig seeds its processor with `seed` and its controller with seed + 1.
+  used.processor.reset(util::Rng{41});
+  used.controller.reset(util::Rng{42});
+  Rig fresh("fft", 41, config);
+  const auto state = [](const PowerController& controller) {
+    ckpt::Writer out;
+    controller.save_state(out);
+    return out.take();
+  };
+  EXPECT_EQ(state(used.controller), state(fresh.controller));
+  used.controller.run_steps(10);
+  fresh.controller.run_steps(10);
+  EXPECT_EQ(state(used.controller), state(fresh.controller));
+  EXPECT_EQ(used.controller.drift_detections(),
+            fresh.controller.drift_detections());
 }
 
 TEST(PowerControllerDeathTest, ActionCountMustMatchVfLevels) {

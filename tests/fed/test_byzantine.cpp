@@ -120,6 +120,31 @@ TEST(ByzantineClient, CheckpointRoundtripPreservesReplayState) {
   EXPECT_EQ(restored.local_parameters(), original.local_parameters());
 }
 
+TEST(ByzantineClient, ResetMatchesAFreshWrapper) {
+  // A stale-replay attacker with history, re-armed by reset() as a
+  // sign-flip one, must equal a wrapper constructed with that config.
+  CountingClient inner;
+  ClientFaultConfig replay;
+  replay.attack = UploadAttack::kStaleReplay;
+  replay.stale_rounds = 2;
+  ByzantineClient used(&inner, replay);
+  for (int round = 0; round < 4; ++round) used.run_local_round();
+  ClientFaultConfig flip;
+  flip.attack = UploadAttack::kSignFlip;
+  flip.start_round = 1;
+  used.reset(flip);
+  const ByzantineClient fresh(&inner, flip);
+  const auto state = [](const ByzantineClient& client) {
+    ckpt::Writer out;
+    client.save_state(out);
+    return out.take();
+  };
+  EXPECT_EQ(state(used), state(fresh));
+  EXPECT_EQ(used.rounds_seen(), 0u);
+  EXPECT_EQ(used.fault_config().attack, UploadAttack::kSignFlip);
+  EXPECT_FALSE(used.attack_active());
+}
+
 TEST(ByzantineClient, CheckpointRejectsOversizedReplayWindow) {
   CountingClient inner;
   ClientFaultConfig wide;

@@ -3,7 +3,9 @@
 // only below quorum — without ever advancing state for a failed round.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "fed/fault_injection.hpp"
@@ -180,6 +182,84 @@ TEST(FaultTolerance, TruncatedPayloadIsDetectedAndDropped) {
   const RoundResult result = server.run_round();
   EXPECT_EQ(result.dropped, (std::vector<std::size_t>{1}));
   EXPECT_NEAR(server.global_model()[0], 1.0, 1e-6);
+}
+
+/// Float32Codec that counts the payloads it decodes.
+class CountingCodec final : public ModelCodec {
+ public:
+  std::vector<std::uint8_t> encode(
+      std::span<const double> params) const override {
+    return Float32Codec::instance().encode(params);
+  }
+  std::vector<double> decode(
+      std::span<const std::uint8_t> payload) const override {
+    ++decodes_;
+    return Float32Codec::instance().decode(payload);
+  }
+  std::size_t payload_size(std::size_t param_count) const override {
+    return Float32Codec::instance().payload_size(param_count);
+  }
+  std::string name() const override { return "counting-float32"; }
+  std::size_t decodes() const noexcept { return decodes_; }
+
+ private:
+  mutable std::size_t decodes_ = 0;
+};
+
+/// Applies `damage` to every downlink payload; uplinks pass untouched.
+class DownlinkDamage final : public Transport {
+ public:
+  explicit DownlinkDamage(void (*damage)(std::vector<std::uint8_t>&))
+      : damage_(damage) {}
+  std::vector<std::uint8_t> transfer(
+      Direction direction, std::vector<std::uint8_t> payload) override {
+    if (direction == Direction::kDownlink) damage_(payload);
+    return inner_.transfer(direction, std::move(payload));
+  }
+  const TrafficStats& stats() const noexcept override {
+    return inner_.stats();
+  }
+
+ private:
+  void (*damage_)(std::vector<std::uint8_t>&);
+  InProcessTransport inner_;
+};
+
+TEST(FaultTolerance, BroadcastIsDecodedOnceAndChangedBytesAgain) {
+  // Clients 0 and 3 get the broadcast as sent; client 1's copy is
+  // truncated in flight, client 2's has its first float rewritten. The
+  // broadcast is decoded once for the unchanged copies, and each changed
+  // copy is decoded on its own: the truncated one is rejected and its
+  // client dropped, the rewritten one reaches its client as rewritten.
+  ScriptedClient a(+1.0);
+  ScriptedClient b(+1.0);
+  ScriptedClient c(+1.0);
+  ScriptedClient d(+1.0);
+  InProcessTransport healthy;
+  DownlinkDamage truncating(
+      [](std::vector<std::uint8_t>& bytes) { bytes.pop_back(); });
+  DownlinkDamage rewriting([](std::vector<std::uint8_t>& bytes) {
+    const std::vector<std::uint8_t> two =
+        Float32Codec::instance().encode(std::vector<double>{2.0});
+    std::copy(two.end() - 4, two.end(), bytes.end() - 8);
+  });
+  CountingCodec codec;
+  FederatedAveraging server({&a, &b, &c, &d}, &healthy,
+                            AggregationMode::kUnweightedMean, &codec);
+  server.set_client_transport(1, &truncating);
+  server.set_client_transport(2, &rewriting);
+  server.initialize({0.5, 0.25});
+  const std::size_t decodes_before = codec.decodes();
+  const RoundResult result = server.run_round();
+  // One broadcast decode, two changed downlinks, three uploads.
+  EXPECT_EQ(codec.decodes() - decodes_before, 1u + 2u + 3u);
+  EXPECT_EQ(result.dropped, (std::vector<std::size_t>{1}));
+  EXPECT_EQ(b.receives(), 0);
+  EXPECT_EQ(b.rounds(), 0);
+  EXPECT_EQ(a.receives(), 1);
+  EXPECT_EQ(a.local_parameters(), (std::vector<double>{1.5, 1.25}));
+  EXPECT_EQ(d.local_parameters(), (std::vector<double>{1.5, 1.25}));
+  EXPECT_EQ(c.local_parameters(), (std::vector<double>{2.0 + 1.0, 1.25}));
 }
 
 TEST(FaultTolerance, DroppedSetIsDeterministicPerSeed) {

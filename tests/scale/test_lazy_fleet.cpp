@@ -263,6 +263,8 @@ void expect_hydration_rejected(const std::vector<std::uint8_t>& snapshot) {
     EXPECT_THROW(fleet.hydrate(0), ckpt::CorruptSnapshotError);
     EXPECT_FALSE(fleet.hot(0));
     EXPECT_EQ(fleet.hot_count(), 0u);
+    // The objects the blob was restored into are kept spare.
+    EXPECT_EQ(fleet.spare_count(), 1u);
   }
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "ckpt/binary_io.hpp"
 #include "sim/splash2.hpp"
 
 namespace fedpower::sim {
@@ -263,6 +267,51 @@ TEST(Processor, DeterministicGivenSeed) {
       EXPECT_DOUBLE_EQ(sa.power_w, sb.power_w);
       EXPECT_DOUBLE_EQ(sa.instructions, sb.instructions);
     }
+  }
+}
+
+std::vector<std::uint8_t> processor_state(const Processor& proc) {
+  ckpt::Writer out;
+  proc.save_state(out);
+  return out.take();
+}
+
+TEST(Processor, ResetMatchesAFreshProcessor) {
+  // A processor that ran with faults, contention and short apps (so runs
+  // completed and one is in flight) and is then reset must equal one
+  // constructed with the reset's rng: in its state bytes, and as it runs.
+  for (const bool thermal : {false, true}) {
+    SCOPED_TRACE(thermal ? "thermal" : "no thermal");
+    ProcessorConfig config;
+    config.enable_thermal = thermal;
+    HardwareFaultConfig faults;
+    faults.frozen_counters = true;
+    faults.stuck_power_sensor = true;
+    faults.stuck_power_w = 0.7;
+    SingleAppWorkload short_app(splash2_suite()[1].scaled(0.01));
+    Processor used(config, util::Rng{3});
+    used.set_workload(&short_app);
+    used.inject_faults(faults);
+    used.set_memory_latency_scale(1.5);
+    for (std::size_t i = 0; i < 20; ++i) {
+      used.set_level(i % 15);
+      used.run_interval(0.5);
+    }
+    ASSERT_FALSE(used.completed_runs().empty());
+
+    used.reset(util::Rng{9});
+    Processor fresh(config, util::Rng{9});
+    fresh.set_workload(&short_app);
+    EXPECT_EQ(processor_state(used), processor_state(fresh));
+    EXPECT_FALSE(used.faults().any());
+    for (Processor* proc : {&used, &fresh}) proc->inject_faults(faults);
+    for (std::size_t i = 0; i < 12; ++i) {
+      for (Processor* proc : {&used, &fresh}) {
+        proc->set_level((3 * i) % 15);
+        proc->run_interval(0.5);
+      }
+    }
+    EXPECT_EQ(processor_state(used), processor_state(fresh));
   }
 }
 

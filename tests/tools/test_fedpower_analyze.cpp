@@ -269,6 +269,70 @@ TEST(AnalyzeCkptCoverage, MergesOutOfLineBodies) {
   EXPECT_TRUE(has_rule_at(fs, "L8-ckpt-coverage", 7));
 }
 
+TEST(AnalyzeCkptCoverage, ResetMustCoverEveryStateMember) {
+  const std::string src =
+      "class R {\n"
+      " public:\n"
+      "  void save_state(ckpt::Writer& out) const {\n"
+      "    out.u64(n_);\n"
+      "    out.f64(x_);\n"
+      "  }\n"
+      "  void restore_state(ckpt::Reader& in) {\n"
+      "    n_ = in.u64();\n"
+      "    x_ = in.f64();\n"
+      "  }\n"
+      "  void reset() { n_ = 0; }\n"
+      " private:\n"
+      "  std::uint64_t n_ = 0;\n"
+      "  double x_ = 0.0;\n"
+      "};\n";
+  const auto fs = lint_source("src/rl/r.cpp", src);
+  EXPECT_FALSE(has_rule_at(fs, "L8-ckpt-coverage", 13));
+  EXPECT_TRUE(has_rule_at(fs, "L8-ckpt-coverage", 14));
+}
+
+TEST(AnalyzeCkptCoverage, ResetCoverageFollowsTheClassesOwnCalls) {
+  // x_ is reset in a helper that reset() calls, y_ only in a method it
+  // never calls; w_ is waived.
+  const std::string src =
+      "class R {\n"
+      " public:\n"
+      "  void save_state(ckpt::Writer& out) const;\n"
+      "  void restore_state(ckpt::Reader& in);\n"
+      "  void reset();\n"
+      " private:\n"
+      "  void forget();\n"
+      "  void unused();\n"
+      "  std::optional<double> n_;\n"
+      "  double x_ = 0.0;\n"
+      "  double y_ = 0.0;\n"
+      "  double w_ = 0.0;  // lint: reset-ok(overwritten before any read)\n"
+      "};\n"
+      "void R::save_state(ckpt::Writer& out) const {\n"
+      "  out.f64(*n_);\n"
+      "  out.f64(x_);\n"
+      "  out.f64(y_);\n"
+      "  out.f64(w_);\n"
+      "}\n"
+      "void R::restore_state(ckpt::Reader& in) {\n"
+      "  n_ = in.f64();\n"
+      "  x_ = in.f64();\n"
+      "  y_ = in.f64();\n"
+      "  w_ = in.f64();\n"
+      "}\n"
+      "void R::reset() {\n"
+      "  n_.reset();\n"
+      "  forget();\n"
+      "}\n"
+      "void R::forget() { x_ = 0.0; }\n"
+      "void R::unused() { y_ = 0.0; }\n";
+  const auto fs = lint_source("src/rl/r.cpp", src);
+  EXPECT_FALSE(has_rule_at(fs, "L8-ckpt-coverage", 9));
+  EXPECT_FALSE(has_rule_at(fs, "L8-ckpt-coverage", 10));
+  EXPECT_TRUE(has_rule_at(fs, "L8-ckpt-coverage", 11));
+  EXPECT_FALSE(has_rule_at(fs, "L8-ckpt-coverage", 12));
+}
+
 // Regression: a same-named class in a namespace-free bench/test file must
 // not donate its save/restore bodies to the namespaced src class (that used
 // to mask genuine coverage gaps in multi-directory scans).

@@ -594,13 +594,38 @@ const BoundMethod* find_body(const MergedClass& merged,
   return nullptr;
 }
 
+/// `from` and every method of the class it calls, directly or through
+/// other methods of the class (calls on members or other objects excluded).
+std::vector<const BoundMethod*> reached_from(const MergedClass& merged,
+                                             const BoundMethod* from) {
+  std::vector<const BoundMethod*> reached = {from};
+  for (std::size_t k = 0; k < reached.size(); ++k) {
+    const FileModel& file = *reached[k]->file;
+    const MethodModel& method = *reached[k]->method;
+    for (std::size_t i = method.body_begin;
+         i + 1 < method.body_end && i + 1 < file.tokens.size(); ++i) {
+      const SourceToken& token = file.tokens[i];
+      if (!token.ident || file.tokens[i + 1].text != "(") continue;
+      if (i > method.body_begin && (file.tokens[i - 1].text == "." ||
+                                    file.tokens[i - 1].text == "->"))
+        continue;
+      const BoundMethod* callee = find_body(merged, token.text);
+      if (callee != nullptr &&
+          std::find(reached.begin(), reached.end(), callee) == reached.end())
+        reached.push_back(callee);
+    }
+  }
+  return reached;
+}
+
 /// The typed Writer/Reader surface (binary_io.hpp). Writer and Reader use
 /// the same method names, so one set covers both sides.
 const std::set<std::string>& io_kinds() {
   static const std::set<std::string> kinds = {
       "u8",      "u16",     "u32",    "u64",    "f64",    "f32",   "str",
       "bytes",   "raw",     "vec_f64", "vec_f32", "vec_u8", "vec_u64",
-      "vec_f32_into", "vec_u8_into"};
+      "vec_f64_into", "vec_f32_into", "vec_u8_into", "f64_block",
+      "f64_block_into"};
   return kinds;
 }
 
@@ -836,6 +861,37 @@ std::vector<Finding> analyze(const std::vector<FileModel>& models,
                    " — a resume would silently lose it; serialize it or "
                    "annotate `// lint: ckpt-skip(reason)` on the member",
                Severity::kError});
+        }
+
+        // L8, reset half: a checkpointed class that defines reset() puts
+        // every state member back there, or in a method of the class that
+        // reset() calls, so an object reset for reuse carries nothing of
+        // its last owner over. A member reset() leaves on purpose says why
+        // with `// lint: reset-ok(reason)`.
+        if (const BoundMethod* reset = find_body(merged, "reset")) {
+          const std::vector<const BoundMethod*> reached =
+              reached_from(merged, reset);
+          for (const MemberModel& member : merged.decl->members) {
+            if (member.is_static) continue;
+            const bool in_reset = std::any_of(
+                reached.begin(), reached.end(), [&](const BoundMethod* b) {
+                  return range_contains_ident(*b->file, b->method->body_begin,
+                                              b->method->body_end,
+                                              member.name);
+                });
+            if (in_reset) continue;
+            if (decl_waivers.try_waive(member.line, "ckpt-skip")) continue;
+            if (decl_waivers.try_waive(member.line, "reset")) continue;
+            findings.push_back(
+                {decl_path, member.line + 1, "L8-ckpt-coverage",
+                 "data member '" + member.name + "' of '" +
+                     merged.decl->qualified +
+                     "' is not referenced in reset — an object reset for "
+                     "reuse would carry it over from its last owner; reset "
+                     "it, or annotate `// lint: ckpt-skip(reason)` (not "
+                     "state) or `// lint: reset-ok(reason)` on the member",
+                 Severity::kError});
+          }
         }
 
         // L9: the typed Writer sequence mirrors the Reader sequence.

@@ -26,7 +26,13 @@
 //                      save_state and restore_state bodies, or carry a
 //                      `// lint: ckpt-skip(reason)` annotation stating why
 //                      it is deliberately not state (caches, config,
-//                      thread counts — DESIGN.md §9).
+//                      thread counts — DESIGN.md §9). When such a class
+//                      also defines reset(), every member must be
+//                      referenced in reset() or in a method of the class
+//                      it calls, or carry ckpt-skip, or carry
+//                      `// lint: reset-ok(reason)` saying why reset leaves
+//                      it: an object reset for reuse (the lazy fleet's
+//                      spare devices) must not carry state over.
 //   L9-ckpt-symmetry   the ordered sequence of typed ckpt::Writer calls in
 //                      save_state must mirror the ckpt::Reader calls in
 //                      restore_state by kind and loop depth (u64 pairs

@@ -38,7 +38,7 @@
 //
 // A finding is waived by a same-line comment `// lint: <key>-ok(<reason>)`
 // with a non-empty reason; keys: nondet, ordered, fpreduce, header, thread,
-// fs, syscall, ckpt-sym, shard — plus the member annotation
+// fs, syscall, ckpt-sym, shard, reset — plus the member annotation
 // `// lint: ckpt-skip(<reason>)` consumed by L8. A comment-only waiver line
 // covers the code line below it.
 // The analysis is a scrubbing tokenizer (comments, string/char literals and
