@@ -32,6 +32,8 @@ lint_start=$SECONDS
 ./build/tools/fedpower_lint --strict --sarif --root . src bench tests examples \
   > build/lint_report.sarif
 echo "lint wall time: $((SECONDS - lint_start))s (SARIF archived at build/lint_report.sarif)"
+src_lines=$(find src \( -name '*.cpp' -o -name '*.hpp' \) -print0 | xargs -0 cat | wc -l)
+echo "src/ .cpp/.hpp lines: ${src_lines}"
 
 echo "== fedbench selftest (the benchmark builds against src/ and passes its checks) =="
 python3 fedbench/selftest.py

@@ -56,8 +56,7 @@ void write_snapshot_file(const std::string& path,
     const std::string& path);
 
 /// Reads a whole file into memory. Throws SnapshotNotFoundError when it
-/// cannot be opened. Shared with nn::load_parameters so every loader
-/// validates files the same way.
+/// cannot be opened.
 [[nodiscard]] std::vector<std::uint8_t> read_file_bytes(
     const std::string& path);
 

@@ -34,7 +34,6 @@
 #include "nn/matrix.hpp"
 #include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"
-#include "nn/checkpoint.hpp"
 #include "nn/serialize.hpp"
 #include "rl/drift.hpp"
 #include "runtime/fleet_runtime.hpp"
@@ -45,7 +44,6 @@
 #include "serve/wire.hpp"
 #include "rl/neural_agent.hpp"
 #include "rl/neural_q_agent.hpp"
-#include "rl/q_replay_buffer.hpp"
 #include "rl/policy.hpp"
 #include "rl/replay_buffer.hpp"
 #include "rl/reward.hpp"
@@ -63,14 +61,11 @@
 #include "sim/splash2.hpp"
 #include "sim/telemetry.hpp"
 #include "sim/thermal.hpp"
-#include "sim/trace_io.hpp"
 #include "sim/vf_table.hpp"
 #include "sim/workload.hpp"
-#include "sim/workload_extra.hpp"
 #include "util/config.hpp"
 #include "util/csv.hpp"
 #include "util/executor.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"

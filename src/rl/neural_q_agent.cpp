@@ -16,7 +16,8 @@ NeuralQAgent::NeuralQAgent(NeuralQConfig config, util::Rng rng)
       target_(online_),
       loss_(config.base.huber_delta),
       optimizer_(config.base.learning_rate),
-      replay_(config.base.replay_capacity, config.base.state_dim),
+      replay_(config.base.replay_capacity, config.base.state_dim,
+              /*successors=*/true),
       tau_(config.base.tau_max, config.base.tau_decay, config.base.tau_min) {
   FEDPOWER_EXPECTS(config.gamma >= 0.0 && config.gamma < 1.0);
   FEDPOWER_EXPECTS(config.target_sync_interval > 0);
@@ -57,9 +58,9 @@ void NeuralQAgent::record(std::span<const double> state, std::size_t action,
 double NeuralQAgent::train_step() {
   if (replay_.empty()) return 0.0;
   // batch_targets_ receives the rewards and becomes the targets in place.
-  const std::size_t count = replay_.sample_into(
-      config_.base.batch_size, rng_, batch_states_, batch_next_states_,
-      batch_actions_, batch_targets_);
+  const std::size_t count =
+      replay_.sample_into(config_.base.batch_size, rng_, batch_states_,
+                          batch_actions_, batch_targets_, &batch_next_states_);
 
   // Bootstrapped targets from the frozen target network.
   const nn::Matrix& next_q = target_.forward(batch_next_states_);

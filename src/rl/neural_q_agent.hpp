@@ -18,7 +18,7 @@
 #include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"
 #include "rl/neural_agent.hpp"
-#include "rl/q_replay_buffer.hpp"
+#include "rl/replay_buffer.hpp"
 #include "rl/schedule.hpp"
 #include "util/rng.hpp"
 
@@ -75,7 +75,7 @@ class NeuralQAgent {
   nn::Mlp target_;
   nn::HuberLoss loss_;  // lint: ckpt-skip(stateless functor of the config delta)
   nn::Adam optimizer_;
-  QReplayBuffer replay_;
+  ReplayBuffer replay_;  // with successors
   ExponentialDecay tau_;  // lint: ckpt-skip(pure function of step_; step_ is saved)
   std::size_t step_ = 0;
   std::size_t updates_ = 0;

@@ -1,33 +1,68 @@
 #include "rl/replay_buffer.hpp"
 
-#include <algorithm>
-
-#include "util/assert.hpp"
-
 namespace fedpower::rl {
 
-ReplayBuffer::ReplayBuffer(std::size_t capacity, std::size_t state_dim)
-    : capacity_(capacity), state_dim_(state_dim) {
+namespace {
+
+/// Sizes one ring array to `slots` slots of `width` elements each. Ring
+/// storage starts empty and grows as pushes fill the ring, so a device
+/// that has taken a few steps holds a few slots, not a zero-filled ring.
+/// Growth reserves geometrically, as push_back does, but never past
+/// `capacity` slots, so a full ring holds exactly its capacity.
+template <class T>
+void resize_ring_array(std::vector<T>& array, std::size_t slots,
+                       std::size_t width, std::size_t capacity) {
+  if (slots * width > array.capacity()) {
+    const std::size_t held = array.size() / width;
+    array.reserve(std::min(capacity, std::max(slots, 2 * held)) * width);
+  }
+  array.resize(slots * width);
+}
+
+/// Narrows one state into the float32 slot `slot` of `column`.
+void store_row(std::vector<float>& column, std::size_t slot,
+               std::span<const double> state) {
+  float* dst = &column[slot * state.size()];
+  for (std::size_t i = 0; i < state.size(); ++i)
+    dst[i] = static_cast<float>(state[i]);
+}
+
+/// Widens the float32 slot `slot` of `column` into row `row` of `out`.
+void load_row(const std::vector<float>& column, std::size_t slot,
+              nn::Matrix& out, std::size_t row, std::size_t width) {
+  const float* src = &column[slot * width];
+  double* dst = &out.data()[row * width];
+  for (std::size_t i = 0; i < width; ++i)
+    dst[i] = static_cast<double>(src[i]);
+}
+
+}  // namespace
+
+ReplayBuffer::ReplayBuffer(std::size_t capacity, std::size_t state_dim,
+                           bool successors)
+    : capacity_(capacity), state_dim_(state_dim), successors_(successors) {
   FEDPOWER_EXPECTS(capacity > 0);
   FEDPOWER_EXPECTS(state_dim > 0);
 }
 
 void ReplayBuffer::resize_slots(std::size_t slots) {
   resize_ring_array(states_, slots, state_dim_, capacity_);
+  if (successors_)
+    resize_ring_array(next_states_, slots, state_dim_, capacity_);
   resize_ring_array(actions_, slots, 1, capacity_);
   resize_ring_array(rewards_, slots, 1, capacity_);
 }
 
 void ReplayBuffer::push(std::span<const double> state, std::size_t action,
-                        double reward) {
+                        double reward, std::span<const double> next_state) {
   FEDPOWER_EXPECTS(state.size() == state_dim_);
+  FEDPOWER_EXPECTS(next_state.size() == (successors_ ? state_dim_ : 0));
   FEDPOWER_EXPECTS(action <= 255);
   // Storage grows on push: a write one past the stored slots appends a
   // slot, any other write overwrites in place.
   if (head_ == actions_.size()) resize_slots(head_ + 1);
-  float* slot = &states_[head_ * state_dim_];
-  for (std::size_t i = 0; i < state_dim_; ++i)
-    slot[i] = static_cast<float>(state[i]);
+  store_row(states_, head_, state);
+  if (successors_) store_row(next_states_, head_, next_state);
   actions_[head_] = static_cast<std::uint8_t>(action);
   rewards_[head_] = static_cast<float>(reward);
   head_ = (head_ + 1) % capacity_;
@@ -39,66 +74,64 @@ Transition ReplayBuffer::at(std::size_t index) const {
   // Oldest element sits at head_ when full, at 0 otherwise.
   const std::size_t base = size_ == capacity_ ? head_ : 0;
   const std::size_t slot = (base + index) % capacity_;
+  const auto row = [&](const std::vector<float>& column) {
+    const auto first = column.begin() +
+                       static_cast<std::ptrdiff_t>(slot * state_dim_);
+    return std::vector<double>(
+        first, first + static_cast<std::ptrdiff_t>(state_dim_));
+  };
   Transition t;
-  t.state.resize(state_dim_);
-  for (std::size_t i = 0; i < state_dim_; ++i)
-    t.state[i] = static_cast<double>(states_[slot * state_dim_ + i]);
+  t.state = row(states_);
+  if (successors_) t.next_state = row(next_states_);
   t.action = actions_[slot];
   t.reward = static_cast<double>(rewards_[slot]);
   return t;
 }
 
-std::size_t ReplayBuffer::gather(ReplaySampler& sampler, std::size_t n,
-                                 util::Rng& rng, nn::Matrix& states,
-                                 std::vector<std::size_t>& actions,
-                                 std::vector<double>& rewards) const {
+std::size_t ReplayBuffer::sample_into(std::size_t n, util::Rng& rng,
+                                      nn::Matrix& states,
+                                      std::vector<std::size_t>& actions,
+                                      std::vector<double>& rewards,
+                                      nn::Matrix* next_states) {
+  FEDPOWER_EXPECTS(successors_ == (next_states != nullptr));
   const std::size_t count = std::min(n, size_);
   states.resize(count, state_dim_);
   actions.resize(count);
   rewards.resize(count);
   // Oldest element sits at head_ when full, at 0 otherwise (as in at()).
   const std::size_t base = size_ == capacity_ ? head_ : 0;
-  return sampler.draw(count, size_, rng, [&](std::size_t row,
-                                             std::size_t index) {
+  const auto visit = [&](std::size_t row, std::size_t index) {
     const std::size_t slot = (base + index) % capacity_;
-    const float* src = &states_[slot * state_dim_];
-    double* dst = &states.data()[row * state_dim_];
-    for (std::size_t i = 0; i < state_dim_; ++i)
-      dst[i] = static_cast<double>(src[i]);
+    load_row(states_, slot, states, row, state_dim_);
     actions[row] = actions_[slot];
     rewards[row] = static_cast<double>(rewards_[slot]);
-  });
-}
-
-std::size_t ReplayBuffer::sample_into(std::size_t n, util::Rng& rng,
-                                      nn::Matrix& states,
-                                      std::vector<std::size_t>& actions,
-                                      std::vector<double>& rewards) {
-  return gather(sampler_, n, rng, states, actions, rewards);
+    return slot;
+  };
+  // The successor column is chosen once per call, not once per draw.
+  if (next_states == nullptr) return sampler_.draw(count, size_, rng, visit);
+  next_states->resize(count, state_dim_);
+  return sampler_.draw(count, size_, rng,
+                       [&](std::size_t row, std::size_t index) {
+                         load_row(next_states_, visit(row, index),
+                                  *next_states, row, state_dim_);
+                       });
 }
 
 std::vector<Transition> ReplayBuffer::sample(std::size_t n,
                                              util::Rng& rng) const {
   ReplaySampler sampler;
-  nn::Matrix states;
-  std::vector<std::size_t> actions;
-  std::vector<double> rewards;
-  const std::size_t count =
-      gather(sampler, n, rng, states, actions, rewards);
-  std::vector<Transition> batch(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto row = states.data().begin() +
-                     static_cast<std::ptrdiff_t>(i * state_dim_);
-    batch[i].state.assign(row, row + static_cast<std::ptrdiff_t>(state_dim_));
-    batch[i].action = actions[i];
-    batch[i].reward = rewards[i];
-  }
+  std::vector<Transition> batch;
+  batch.reserve(std::min(n, size_));
+  sampler.draw(n, size_, rng, [&](std::size_t, std::size_t index) {
+    batch.push_back(at(index));
+  });
   return batch;
 }
 
 std::size_t ReplayBuffer::storage_bytes() const noexcept {
-  return capacity_ * (state_dim_ * sizeof(float) + sizeof(std::uint8_t) +
-                      sizeof(float));
+  const std::size_t columns = successors_ ? 2 : 1;
+  return capacity_ * (columns * state_dim_ * sizeof(float) +
+                      sizeof(std::uint8_t) + sizeof(float));
 }
 
 std::size_t ReplayBuffer::max_action() const noexcept {
@@ -115,32 +148,38 @@ void ReplayBuffer::clear() noexcept {
 
 namespace {
 constexpr ckpt::Tag kReplayTag{'R', 'P', 'L', '2'};
-/// The full-ring layout of older builds; restore still reads it.
+constexpr ckpt::Tag kQReplayTag{'Q', 'R', 'P', '2'};
+/// The full-ring layouts of older builds; restore still reads them.
 constexpr ckpt::Tag kLegacyReplayTag{'R', 'P', 'L', 'Y'};
+constexpr ckpt::Tag kLegacyQReplayTag{'Q', 'R', 'P', 'L'};
 }  // namespace
 
 void ReplayBuffer::save_state(ckpt::Writer& out) const {
-  write_tag(out, kReplayTag);
+  write_tag(out, successors_ ? kQReplayTag : kReplayTag);
   out.u64(capacity_);
   out.u64(state_dim_);
   out.u64(head_);
   out.u64(size_);
   // Live entries always occupy slots [0, size); the rest is never read.
   out.vec_f32(std::span(states_).first(size_ * state_dim_));
+  if (successors_)
+    out.vec_f32(std::span(next_states_).first(size_ * state_dim_));
   out.vec_u8(std::span(actions_).first(size_));
   out.vec_f32(std::span(rewards_).first(size_));
 }
 
 void ReplayBuffer::restore_state(ckpt::Reader& in) {
-  const bool legacy =
-      ckpt::expect_tag_of(in, {kReplayTag, kLegacyReplayTag},
-                          "replay buffer") == 1;
+  const char* name = successors_ ? "Q replay buffer" : "replay buffer";
+  const ckpt::Tag tag = successors_ ? kQReplayTag : kReplayTag;
+  const ckpt::Tag legacy_tag =
+      successors_ ? kLegacyQReplayTag : kLegacyReplayTag;
+  const bool legacy = ckpt::expect_tag_of(in, {tag, legacy_tag}, name) == 1;
   const std::uint64_t capacity = in.u64();
   const std::uint64_t state_dim = in.u64();
   if (capacity != capacity_ || state_dim != state_dim_)
     throw ckpt::StateMismatchError(
-        "replay buffer snapshot geometry " + std::to_string(capacity) + "x" +
-        std::to_string(state_dim) + " does not match configured " +
+        std::string(name) + " snapshot geometry " + std::to_string(capacity) +
+        "x" + std::to_string(state_dim) + " does not match configured " +
         std::to_string(capacity_) + "x" + std::to_string(state_dim_));
   const std::uint64_t head = in.u64();
   const std::uint64_t size = in.u64();
@@ -149,8 +188,8 @@ void ReplayBuffer::restore_state(ckpt::Reader& in) {
   // slots as live ones.
   if (head >= capacity_ || size > capacity_ ||
       (size < capacity_ && head != size))
-    throw ckpt::StateMismatchError(
-        "replay buffer snapshot has inconsistent cursors");
+    throw ckpt::StateMismatchError(std::string(name) +
+                                   " snapshot has inconsistent cursors");
   // The legacy layout carries the whole ring, the current one the live
   // slots; either way the storage ends up holding exactly the slots read.
   // It grows before the read and shrinks only after it, so a snapshot that
@@ -158,6 +197,8 @@ void ReplayBuffer::restore_state(ckpt::Reader& in) {
   const std::size_t slots = legacy ? capacity_ : size;
   resize_slots(std::max(slots, actions_.size()));
   in.vec_f32_into(std::span(states_).first(slots * state_dim_));
+  if (successors_)
+    in.vec_f32_into(std::span(next_states_).first(slots * state_dim_));
   in.vec_u8_into(std::span(actions_).first(slots));
   in.vec_f32_into(std::span(rewards_).first(slots));
   resize_slots(slots);

@@ -15,7 +15,6 @@
 #include "ckpt/state_io.hpp"
 #include "rl/neural_agent.hpp"
 #include "rl/neural_q_agent.hpp"
-#include "rl/q_replay_buffer.hpp"
 #include "rl/replay_buffer.hpp"
 #include "sim/processor.hpp"
 #include "sim/splash2.hpp"
@@ -169,12 +168,12 @@ TEST(ComponentState, ReplayBufferRejectsHeadOffTheFillLine) {
 }
 
 TEST(ComponentState, QReplayBufferRejectsHeadOffTheFillLine) {
-  rl::QReplayBuffer original(4, 2);
+  rl::ReplayBuffer original(4, 2, /*successors=*/true);
   original.push(std::vector<double>{1.0, 2.0}, 0, 0.5,
                 std::vector<double>{2.0, 3.0});
   auto bytes = saved_bytes(original);
   patch_u64(bytes, kReplayHeadOffset, 3);
-  rl::QReplayBuffer restored(4, 2);
+  rl::ReplayBuffer restored(4, 2, /*successors=*/true);
   ckpt::Reader in(bytes);
   EXPECT_THROW(restored.restore_state(in), ckpt::StateMismatchError);
 }
@@ -194,7 +193,7 @@ std::vector<std::uint8_t> two_step_replay() {
 }
 
 std::vector<std::uint8_t> two_step_q_replay() {
-  rl::QReplayBuffer buffer(4, 2);
+  rl::ReplayBuffer buffer(4, 2, /*successors=*/true);
   buffer.push(std::vector<double>{1.0, 2.0}, 0, 0.5,
               std::vector<double>{2.0, 3.0});
   buffer.push(std::vector<double>{2.0, 3.0}, 1, 0.7,
@@ -202,10 +201,9 @@ std::vector<std::uint8_t> two_step_q_replay() {
   return saved_bytes(buffer);
 }
 
-template <class Buffer>
 void expect_restore_throws(const std::vector<std::uint8_t>& bytes,
-                           bool state_mismatch) {
-  Buffer restored(4, 2);
+                           bool successors, bool state_mismatch) {
+  rl::ReplayBuffer restored(4, 2, successors);
   ckpt::Reader in(bytes);
   if (state_mismatch)
     EXPECT_THROW(restored.restore_state(in), ckpt::StateMismatchError);
@@ -213,10 +211,10 @@ void expect_restore_throws(const std::vector<std::uint8_t>& bytes,
     EXPECT_THROW(restored.restore_state(in), ckpt::CorruptSnapshotError);
 }
 
-template <class Buffer>
-void expect_hostile_replay_rejected(const std::vector<std::uint8_t>& valid) {
+void expect_hostile_replay_rejected(const std::vector<std::uint8_t>& valid,
+                                    bool successors) {
   {
-    Buffer restored(4, 2);
+    rl::ReplayBuffer restored(4, 2, successors);
     ckpt::Reader in(valid);
     restored.restore_state(in);
     EXPECT_TRUE(in.exhausted());
@@ -226,38 +224,39 @@ void expect_hostile_replay_rejected(const std::vector<std::uint8_t>& valid) {
   auto oversize = valid;
   patch_u64(oversize, kReplayHeadOffset, 3);
   patch_u64(oversize, kReplaySizeOffset, 5);
-  expect_restore_throws<Buffer>(oversize, /*state_mismatch=*/true);
+  expect_restore_throws(oversize, successors, /*state_mismatch=*/true);
   // A size near 2^64: the cursor check rejects it before any array read.
   auto forged_size = valid;
   patch_u64(forged_size, kReplaySizeOffset, ~std::uint64_t{0});
-  expect_restore_throws<Buffer>(forged_size, /*state_mismatch=*/true);
+  expect_restore_throws(forged_size, successors, /*state_mismatch=*/true);
   // Consistent cursors, but the arrays hold two entries, not one.
   auto skewed = valid;
   patch_u64(skewed, kReplayHeadOffset, 1);
   patch_u64(skewed, kReplaySizeOffset, 1);
-  expect_restore_throws<Buffer>(skewed, /*state_mismatch=*/false);
+  expect_restore_throws(skewed, successors, /*state_mismatch=*/false);
   // An array count that disagrees with size, including one near 2^64.
   for (const std::uint64_t count : {std::uint64_t{3}, ~std::uint64_t{0},
                                     std::uint64_t{1} << 62}) {
     auto forged_count = valid;
     patch_u64(forged_count, kReplayStatesCountOffset, count);
-    expect_restore_throws<Buffer>(forged_count, /*state_mismatch=*/false);
+    expect_restore_throws(forged_count, successors,
+                          /*state_mismatch=*/false);
   }
   // Truncated anywhere inside the arrays.
   for (std::size_t cut = kReplayStatesCountOffset; cut < valid.size();
        cut += 3) {
     const std::vector<std::uint8_t> truncated(
         valid.begin(), valid.begin() + static_cast<std::ptrdiff_t>(cut));
-    expect_restore_throws<Buffer>(truncated, /*state_mismatch=*/false);
+    expect_restore_throws(truncated, successors, /*state_mismatch=*/false);
   }
 }
 
 TEST(ComponentState, ReplayBufferRejectsHostileLiveSlotSnapshots) {
-  expect_hostile_replay_rejected<rl::ReplayBuffer>(two_step_replay());
+  expect_hostile_replay_rejected(two_step_replay(), /*successors=*/false);
 }
 
 TEST(ComponentState, QReplayBufferRejectsHostileLiveSlotSnapshots) {
-  expect_hostile_replay_rejected<rl::QReplayBuffer>(two_step_q_replay());
+  expect_hostile_replay_rejected(two_step_q_replay(), /*successors=*/true);
 }
 
 TEST(ComponentState, ReplaySnapshotCarriesOnlyTheLiveSlots) {
@@ -270,7 +269,7 @@ TEST(ComponentState, ReplaySnapshotCarriesOnlyTheLiveSlots) {
   constexpr std::size_t kEntry = 5 * 4 + 1 + 4;
   EXPECT_EQ(saved_bytes(buffer).size(), kHeader + 3 * 8 + 4 * kEntry);
 
-  rl::QReplayBuffer q(4000, 5);
+  rl::ReplayBuffer q(4000, 5, /*successors=*/true);
   for (int i = 0; i < 4; ++i)
     q.push(std::vector<double>(5, 0.25 * i), 1, 0.5,
            std::vector<double>(5, 0.5 * i));
@@ -400,8 +399,8 @@ std::vector<std::uint8_t> q_snapshot_replaying(std::size_t action) {
   rl::NeuralQConfig config;
   config.base = small_agent_config();
   const rl::NeuralQAgent agent(config, util::Rng{7});
-  rl::QReplayBuffer replay(config.base.replay_capacity,
-                           config.base.state_dim);
+  rl::ReplayBuffer replay(config.base.replay_capacity,
+                          config.base.state_dim, /*successors=*/true);
   const std::vector<double> state(config.base.state_dim, 0.5);
   replay.push(state, action, 1.0, state);
   ckpt::Writer out;

@@ -34,7 +34,6 @@
 #include "core/experiment.hpp"
 #include "nn/matrix.hpp"
 #include "rl/neural_agent.hpp"
-#include "rl/q_replay_buffer.hpp"
 #include "rl/replay_buffer.hpp"
 #include "runtime/fleet_runtime.hpp"
 #include "sim/splash2.hpp"
@@ -73,14 +72,13 @@ double script_reward(std::size_t i) {
   return 0.1 * static_cast<double>(i) - 0.35;
 }
 
+/// The successor kind stores the next push's state as each successor.
 void push_script(rl::ReplayBuffer& buffer, std::size_t from, std::size_t to) {
-  for (std::size_t i = from; i < to; ++i)
-    buffer.push(script_state(i), script_action(i), script_reward(i));
-}
-void push_script(rl::QReplayBuffer& buffer, std::size_t from, std::size_t to) {
-  for (std::size_t i = from; i < to; ++i)
-    buffer.push(script_state(i), script_action(i), script_reward(i),
-                script_state(i + 1));
+  for (std::size_t i = from; i < to; ++i) {
+    const auto next = buffer.has_successors() ? script_state(i + 1)
+                                              : std::vector<double>{};
+    buffer.push(script_state(i), script_action(i), script_reward(i), next);
+  }
 }
 
 struct ReplayGolden {
@@ -140,9 +138,9 @@ TEST(LegacyGoldens, QrplRestoresToTheStateItWasCapturedFrom) {
     SCOPED_TRACE(golden.file);
     const auto bytes = read_golden(golden.file);
     ASSERT_EQ(std::string(bytes.begin(), bytes.begin() + 4), "QRPL");
-    rl::QReplayBuffer live(kCapacity, kStateDim);
+    rl::ReplayBuffer live(kCapacity, kStateDim, /*successors=*/true);
     push_script(live, 0, golden.pushes);
-    rl::QReplayBuffer restored(kCapacity, kStateDim);
+    rl::ReplayBuffer restored(kCapacity, kStateDim, /*successors=*/true);
     ckpt::Reader in(bytes);
     restored.restore_state(in);
     EXPECT_TRUE(in.exhausted());
@@ -164,9 +162,9 @@ TEST(LegacyGoldens, QrplRestoresToTheStateItWasCapturedFrom) {
       std::vector<std::size_t> a_live, a_restored;
       std::vector<double> r_live, r_restored;
       EXPECT_EQ(
-          live.sample_into(4, rng_live, s_live, n_live, a_live, r_live),
-          restored.sample_into(4, rng_restored, s_restored, n_restored,
-                               a_restored, r_restored));
+          live.sample_into(4, rng_live, s_live, a_live, r_live, &n_live),
+          restored.sample_into(4, rng_restored, s_restored, a_restored,
+                               r_restored, &n_restored));
       EXPECT_EQ(s_restored.data(), s_live.data());
       EXPECT_EQ(n_restored.data(), n_live.data());
       EXPECT_EQ(a_restored, a_live);
@@ -220,10 +218,10 @@ TEST(ConstructionGoldens, Qrp2RestoresIntoAFreshRingAndResumes) {
     SCOPED_TRACE(golden.file);
     const auto bytes = read_golden(golden.file);
     ASSERT_EQ(std::string(bytes.begin(), bytes.begin() + 4), "QRP2");
-    rl::QReplayBuffer live(kCapacity, kStateDim);
+    rl::ReplayBuffer live(kCapacity, kStateDim, /*successors=*/true);
     push_script(live, 0, golden.pushes);
     EXPECT_EQ(saved_bytes(live), bytes);
-    rl::QReplayBuffer restored(kCapacity, kStateDim);
+    rl::ReplayBuffer restored(kCapacity, kStateDim, /*successors=*/true);
     ckpt::Reader in(bytes);
     restored.restore_state(in);
     EXPECT_TRUE(in.exhausted());
@@ -236,9 +234,9 @@ TEST(ConstructionGoldens, Qrp2RestoresIntoAFreshRingAndResumes) {
     nn::Matrix s_live, s_restored, n_live, n_restored;
     std::vector<std::size_t> a_live, a_restored;
     std::vector<double> r_live, r_restored;
-    EXPECT_EQ(live.sample_into(6, rng_live, s_live, n_live, a_live, r_live),
-              restored.sample_into(6, rng_restored, s_restored, n_restored,
-                                   a_restored, r_restored));
+    EXPECT_EQ(live.sample_into(6, rng_live, s_live, a_live, r_live, &n_live),
+              restored.sample_into(6, rng_restored, s_restored, a_restored,
+                                   r_restored, &n_restored));
     EXPECT_EQ(s_restored.data(), s_live.data());
     EXPECT_EQ(n_restored.data(), n_live.data());
     EXPECT_EQ(a_restored, a_live);

@@ -20,10 +20,10 @@ NeuralQConfig small_config(double gamma = 0.9) {
 }
 
 TEST(QReplayBuffer, StoresSuccessorStates) {
-  QReplayBuffer buffer(4, 2);
+  ReplayBuffer buffer(4, 2, /*successors=*/true);
   buffer.push(std::vector<double>{1.0, 2.0}, 1, 0.5,
               std::vector<double>{3.0, 4.0});
-  const QTransition t = buffer.at(0);
+  const Transition t = buffer.at(0);
   EXPECT_EQ(t.state, (std::vector<double>{1.0, 2.0}));
   EXPECT_EQ(t.next_state, (std::vector<double>{3.0, 4.0}));
   EXPECT_EQ(t.action, 1u);
@@ -31,7 +31,7 @@ TEST(QReplayBuffer, StoresSuccessorStates) {
 }
 
 TEST(QReplayBuffer, EvictsOldest) {
-  QReplayBuffer buffer(2, 1);
+  ReplayBuffer buffer(2, 1, /*successors=*/true);
   for (int i = 0; i < 4; ++i)
     buffer.push(std::vector<double>{static_cast<double>(i)}, 0, i,
                 std::vector<double>{0.0});
@@ -41,7 +41,7 @@ TEST(QReplayBuffer, EvictsOldest) {
 }
 
 TEST(QReplayBuffer, SampleClampsToSize) {
-  QReplayBuffer buffer(16, 1);
+  ReplayBuffer buffer(16, 1, /*successors=*/true);
   buffer.push(std::vector<double>{0.0}, 0, 0.0, std::vector<double>{0.0});
   util::Rng rng(1);
   EXPECT_EQ(buffer.sample(8, rng).size(), 1u);

@@ -86,12 +86,11 @@ struct Options {
   std::vector<std::string> fs_write_dirs = {"src"};
   /// Files allowed to open writable streams directly: the snapshot
   /// subsystem's atomic writer (the sanctioned durable-write path) and the
-  /// explicitly non-durable exporters (CSV reports, trace dumps).
+  /// explicitly non-durable exporters (CSV reports, JSONL metrics).
   std::vector<std::string> fs_write_allowlist = {
       "src/ckpt/snapshot.cpp",
       "src/util/csv.hpp",
       "src/util/jsonl.hpp",
-      "src/sim/trace_io.cpp",
   };
   /// Dirs covered by the raw-syscall rule (L7).
   std::vector<std::string> syscall_dirs = {"src"};
