@@ -438,7 +438,9 @@ bool wait_for_draw(const serve::EpollFrontEnd& front_end, std::size_t want,
 struct TcpRunOutcome {
   std::vector<double> model;
   bool completed = false;        ///< every round drew fully and committed
-  bool reputation_clean = true;  ///< all accepts => all reputations at cap
+  /// No client has a corrupt or rejected verdict: socket faults and kills
+  /// cost retries, never a bad upload.
+  bool verdicts_clean = true;
   std::size_t kills = 0;
   std::size_t duplicates = 0;
   std::size_t sessions_resumed = 0;
@@ -560,9 +562,11 @@ TcpRunOutcome tcp_run(std::size_t workers) {
   outcome.model = server.global_model();
   outcome.completed = ok;
   outcome.duplicates = server.stats().duplicates;
-  for (std::size_t c = 0; c < kTcpDevices; ++c)
-    if (server.client_record(c).reputation != 1.0)
-      outcome.reputation_clean = false;
+  for (std::size_t c = 0; c < kTcpDevices; ++c) {
+    const serve::ClientRecord& record = server.client_record(c);
+    if (record.corrupt != 0 || record.rejected != 0)
+      outcome.verdicts_clean = false;
+  }
   outcome.proxy_connections = proxy.connections();
   outcome.proxy_refusals = proxy.refusals();
   outcome.proxy_resets = proxy.resets();
@@ -581,7 +585,7 @@ int tcp_soak_main() {
   TcpRunOutcome outcomes[3];
   bool all_identical = true;
   bool all_completed = true;
-  bool reputation_clean = true;
+  bool verdicts_clean = true;
   std::size_t total_resumed = 0;
   std::size_t total_reaped = 0;
   for (std::size_t i = 0; i < 3; ++i) {
@@ -590,7 +594,7 @@ int tcp_soak_main() {
     const bool identical = same_bytes(outcomes[i].model, reference);
     all_identical = all_identical && identical;
     all_completed = all_completed && outcomes[i].completed;
-    reputation_clean = reputation_clean && outcomes[i].reputation_clean;
+    verdicts_clean = verdicts_clean && outcomes[i].verdicts_clean;
     total_resumed += outcomes[i].sessions_resumed;
     total_reaped += outcomes[i].idle_reaped;
     std::printf(
@@ -615,14 +619,14 @@ int tcp_soak_main() {
   // higher. The half-open injection must have been reaped in every run.
   const bool resume_exercised =
       total_resumed >= 3 * kTcpDevices && total_reaped >= 3;
-  const bool passed = all_identical && all_completed && reputation_clean &&
+  const bool passed = all_identical && all_completed && verdicts_clean &&
                       resume_exercised;
 
   std::printf(
-      "tcp soak: identical(1/2/4)=%s completed=%s reputation clean=%s "
+      "tcp soak: identical(1/2/4)=%s completed=%s verdicts clean=%s "
       "resume+reap exercised=%s | %.1fs wall\n",
       all_identical ? "yes" : "NO", all_completed ? "yes" : "NO",
-      reputation_clean ? "yes" : "NO", resume_exercised ? "yes" : "NO",
+      verdicts_clean ? "yes" : "NO", resume_exercised ? "yes" : "NO",
       wall_seconds);
 
   std::FILE* out = std::fopen("BENCH_tcp_soak.json", "w");
@@ -651,8 +655,8 @@ int tcp_soak_main() {
           outcomes[i].proxy_stalls, i + 1 < 3 ? "," : "");
     }
     std::fprintf(out, "  ],\n");
-    std::fprintf(out, "  \"reputation_clean\": %s,\n",
-                 reputation_clean ? "true" : "false");
+    std::fprintf(out, "  \"verdicts_clean\": %s,\n",
+                 verdicts_clean ? "true" : "false");
     std::fprintf(out, "  \"resume_exercised\": %s,\n",
                  resume_exercised ? "true" : "false");
     std::fprintf(out, "  \"wall_seconds\": %.1f,\n", wall_seconds);

@@ -63,7 +63,7 @@ keep = 3               ; snapshots retained in the rotation
 resume_from =          ; snapshot file or rotation dir to resume from
 
 [defense]
-enabled = false        ; server-side Byzantine screening + quarantine
+enabled = false        ; Byzantine screening + quarantine (sync or serve)
 norm_clip = 2.5        ; clip updates above this multiple of the norm median
 norm_screen = 6.0      ; reject updates above this multiple (>= norm_clip)
 cosine_max_distance = 0.8
@@ -78,7 +78,8 @@ enabled = false        ; route rounds through the sharded serve pipeline
 workers = 1            ; shard worker threads (client mod workers)
 queue_depth = 256      ; per-shard SPSC queue capacity (frames)
 batch = 16             ; worker batched-dequeue burst size
-mode = deterministic   ; deterministic | throughput (FedAsync merge)
+mode = deterministic   ; deterministic | throughput (FedAsync merge;
+                       ;   no [defense])
 mixing_rate = 0.5      ; throughput mode: FedAsync alpha
 staleness_power = 1.0  ; throughput mode: staleness discount exponent
 idle_timeout_s = 0.0   ; TCP front end: reap idle connections (0 = off)

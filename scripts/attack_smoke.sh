@@ -2,9 +2,12 @@
 # Byzantine-robustness smoke test: an 8-device fleet where 25% of the
 # devices sign-flip every upload must, with coordinate-median aggregation
 # and the defense pipeline on, land its final evaluation reward within
-# tolerance of an attack-free run of the same seed. Process-level
-# companion of bench/bench_ablation_robustness.cpp's sweep — run it
-# against the asan build to shake memory bugs out of the attack path.
+# tolerance of an attack-free run of the same seed. The attacked run is
+# then repeated through the sharded serve pipeline (4 shard workers),
+# whose defense must screen exactly as the in-process committer's: its
+# eval CSV must be byte-identical. Process-level companion of
+# bench/bench_ablation_robustness.cpp's sweep — run it against the asan
+# build to shake memory bugs out of the attack path.
 #
 #   scripts/attack_smoke.sh [path/to/run_experiment]
 set -euo pipefail
@@ -57,6 +60,20 @@ grep -q "compromised devices: 6, 7" "$workdir/attacked.log" || {
 }
 grep -q "defense: screened" "$workdir/attacked.log" || {
   echo "attack_smoke: defense reported no screening activity" >&2
+  exit 1
+}
+
+echo "== attacked run through the serve pipeline (4 shard workers) =="
+"$runner" "$config" "faults.attack=sign-flip" "faults.attack_fraction=0.25" \
+  "serve.enabled=true" "serve.workers=4" \
+  "eval.csv=$workdir/attacked_serve.csv" | tee "$workdir/attacked_serve.log"
+
+grep -q "defense: screened" "$workdir/attacked_serve.log" || {
+  echo "attack_smoke: serve run reported no screening activity" >&2
+  exit 1
+}
+cmp "$workdir/attacked.csv" "$workdir/attacked_serve.csv" || {
+  echo "attack_smoke: serve+defense diverged from sync+defense" >&2
   exit 1
 }
 

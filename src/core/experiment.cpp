@@ -199,10 +199,11 @@ FederatedRunResult run_federated(
     const std::vector<std::vector<sim::AppProfile>>& device_apps,
     const std::vector<sim::AppProfile>& eval_apps, bool eval_each_round) {
   FEDPOWER_EXPECTS(!eval_apps.empty() || !eval_each_round);
-  if (config.serve.enabled && config.defense.enabled)
+  if (config.serve.enabled && !config.serve.deterministic &&
+      config.defense.enabled)
     throw std::invalid_argument(
-        "serve.enabled is incompatible with defense.enabled: the serve "
-        "pipeline does not route uploads through the defense screen");
+        "serve.mode = throughput is incompatible with defense.enabled: a "
+        "throughput server merges uploads while its shards screen them");
 
   // Fault plan: compromised devices get their controller configs poisoned
   // and their hardware/uplink faults armed before training starts, so
@@ -248,9 +249,9 @@ FederatedRunResult run_federated(
     for (std::size_t d = 0; d < fleet.size(); ++d)
       churn_links.push_back(std::make_unique<chaos::ChurnTransport>(wire));
   }
-  // One driver runs the rounds. It aggregates inline (with the full
-  // defense pipeline available) or commits through the sharded serve
-  // pipeline (DESIGN.md §12); serve+defense is rejected above.
+  // One driver runs the rounds. It aggregates inline or commits through
+  // the sharded serve pipeline (DESIGN.md §12); either committer runs the
+  // defense stage.
   std::optional<serve::ShardedServer> sharded;
   if (config.serve.enabled) {
     serve::ServeConfig serve_config;
@@ -484,10 +485,6 @@ LocalRunResult run_local_only(
     const std::vector<std::vector<sim::AppProfile>>& device_apps,
     const std::vector<sim::AppProfile>& eval_apps, bool eval_each_round) {
   FEDPOWER_EXPECTS(!eval_apps.empty() || !eval_each_round);
-  if (config.serve.enabled && config.defense.enabled)
-    throw std::invalid_argument(
-        "serve.enabled is incompatible with defense.enabled: the serve "
-        "pipeline does not route uploads through the defense screen");
   runtime::FleetRuntime fleet(
       {config.controller}, config.processor, device_apps, config.seed,
       runtime::FleetOptions{config.num_threads, config.lazy_fleet});

@@ -96,9 +96,9 @@ struct FaultPlanConfig {
 /// the experiment header does not pull in the serve subsystem.
 /// Deterministic commit mode reproduces inline aggregation bit-identically
 /// at any worker count; throughput mode merges FedAsync-style with
-/// staleness discounting. Mutually exclusive with the defense pipeline
-/// (the shards do not route uploads through defense screening);
-/// run_federated rejects the pair before building the fleet.
+/// staleness discounting. The defense pipeline runs in deterministic mode
+/// only: throughput mode merges while the shards would screen, so
+/// run_federated rejects throughput + defense before building the fleet.
 struct ServeExperimentConfig {
   bool enabled = false;
   std::size_t workers = 1;

@@ -271,9 +271,8 @@ std::vector<double> aggregate_krum(
 
 std::vector<double> aggregate_with_mode(
     AggregationMode mode, const std::vector<std::vector<double>>& models,
-    std::span<const double> weights,
-    const std::optional<std::size_t>& trim_override,
-    const util::ParallelFor& parallel_for, AggregateOutcome& outcome) {
+    std::span<const double> weights, const util::ParallelFor& parallel_for,
+    std::size_t& trim_count) {
   switch (mode) {
     case AggregationMode::kUnweightedMean:
       return average_unweighted(models, parallel_for);
@@ -282,19 +281,13 @@ std::vector<double> aggregate_with_mode(
     case AggregationMode::kCoordinateMedian:
       return aggregate_median(models, parallel_for);
     case AggregationMode::kTrimmedMean: {
-      // ~20% trimmed by default; degrades to the plain mean below three
-      // clients. Dropouts can make any requested trim infeasible mid-run,
-      // so the effective (clamped) value is recorded in the outcome instead
-      // of aborting the round.
-      const std::size_t requested =
-          trim_override.has_value()
-              ? *trim_override
-              : (models.size() >= 3
-                     ? std::max<std::size_t>(1, models.size() / 5)
-                     : 0);
-      outcome.trim_count = clamp_trim_count(requested, models.size());
-      outcome.trim_clamped = outcome.trim_count != requested;
-      return aggregate_trimmed_mean(models, outcome.trim_count, parallel_for);
+      // ~20% trimmed, at least one from three clients up; the plain mean
+      // below three. max(1, n/5) never exceeds clamp_trim_count's
+      // (n-1)/2, so the budget is always feasible.
+      trim_count = models.size() >= 3
+                       ? std::max<std::size_t>(1, models.size() / 5)
+                       : 0;
+      return aggregate_trimmed_mean(models, trim_count, parallel_for);
     }
     case AggregationMode::kKrum:
     case AggregationMode::kMultiKrum: {

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -121,13 +120,6 @@ inline constexpr std::size_t kParallelAggregationMinWork = 16384;
     std::size_t byzantine_count, std::size_t select_count,
     const util::ParallelFor& parallel_for);
 
-/// Side information from aggregate_with_mode that round bookkeeping wants
-/// (only the trimmed-mean mode fills it in).
-struct AggregateOutcome {
-  std::size_t trim_count = 0;
-  bool trim_clamped = false;
-};
-
 /// One aggregation step under `mode`, including the per-mode parameter
 /// policy (default trim budget, Krum's byzantine/select counts). Both the
 /// synchronous server (FederatedAveraging) and the sharded serve pipeline's
@@ -135,13 +127,12 @@ struct AggregateOutcome {
 /// bit-identical by construction: identical inputs in identical order flow
 /// through the exact same floating-point operations.
 ///
-/// `trim_override` replaces the default trimmed-mean budget when set
-/// (ignored by the other modes). `weights` is consulted only by
-/// kSampleWeighted and must then match `models` in length.
+/// `weights` is consulted only by kSampleWeighted and must then match
+/// `models` in length. The trimmed mean stores the trim count it used in
+/// `trim_count`; the other modes leave it alone.
 [[nodiscard]] std::vector<double> aggregate_with_mode(
     AggregationMode mode, const std::vector<std::vector<double>>& models,
-    std::span<const double> weights,
-    const std::optional<std::size_t>& trim_override,
-    const util::ParallelFor& parallel_for, AggregateOutcome& outcome);
+    std::span<const double> weights, const util::ParallelFor& parallel_for,
+    std::size_t& trim_count);
 
 }  // namespace fedpower::fed

@@ -8,15 +8,17 @@
 
 namespace fedpower::fed {
 
-// l2_norm is defined in dp.cpp (the DP clipping path needed it first);
-// defense.hpp re-declares it as a shared screening primitive.
-
 bool any_non_finite(std::span<const double> values) {
   for (const double v : values)
     if (!std::isfinite(v)) return true;
   return false;
 }
 
+namespace {
+
+/// Median of the scratch window via nth_element (even sizes average the
+/// two middle elements). Deterministic and O(window); the scratch is taken
+/// by value because nth_element reorders it.
 double robust_median(std::vector<double> scratch) {
   FEDPOWER_EXPECTS(!scratch.empty());
   const std::size_t mid = scratch.size() / 2;
@@ -29,8 +31,6 @@ double robust_median(std::vector<double> scratch) {
       scratch.begin(), scratch.begin() + static_cast<std::ptrdiff_t>(mid));
   return (lower + upper) / 2.0;
 }
-
-namespace {
 
 /// L2 norm of the element-wise difference a - b, accumulated in coordinate
 /// order (the documented model-order FP contract, DESIGN.md §8 L3).
@@ -196,7 +196,6 @@ DefenseRoundLog DefensePipeline::commit_round(
     } else {
       state.reputation -= config_.fail_penalty;
       ++state.screened_total;
-      log.screened.push_back(obs.client);
       if (state.reputation < config_.quarantine_threshold) {
         state.quarantined = true;
         ++quarantined_count_;
@@ -211,6 +210,33 @@ DefenseRoundLog DefensePipeline::commit_round(
   norm_median_ = norm_screen_armed() && !norm_history_.empty()
                      ? robust_median(norm_history_)
                      : 0.0;
+  return log;
+}
+
+std::size_t required_survivors(std::size_t quorum, std::size_t participants,
+                               std::size_t quarantined) noexcept {
+  return std::max<std::size_t>(1,
+                               std::min(quorum, participants - quarantined));
+}
+
+void DefenseStage::begin_round(std::span<const std::size_t> participants) {
+  quarantined_.clear();
+  observations_.clear();
+  for (const std::size_t i : participants)
+    if (pipeline_.quarantined(i)) quarantined_.push_back(i);
+}
+
+Admission DefenseStage::admit(const ScreenObservation& observation) {
+  observations_.push_back(observation);
+  if (pipeline_.quarantined(observation.client)) return Admission::kProbation;
+  const bool clean = observation.verdict == ScreenVerdict::kAccepted ||
+                     observation.verdict == ScreenVerdict::kClipped;
+  return clean ? Admission::kAggregate : Admission::kScreened;
+}
+
+DefenseRoundLog DefenseStage::commit() {
+  DefenseRoundLog log = pipeline_.commit_round(observations_);
+  observations_.clear();
   return log;
 }
 

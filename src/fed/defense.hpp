@@ -29,7 +29,8 @@
 // reads pipeline state but mutates nothing; all state transitions happen
 // in commit_round(), which the server calls only after the quorum held, so
 // an aborted round leaves reputations untouched (matching the untouched
-// round counter).
+// round counter). DefenseStage wraps the pipeline in the round rule both
+// committers run, so the rule is written once.
 #pragma once
 
 #include <cstddef>
@@ -41,25 +42,10 @@
 
 namespace fedpower::fed {
 
-// --- shared screening primitives ----------------------------------------
-// Both federation servers — the synchronous FederatedAveraging and the
-// sharded serve pipeline — route uploads through these exact functions, so
-// their non-finite/norm verdict counters agree under identical fault
-// seeds (the serve-path screening-parity contract, DESIGN.md §13).
-
-/// L2 norm accumulated in coordinate order (the model-order FP contract,
-/// DESIGN.md §8 L3). Defined in dp.cpp; both screening paths and the DP
-/// clipping path share the one accumulation loop.
-[[nodiscard]] double l2_norm(std::span<const double> values) noexcept;
-
 /// True when any coordinate is NaN or infinite — the server-core screen a
-/// diverged or malicious upload must never pass.
+/// diverged or malicious upload must never pass. Both committers apply it
+/// to every decoded upload, defense armed or not.
 bool any_non_finite(std::span<const double> values);
-
-/// Median of the scratch window via nth_element (even sizes average the
-/// two middle elements). Deterministic and O(window); the scratch is taken
-/// by value because nth_element reorders it.
-double robust_median(std::vector<double> scratch);
 
 struct DefenseConfig {
   /// Master switch; a default-constructed config keeps the legacy
@@ -120,7 +106,6 @@ struct ScreenObservation {
 
 /// What commit_round() decided, in client index order.
 struct DefenseRoundLog {
-  std::vector<std::size_t> screened;   ///< active clients rejected this round
   std::vector<std::size_t> readmitted; ///< quarantined clients re-admitted
   std::vector<std::size_t> newly_quarantined;
   std::size_t clipped = 0;             ///< admitted-after-clipping count
@@ -184,6 +169,55 @@ class DefensePipeline {
   /// robust_median(norm_history_), which only commit_round changes, so a
   /// round's screens share one median. lint: ckpt-skip(derived from norm_history_; restore_state recomputes it)
   double norm_median_ = 0.0;
+};
+
+/// Uploads a round needs to commit: `quorum`, capped at the participants
+/// that did not enter the round quarantined, and at least one.
+[[nodiscard]] std::size_t required_survivors(std::size_t quorum,
+                                             std::size_t participants,
+                                             std::size_t quarantined) noexcept;
+
+/// Where one upload goes in the open round.
+enum class Admission : std::uint8_t {
+  kAggregate,  ///< clean, from a client outside quarantine
+  kScreened,   ///< unclean, from a client outside quarantine
+  kProbation,  ///< from a quarantined client: feeds only its probation
+};
+
+/// The defense as a committer stage (DESIGN.md §10), run the same way by
+/// both committers: begin_round, then admit for every finite upload's
+/// screen() and every non-finite upload's non_finite() observation in
+/// client order, then commit once the quorum held. A round that never
+/// commits leaves the pipeline untouched. No allocation per upload once
+/// the vectors have grown.
+class DefenseStage {
+ public:
+  DefenseStage(const DefenseConfig& config, std::size_t client_count)
+      : pipeline_(config, client_count) {}
+
+  const DefensePipeline& pipeline() const noexcept { return pipeline_; }
+
+  /// Opens a round over the sorted participants; drops what an
+  /// uncommitted round left behind.
+  void begin_round(std::span<const std::size_t> participants);
+  /// Participants that entered the open round quarantined, sorted.
+  const std::vector<std::size_t>& quarantined() const noexcept {
+    return quarantined_;
+  }
+  /// Records one observation for the commit and says where its upload goes.
+  Admission admit(const ScreenObservation& observation);
+  /// Applies the round's observations to the pipeline and closes the round.
+  DefenseRoundLog commit();
+
+  void save_state(ckpt::Writer& out) const { pipeline_.save_state(out); }
+  void restore_state(ckpt::Reader& in) { pipeline_.restore_state(in); }
+
+ private:
+  DefensePipeline pipeline_;
+  /// lint: ckpt-skip(in-flight round state; snapshots only between rounds)
+  std::vector<std::size_t> quarantined_;
+  /// lint: ckpt-skip(in-flight round state; snapshots only between rounds)
+  std::vector<ScreenObservation> observations_;
 };
 
 }  // namespace fedpower::fed

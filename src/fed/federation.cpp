@@ -66,13 +66,11 @@ void LocalCommitter::enable_defense(const DefenseConfig& config) {
 }
 
 void LocalCommitter::clear_round() {
-  quarantined_.clear();
   for (std::vector<double>& row : locals_)
     spare_rows_.push_back(std::move(row));
   locals_.clear();
   weights_.clear();
   accepted_ = 0;
-  observations_.clear();
   uplink_bytes_ = 0;
 }
 
@@ -86,8 +84,8 @@ void LocalCommitter::begin_round(std::vector<std::size_t> participants) {
   for (const std::size_t i : participants_) {
     FEDPOWER_EXPECTS(i < status_.size());
     status_[i] = Status::kAwaiting;
-    if (defense_ && defense_->quarantined(i)) quarantined_.push_back(i);
   }
+  if (defense_) defense_->begin_round(participants_);
 }
 
 void LocalCommitter::submit(std::size_t client, std::uint64_t /*base_version*/,
@@ -111,27 +109,21 @@ void LocalCommitter::submit(std::size_t client, std::uint64_t /*base_version*/,
   }
   // Server-side screening: a NaN or infinity anywhere in an upload would
   // poison every mean-style aggregate, so a diverged (or malicious) model is
-  // excluded exactly like a transport dropout. Shared with the serve
-  // pipeline (screening parity, DESIGN.md §13).
+  // excluded exactly like a transport dropout.
   if (any_non_finite(local)) {
     status = Status::kRejected;
-    if (defense_) observations_.push_back(defense_->non_finite(client));
+    if (defense_) defense_->admit(defense_->pipeline().non_finite(client));
     return;
   }
   uplink_bytes_ += payload.size();
   status = Status::kDelivered;
   if (defense_) {
-    const bool quarantined = defense_->quarantined(client);
     // Screening may clip `local` in place; the verdict only feeds the
     // reputation update after the quorum holds (commit_round below).
-    const ScreenObservation obs = defense_->screen(client, local, global_);
-    observations_.push_back(obs);
-    const bool clean = obs.verdict == ScreenVerdict::kAccepted ||
-                       obs.verdict == ScreenVerdict::kClipped;
-    if (!clean && !quarantined) status = Status::kScreened;
-    // A quarantined client's clean upload feeds its probation streak but
-    // stays out of the aggregate until re-admission.
-    if (!clean || quarantined) return;
+    const Admission admission =
+        defense_->admit(defense_->pipeline().screen(client, local, global_));
+    if (admission == Admission::kScreened) status = Status::kScreened;
+    if (admission != Admission::kAggregate) return;
   }
   // Uploads arrive in client-index order, the order locals_ would hold
   // them in, so the running sum adds exactly what average_unweighted would.
@@ -168,21 +160,13 @@ RoundResult LocalCommitter::commit_round(std::size_t quorum) {
   }
   result.participants = std::move(participants_);
   participants_.clear();
-  result.quarantined = std::move(quarantined_);
+  if (defense_) result.quarantined = defense_->quarantined();
   result.uplink_bytes = uplink_bytes_;
 
   // An aborted round drops its screening observations: reputations only
-  // move on completed rounds. The quorum is checked against this round's
-  // aggregation-eligible participants — the drawn clients minus probation
-  // riders — never the full fleet: a round that samples fewer clients than
-  // the configured quorum only demands that every sampled client survive.
-  // (Pre-fix the absolute count was used, so small-C rounds threw
-  // QuorumError spuriously with zero faults.) At least one upload must
-  // always survive.
-  const std::size_t eligible_drawn =
-      result.participants.size() - result.quarantined.size();
-  const std::size_t required =
-      std::max<std::size_t>(1, std::min(quorum, eligible_drawn));
+  // move on completed rounds.
+  const std::size_t required = required_survivors(
+      quorum, result.participants.size(), result.quarantined.size());
   if (accepted_ < required) {
     const std::size_t survivors = accepted_;
     clear_round();
@@ -198,15 +182,12 @@ RoundResult LocalCommitter::commit_round(std::size_t quorum) {
   if (streams_mean()) {
     finish_mean(sum_, accepted_, global_);
   } else {
-    AggregateOutcome outcome;
-    global_ = aggregate_with_mode(mode_, locals_, weights_, trim_override_,
-                                  executor_, outcome);
-    result.trim_count = outcome.trim_count;
-    result.trim_clamped = outcome.trim_clamped;
+    global_ = aggregate_with_mode(mode_, locals_, weights_, executor_,
+                                  result.trim_count);
   }
   if (defense_) {
-    const DefenseRoundLog log = defense_->commit_round(observations_);
-    result.readmitted = log.readmitted;
+    DefenseRoundLog log = defense_->commit();
+    result.readmitted = std::move(log.readmitted);
     result.clipped = log.clipped;
   }
   clear_round();
@@ -279,20 +260,13 @@ void FederatedAveraging::set_client_transport(std::size_t client,
 }
 
 void FederatedAveraging::enable_defense(const DefenseConfig& config) {
-  if (!config.enabled && local_ == nullptr) return;  // nothing to disarm
-  FEDPOWER_EXPECTS(local_ != nullptr);
   FEDPOWER_EXPECTS(!config.enabled || rounds_completed_ == 0);
-  local_->enable_defense(config);
+  committer_->enable_defense(config);
 }
 
 void FederatedAveraging::set_round_deadline(double seconds) {
   FEDPOWER_EXPECTS(seconds >= 0.0);
   deadline_s_ = seconds;
-}
-
-void FederatedAveraging::set_trim_count(std::size_t trim_count) {
-  FEDPOWER_EXPECTS(local_ != nullptr);
-  local_->set_trim_count(trim_count);
 }
 
 void FederatedAveraging::set_local_executor(util::ParallelFor executor) {

@@ -121,11 +121,8 @@ struct RoundResult {
   std::vector<std::size_t> readmitted;
   /// Uploads admitted after defense norm clipping.
   std::size_t clipped = 0;
-  /// Trim count the trimmed-mean aggregation actually used this round.
+  /// Trim count the trimmed-mean aggregation used this round.
   std::size_t trim_count = 0;
-  /// True when dropouts shrank the survivor set enough that the requested
-  /// trim count had to be clamped (see aggregate_trimmed_mean).
-  bool trim_clamped = false;
   /// Reconnect/retry attempts this round's transfers made (the delta of the
   /// used link's stats().retries around each transfer).
   std::size_t transport_retries = 0;
@@ -168,9 +165,9 @@ class QuorumError final : public std::runtime_error {
 /// round's uploads go once the driver has drawn, broadcast, trained and
 /// collected them. Every on-time upload payload is handed to submit() and
 /// the round closes with commit_round(). The committer owns the global
-/// model, the wire codec and its own snapshot section. LocalCommitter
-/// aggregates in process; serve::ShardedServer commits through its worker
-/// shards.
+/// model, the wire codec, the optional defense stage and its own snapshot
+/// section. LocalCommitter aggregates in process; serve::ShardedServer
+/// commits through its worker shards; both run the same defense stage.
 class RoundCommitter {
  public:
   RoundCommitter() = default;
@@ -199,19 +196,22 @@ class RoundCommitter {
   virtual RoundResult commit_round(std::size_t quorum) = 0;
   virtual const std::vector<double>& global_model() const noexcept = 0;
   virtual const ModelCodec& codec() const noexcept = 0;
-  /// The armed defense pipeline, if this committer screens with one; the
-  /// driver's quarantine-aware draw reads it.
-  virtual const DefensePipeline* defense() const noexcept { return nullptr; }
+  /// Arms the defense stage between rounds (config.enabled false disarms);
+  /// its state (DFNS) then ends the committer's snapshot section.
+  virtual void enable_defense(const DefenseConfig& config) = 0;
+  /// The armed defense pipeline, or nullptr; the driver's quarantine-aware
+  /// draw reads it.
+  virtual const DefensePipeline* defense() const noexcept = 0;
   virtual void save_state(ckpt::Writer& out) const = 0;
   virtual void restore_state(ckpt::Reader& in) = 0;
 };
 
 /// The in-process committer (paper Algorithm 2 lines 7-8): decodes, screens
 /// and aggregates each round's uploads. It owns the global model, the
-/// aggregation rule, the trim override and the optional defense pipeline
-/// (DESIGN.md §10). Uploads must arrive in client-index order, as the
-/// driver's serial uplink sends them: the defense screens accumulate
-/// history in that order (DESIGN.md §7).
+/// aggregation rule and the optional defense stage (DESIGN.md §10).
+/// Uploads must arrive in client-index order, as the driver's serial
+/// uplink sends them: the defense screens accumulate history in that order
+/// (DESIGN.md §7).
 class LocalCommitter final : public RoundCommitter {
  public:
   /// The codec is non-owning and must outlive the committer; the default is
@@ -229,33 +229,27 @@ class LocalCommitter final : public RoundCommitter {
   std::uint64_t version() const noexcept override { return 0; }
   /// Decodes and screens one participant's upload. A codec reject or a
   /// wrong shape is a dropout; a non-finite upload is rejected. A finite
-  /// upload counts its bytes and runs the defense screen; only a clean
-  /// upload from a client that did not enter the round quarantined joins
-  /// the aggregate. Uploads decode into rows recycled across rounds. Under
+  /// upload counts its bytes and, with the defense armed, goes where
+  /// DefenseStage::admit sends it. Uploads decode into rows recycled
+  /// across rounds. Under
   /// the unweighted mean an accepted upload is folded into the round's
   /// running sum on the spot, so its row goes straight back to the pool.
   void submit(std::size_t client, std::uint64_t base_version,
               std::span<const std::uint8_t> payload, double weight) override;
   /// Books every participant that never submitted as a dropout, checks the
-  /// quorum against the participants minus the quarantined ones (at least
-  /// one upload must survive), aggregates with aggregate_with_mode (the
+  /// quorum (required_survivors), aggregates with aggregate_with_mode (the
   /// unweighted mean finishes its running sum instead) and commits the
-  /// defense observations. On QuorumError neither the global
-  /// model nor any reputation moves.
+  /// defense stage. On QuorumError neither the global model nor any
+  /// reputation moves.
   RoundResult commit_round(std::size_t quorum) override;
   const std::vector<double>& global_model() const noexcept override {
     return global_;
   }
   const ModelCodec& codec() const noexcept override { return *codec_; }
+  void enable_defense(const DefenseConfig& config) override;
   const DefensePipeline* defense() const noexcept override {
-    return defense_ ? &*defense_ : nullptr;
+    return defense_ ? &defense_->pipeline() : nullptr;
   }
-
-  /// Arms the defense pipeline; config.enabled false disarms it.
-  void enable_defense(const DefenseConfig& config);
-  /// Overrides the trimmed-mean trim count (see
-  /// FederatedAveraging::set_trim_count).
-  void set_trim_count(std::size_t trim_count) { trim_override_ = trim_count; }
 
   /// The global model, then the defense state (tag DFNS) when the pipeline
   /// is armed.
@@ -287,14 +281,11 @@ class LocalCommitter final : public RoundCommitter {
   /// Empty = serial aggregation. lint: ckpt-skip(thread pool handle; commits are width-invariant)
   util::ParallelFor executor_;
   std::vector<double> global_;
-  std::optional<DefensePipeline> defense_;
-  std::optional<std::size_t> trim_override_;  // lint: ckpt-skip(construction config, fixed for the run)
+  std::optional<DefenseStage> defense_;
 
   // In-flight round state: snapshots are taken between rounds, so none of
   // it can be live in a checkpoint.
   std::vector<std::size_t> participants_;  // lint: ckpt-skip(in-flight round state; snapshots only between rounds)
-  /// Participants that entered the round quarantined. lint: ckpt-skip(in-flight round state; snapshots only between rounds)
-  std::vector<std::size_t> quarantined_;
   /// One entry per client, kIdle outside the open round. lint: ckpt-skip(in-flight round state; snapshots only between rounds)
   std::vector<Status> status_;
   /// Uploads that join the aggregate, kept by every rule but the streamed
@@ -309,8 +300,6 @@ class LocalCommitter final : public RoundCommitter {
   std::vector<double> sum_;
   /// Uploads that joined the aggregate this round. lint: ckpt-skip(in-flight round state; snapshots only between rounds)
   std::size_t accepted_ = 0;
-  /// Verdicts for the defense commit. lint: ckpt-skip(in-flight round state; snapshots only between rounds)
-  std::vector<ScreenObservation> observations_;
   std::size_t uplink_bytes_ = 0;  // lint: ckpt-skip(in-flight round state; snapshots only between rounds)
 };
 
@@ -326,8 +315,7 @@ class FederatedAveraging {
 
   /// Routes every round's uploads to `committer` (non-owning; must outlive
   /// the federation). Uplinks are encoded with the committer's codec, and
-  /// the aggregation rule is the committer's. The defense pipeline and the
-  /// trim override cannot be set on this driver.
+  /// the aggregation rule and the defense stage are the committer's.
   FederatedAveraging(std::vector<FederatedClient*> clients,
                      Transport* transport, RoundCommitter* committer);
 
@@ -371,26 +359,17 @@ class FederatedAveraging {
   /// blocking the round and never feed reputation.
   void set_round_deadline(double seconds);
 
-  /// Arms the server-side Byzantine defense pipeline (defense.hpp): norm
-  /// clipping and screening, cosine screening against the previous global
-  /// model, and reputation-based quarantine. No-op when config.enabled is
-  /// false. Must be called before the first round, on a driver that owns
-  /// its LocalCommitter; the pipeline's state is then part of
-  /// save_state/restore_state.
+  /// Arms the server-side Byzantine defense pipeline (defense.hpp) on the
+  /// committer: norm clipping and screening, cosine screening against the
+  /// previous global model, and reputation-based quarantine.
+  /// config.enabled false disarms it. Must be called before the first
+  /// round; the pipeline's state is then part of save_state/restore_state.
   void enable_defense(const DefenseConfig& config);
 
   /// The armed defense pipeline, or nullptr when defense is disabled.
   const DefensePipeline* defense() const noexcept {
     return committer_->defense();
   }
-
-  /// Overrides the trimmed-mean trim count (default: ~20% of the round's
-  /// survivors, at least 1 from three survivors up). The effective value is
-  /// still clamped per round to what the survivor set supports
-  /// (clamp_trim_count); RoundResult::trim_clamped records when that
-  /// happened. Only a driver that owns its LocalCommitter takes it; a
-  /// ShardedServer reads serve::ServeConfig::trim_override instead.
-  void set_trim_count(std::size_t trim_count);
 
   /// Runs the clients' local training through the given executor (e.g. a
   /// runtime::ThreadPool), one client = one work item, with a barrier
@@ -426,10 +405,10 @@ class FederatedAveraging {
   /// Serializes the driver's round state — client count, round counter and
   /// the participation RNG stream (so a resumed run selects the same
   /// clients the uninterrupted run would have) — followed by the
-  /// committer's own section. The tag is fixed by the constructor: FAVG
-  /// over the owned LocalCommitter (then the global model, and DFNS when
-  /// the defense is armed; snapshots and federations must agree on whether
-  /// defense is enabled), SFED over a caller's committer. Restoring a
+  /// committer's own section, which ends in DFNS when the defense is armed
+  /// (snapshots and federations must agree on whether it is). The tag is
+  /// fixed by the constructor: FAVG over the owned LocalCommitter (then the
+  /// global model), SFED over a caller's committer. Restoring a
   /// snapshot whose global model does not fit the clients' models throws
   /// ckpt::StateMismatchError.
   void save_state(ckpt::Writer& out) const;

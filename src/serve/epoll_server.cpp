@@ -334,6 +334,9 @@ bool EpollFrontEnd::handle_frame(int fd, Connection& conn,
     UplinkHeader header;
     if (!decode_uplink_header(payload, header)) return false;
     if (header.client >= server_->client_count()) return false;
+    // A zero sample weight would leave a sample-weighted round with no
+    // weight to divide by, so it is as hostile as an unknown client.
+    if (header.weight == 0) return false;
     server_->submit(header.client, header.base_version,
                     std::span(payload).subspan(kUplinkHeaderBytes),
                     static_cast<double>(header.weight));

@@ -14,8 +14,9 @@
 // with kMaxFrameBytes enforced at decode: an oversized or zero length
 // closes the connection and counts in protocol_errors(); EOF mid-frame
 // counts in truncated_frames(). An uplink frame (direction 0) carries the
-// uplink header and is acknowledged with a
-// 1-byte status frame once enqueued; a fetch frame (direction 1) is
+// uplink header and is acknowledged with a 1-byte status frame once
+// enqueued; an unknown client id or a zero sample weight in that header is
+// a protocol error, never submitted; a fetch frame (direction 1) is
 // answered with the current server version + encoded global model; a
 // resume frame (direction 2) is the session-resume handshake (DESIGN.md
 // §14) — a reconnecting client announces its id and last-acked round and

@@ -17,13 +17,10 @@ namespace {
 /// Sentinel client index the injector enqueues to stop a worker.
 constexpr std::size_t kStopClient = std::numeric_limits<std::size_t>::max();
 
-/// Reputation moves: small credit on a clean upload, large debit on a
-/// corrupt or non-finite one (asymmetric so one bad frame costs five good
-/// ones to recover from).
-constexpr double kReputationCredit = 0.05;
-constexpr double kReputationDebit = 0.25;
-
-constexpr ckpt::Tag kServerTag{'S', 'R', 'V', 'R'};
+constexpr ckpt::Tag kServerTag{'S', 'R', 'V', '2'};
+/// SRV2 plus a norm-screen counter and, per client, a screened count, a
+/// norm-ring cursor, a reputation and an 8-slot norm ring.
+constexpr ckpt::Tag kLegacyServerTag{'S', 'R', 'V', 'R'};
 
 }  // namespace
 
@@ -58,15 +55,25 @@ void ShardedServer::set_executor(util::ParallelFor executor) {
   executor_ = std::move(executor);
 }
 
+void ShardedServer::enable_defense(const fed::DefenseConfig& config) {
+  FEDPOWER_EXPECTS(!round_open_);
+  FEDPOWER_EXPECTS(collected_total_ == submitted_total_);  // quiescent only
+  if (!config.enabled) {
+    defense_.reset();
+    return;
+  }
+  FEDPOWER_EXPECTS(config_.mode == CommitMode::kDeterministic);
+  defense_.emplace(config, records_.size());
+}
+
 void ShardedServer::begin_round(std::vector<std::size_t> participants) {
   FEDPOWER_EXPECTS(!round_open_);
   for (const std::size_t p : participants)
     FEDPOWER_EXPECTS(p < records_.size());
   participants_ = std::move(participants);
   std::sort(participants_.begin(), participants_.end());
+  if (defense_) defense_->begin_round(participants_);
   round_records_.clear();
-  round_accepted_ = 0;
-  round_uplink_bytes_ = 0;
   round_seen_.assign(records_.size(), 0);
   round_distinct_ = 0;
   round_open_ = true;
@@ -147,9 +154,13 @@ fed::RoundResult ShardedServer::commit_round(std::size_t quorum) {
   std::vector<char> is_participant(records_.size(), 0);
   for (const std::size_t p : participants_) is_participant[p] = 1;
 
+  // Each participant's first arrival, in client order, as LocalCommitter
+  // takes an upload: a finite one counts its bytes and goes where the
+  // defense stage admits it.
   std::vector<std::vector<double>> locals;
   std::vector<double> weights;
   std::vector<char> arrived(records_.size(), 0);
+  std::size_t survivors = 0;
   locals.reserve(round_records_.size());
   for (Pending& p : round_records_) {
     if (!is_participant[p.client]) continue;
@@ -161,20 +172,28 @@ fed::RoundResult ShardedServer::commit_round(std::size_t quorum) {
     }
     arrived[p.client] = 1;
     switch (p.verdict) {
-      case Verdict::kAccepted:
+      case Verdict::kAccepted: {
+        result.uplink_bytes += p.payload_bytes;
+        const fed::Admission admission =
+            defense_ ? defense_->admit(p.observation)
+                     : fed::Admission::kAggregate;
+        if (admission == fed::Admission::kScreened)
+          result.screened.push_back(p.client);
+        if (admission != fed::Admission::kAggregate) break;
+        ++survivors;
         if (config_.mode == CommitMode::kDeterministic) {
           locals.push_back(std::move(p.model));
           weights.push_back(p.weight);
         }
         break;
+      }
       case Verdict::kCorrupt:
         result.dropped.push_back(p.client);
         break;
       case Verdict::kNonFinite:
         result.rejected.push_back(p.client);
-        break;
-      case Verdict::kNormScreened:
-        result.screened.push_back(p.client);
+        if (defense_)
+          defense_->admit(defense_->pipeline().non_finite(p.client));
         break;
     }
   }
@@ -184,13 +203,10 @@ fed::RoundResult ShardedServer::commit_round(std::size_t quorum) {
   for (const std::size_t p : participants_)
     if (!arrived[p]) result.dropped.push_back(p);
   std::sort(result.dropped.begin(), result.dropped.end());
-  result.uplink_bytes = round_uplink_bytes_;
+  if (defense_) result.quarantined = defense_->quarantined();
 
-  const std::size_t survivors = config_.mode == CommitMode::kDeterministic
-                                    ? locals.size()
-                                    : round_accepted_;
-  const std::size_t required =
-      std::max<std::size_t>(1, std::min(quorum, participants_.size()));
+  const std::size_t required = fed::required_survivors(
+      quorum, participants_.size(), result.quarantined.size());
   if (survivors < required) {
     // Abort the round without touching the global model or the round
     // counter (throughput-mode merges already applied stand: in FedAsync
@@ -201,13 +217,14 @@ fed::RoundResult ShardedServer::commit_round(std::size_t quorum) {
   }
 
   if (config_.mode == CommitMode::kDeterministic) {
-    fed::AggregateOutcome outcome;
     global_ = fed::aggregate_with_mode(config_.aggregation, locals, weights,
-                                       config_.trim_override, executor_,
-                                       outcome);
-    result.trim_count = outcome.trim_count;
-    result.trim_clamped = outcome.trim_clamped;
+                                       executor_, result.trim_count);
     ++version_;
+  }
+  if (defense_) {
+    fed::DefenseRoundLog log = defense_->commit();
+    result.readmitted = std::move(log.readmitted);
+    result.clipped = log.clipped;
   }
 
   round_records_.clear();
@@ -253,9 +270,6 @@ void ShardedServer::process(Shard& shard, Upload upload) {
     if (pending.model.size() != model_size_) {
       pending.verdict = Verdict::kCorrupt;  // wrong shape: treat as corrupt
     } else if (fed::any_non_finite(pending.model)) {
-      // Shared screening primitive (screening-parity contract, DESIGN.md
-      // §13): the exact predicate the synchronous defense pipeline applies,
-      // so verdict counters match under identical fault seeds.
       pending.verdict = Verdict::kNonFinite;
     } else {
       pending.verdict = Verdict::kAccepted;
@@ -264,39 +278,24 @@ void ShardedServer::process(Shard& shard, Upload upload) {
     pending.verdict = Verdict::kCorrupt;  // codec rejected the payload
   }
 
-  if (pending.verdict == Verdict::kAccepted &&
-      config_.norm_screen_multiplier > 0.0 &&
-      record.norm_count >= config_.norm_min_samples) {
-    // Norm screen against the client's OWN accepted-norm history (never
-    // cross-shard state, so snapshot bytes stay worker-count invariant).
-    // Median and norm come from the same fed:: primitives as the defense
-    // pipeline.
-    const std::size_t window = static_cast<std::size_t>(
-        std::min<std::uint64_t>(record.norm_count, kNormWindow));
-    std::vector<double> history(record.norms.begin(),
-                                record.norms.begin() +
-                                    static_cast<std::ptrdiff_t>(window));
-    const double median = fed::robust_median(std::move(history));
-    const double norm = fed::l2_norm(pending.model);
-    if (median > 0.0 && norm > config_.norm_screen_multiplier * median)
-      pending.verdict = Verdict::kNormScreened;
-  }
-
-  if (pending.verdict == Verdict::kAccepted) {
-    ++record.accepted;
-    record.reputation = std::min(1.0, record.reputation + kReputationCredit);
-    record.norms[static_cast<std::size_t>(record.norm_count % kNormWindow)] =
-        fed::l2_norm(pending.model);
-    ++record.norm_count;
-  } else {
-    if (pending.verdict == Verdict::kCorrupt)
+  switch (pending.verdict) {
+    case Verdict::kAccepted:
+      ++record.accepted;
+      // The screen is const and global_ only moves while the workers are
+      // idle, so every shard screens against the model the round started
+      // from. It may clip the row in place.
+      if (defense_)
+        pending.observation = defense_->pipeline().screen(
+            upload.client, pending.model, global_);
+      break;
+    case Verdict::kCorrupt:
       ++record.corrupt;
-    else if (pending.verdict == Verdict::kNormScreened)
-      ++record.screened;
-    else
+      pending.model.clear();
+      break;
+    case Verdict::kNonFinite:
       ++record.rejected;
-    record.reputation = std::max(0.0, record.reputation - kReputationDebit);
-    pending.model.clear();
+      pending.model.clear();
+      break;
   }
 
   for (;;) {
@@ -348,19 +347,11 @@ void ShardedServer::absorb(Pending pending) {
     case Verdict::kNonFinite:
       ++stats_.uplinks_rejected;
       break;
-    case Verdict::kNormScreened:
-      ++stats_.uplinks_screened;
-      break;
   }
-  if (pending.verdict == Verdict::kAccepted) {
-    if (config_.mode == CommitMode::kThroughput) {
-      merge_async(pending);
-      pending.model.clear();  // merged; only the verdict feeds the round log
-    }
-    if (round_open_) {
-      ++round_accepted_;
-      round_uplink_bytes_ += pending.payload_bytes;
-    }
+  if (pending.verdict == Verdict::kAccepted &&
+      config_.mode == CommitMode::kThroughput) {
+    merge_async(pending);
+    pending.model.clear();  // merged; only the verdict feeds the round log
   }
   if (round_open_) {
     // Distinct-arrival progress: the first frame a client lands this round
@@ -422,6 +413,9 @@ void ShardedServer::stop() {
   stopped_ = true;
 }
 
+// Save writes SRV2; restore also reads the older SRVR layout and discards
+// its extra fields, so the typed sequences differ by design.
+// lint: ckpt-sym-ok(dual-format dispatch: restore branches on the tag it reads)
 void ShardedServer::save_state(ckpt::Writer& out) const {
   FEDPOWER_EXPECTS(collected_total_ == submitted_total_);  // quiescent only
   ckpt::write_tag(out, kServerTag);
@@ -432,7 +426,6 @@ void ShardedServer::save_state(ckpt::Writer& out) const {
   out.u64(stats_.uplinks_accepted);
   out.u64(stats_.uplinks_corrupt);
   out.u64(stats_.uplinks_rejected);
-  out.u64(stats_.uplinks_screened);
   out.u64(stats_.deferred);
   out.u64(stats_.merges);
   out.u64(stats_.duplicates);
@@ -446,16 +439,16 @@ void ShardedServer::save_state(ckpt::Writer& out) const {
     out.u64(record.accepted);
     out.u64(record.corrupt);
     out.u64(record.rejected);
-    out.u64(record.screened);
-    out.u64(record.norm_count);
-    out.f64(record.reputation);
-    for (const double n : record.norms) out.f64(n);
   }
+  // Appended only when the defense is armed, as LocalCommitter does.
+  if (defense_) defense_->save_state(out);
 }
 
 void ShardedServer::restore_state(ckpt::Reader& in) {
   FEDPOWER_EXPECTS(collected_total_ == submitted_total_);  // quiescent only
-  ckpt::expect_tag(in, kServerTag, "sharded federation server");
+  const bool legacy =
+      ckpt::expect_tag_of(in, {kServerTag, kLegacyServerTag},
+                          "sharded federation server") == 1;
   const std::uint64_t client_count = in.u64();
   if (client_count != records_.size())
     throw ckpt::StateMismatchError(
@@ -468,7 +461,7 @@ void ShardedServer::restore_state(ckpt::Reader& in) {
   stats_.uplinks_accepted = static_cast<std::size_t>(in.u64());
   stats_.uplinks_corrupt = static_cast<std::size_t>(in.u64());
   stats_.uplinks_rejected = static_cast<std::size_t>(in.u64());
-  stats_.uplinks_screened = static_cast<std::size_t>(in.u64());
+  if (legacy) (void)in.u64();  // norm-screen rejects
   stats_.deferred = static_cast<std::size_t>(in.u64());
   stats_.merges = static_cast<std::size_t>(in.u64());
   stats_.duplicates = static_cast<std::size_t>(in.u64());
@@ -486,11 +479,13 @@ void ShardedServer::restore_state(ckpt::Reader& in) {
     record.accepted = in.u64();
     record.corrupt = in.u64();
     record.rejected = in.u64();
-    record.screened = in.u64();
-    record.norm_count = in.u64();
-    record.reputation = in.f64();
-    for (double& n : record.norms) n = in.f64();
+    if (legacy) {
+      (void)in.u64();  // norm-screen rejects
+      (void)in.u64();  // norm-ring cursor
+      for (int n = 0; n < 1 + 8; ++n) (void)in.f64();  // reputation, ring
+    }
   }
+  if (defense_) defense_->restore_state(in);
 }
 
 }  // namespace fedpower::serve

@@ -4,11 +4,16 @@
 // The KVell idiom: one injector thread decodes/validates nothing itself —
 // it routes each uplink to the worker that statically owns the client
 // (client mod workers) over a bounded SPSC queue. Each worker owns its
-// shard of per-client state (reputation, robust-norm window, screening
-// verdicts, staleness bookkeeping) outright, so the hot path takes no
-// locks: correctness comes from partitioning, not mutual exclusion. A full
-// queue applies backpressure — the frame is deferred on the injector side
-// and surfaces in stats().deferred; it is never dropped silently.
+// shard of per-client records (verdict counters, staleness bookkeeping)
+// outright, so the hot path takes no locks: correctness comes from
+// partitioning, not mutual exclusion. A full queue applies backpressure —
+// the frame is deferred on the injector side and surfaces in
+// stats().deferred; it is never dropped silently.
+//
+// With the defense armed (deterministic mode only), workers screen with
+// the in-process committer's fed::DefensePipeline::screen against the
+// global model, which moves only while they are idle, and the commit
+// admits the observations in client order: bit-identical to sync+defense.
 //
 // Commit modes:
 //  * kDeterministic buffers worker verdicts for the round and commits in
@@ -27,7 +32,6 @@
 // in-flight uploads), which drain() establishes.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -41,6 +45,7 @@
 #include "ckpt/binary_io.hpp"
 #include "fed/aggregate.hpp"
 #include "fed/codec.hpp"
+#include "fed/defense.hpp"
 #include "fed/federation.hpp"
 #include "serve/spsc_queue.hpp"
 #include "util/executor.hpp"
@@ -58,19 +63,8 @@ struct ServeConfig {
   std::size_t batch_max = 16;    ///< worker batched-dequeue burst size
   CommitMode mode = CommitMode::kDeterministic;
   fed::AggregationMode aggregation = fed::AggregationMode::kUnweightedMean;
-  std::optional<std::size_t> trim_override;  ///< trimmed-mean budget override
   double mixing_rate = 0.5;      ///< throughput mode: FedAsync alpha
   double staleness_power = 1.0;  ///< throughput mode: discount exponent
-  /// Shard-local norm screen: an upload whose L2 norm exceeds this multiple
-  /// of the client's own recent accepted-norm median is screened out
-  /// (Verdict kNormScreened -> RoundResult::screened), using the same
-  /// fed::robust_median / fed::l2_norm primitives as the defense pipeline.
-  /// Per-client history only — never cross-shard state — so verdicts and
-  /// snapshot bytes stay identical at any worker count. 0 disables (the
-  /// default, preserving the PR 7 verdict taxonomy byte-for-byte).
-  double norm_screen_multiplier = 0.0;
-  /// Accepted norms a client must have banked before its screen arms.
-  std::size_t norm_min_samples = 4;
   /// Idle/half-open connection deadline for the epoll front end, in
   /// seconds: a connection with no traffic for this long is reaped
   /// (stats().idle_reaped). 0 disables, preserving the PR 7 behavior of
@@ -82,7 +76,6 @@ struct ServeStats {
   std::size_t uplinks_accepted = 0;  ///< decoded, right shape, finite
   std::size_t uplinks_corrupt = 0;   ///< codec reject or wrong shape
   std::size_t uplinks_rejected = 0;  ///< non-finite screened out
-  std::size_t uplinks_screened = 0;  ///< norm-screen rejects (screen armed)
   std::size_t deferred = 0;          ///< backpressure: frames queued overflow
   std::size_t merges = 0;            ///< throughput-mode merges applied
   /// Re-sent uplinks resolved away: round duplicates folded to the first
@@ -97,20 +90,13 @@ struct ServeStats {
   double mean_staleness = 0.0;
 };
 
-/// Robust-norm history window per client (ring buffer length).
-inline constexpr std::size_t kNormWindow = 8;
-
 /// Per-client serving state. Owned exclusively by the worker whose shard
 /// the client maps to; the orchestrator may only read it at quiescence.
 struct ClientRecord {
   std::uint64_t base_version_seen = 0;
-  std::uint64_t accepted = 0;
-  std::uint64_t corrupt = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t screened = 0;    ///< norm-screen rejects (screen armed only)
-  std::uint64_t norm_count = 0;  ///< total norms recorded (ring write cursor)
-  double reputation = 1.0;       ///< [0, 1]; credit on accept, debit on bad
-  std::array<double, kNormWindow> norms{};  ///< recent upload L2 norms
+  std::uint64_t accepted = 0;  ///< decoded, right shape, finite
+  std::uint64_t corrupt = 0;   ///< codec reject or wrong shape
+  std::uint64_t rejected = 0;  ///< non-finite
 };
 
 /// The committer behind fed::FederatedAveraging on the serve path, and the
@@ -154,12 +140,24 @@ class ShardedServer final : public fed::RoundCommitter {
   /// Blocks until every submitted frame has been processed and collected.
   void drain();
 
-  /// Closes the round. Deterministic mode aggregates the buffered
-  /// survivors in client-index order (bit-identical to the synchronous
+  /// Closes the round. The first arrival of each participant counts, in
+  /// client-index order: its finite upload's bytes, and with the defense
+  /// armed its observation (fed::DefenseStage::admit). Deterministic mode
+  /// aggregates the admitted uploads (bit-identical to the synchronous
   /// server); throughput mode has already merged and only reports. Throws
-  /// fed::QuorumError — leaving the global model and round counter
-  /// untouched — when fewer than `quorum` uploads survived.
+  /// fed::QuorumError — leaving the global model, the round counter and
+  /// the defense untouched — when fewer than fed::required_survivors
+  /// uploads were admitted.
   fed::RoundResult commit_round(std::size_t quorum) override;
+
+  /// Arms the defense stage at quiescence, outside a round; config.enabled
+  /// false disarms it. Only deterministic mode screens: throughput mode
+  /// merges into the global model while the workers run, so arming it there
+  /// is a precondition failure.
+  void enable_defense(const fed::DefenseConfig& config) override;
+  [[nodiscard]] const fed::DefensePipeline* defense() const noexcept override {
+    return defense_ ? &defense_->pipeline() : nullptr;
+  }
 
   [[nodiscard]] const std::vector<double>& global_model()
       const noexcept override {
@@ -205,12 +203,14 @@ class ShardedServer final : public fed::RoundCommitter {
   /// Per-client state. Only valid at quiescence (after drain()).
   [[nodiscard]] const ClientRecord& client_record(std::size_t client) const;
 
-  /// FPCK section (tag SRVR): version, round counter, global model, stats
-  /// and every per-client record. Requires quiescence; restoring into a
-  /// server with a different client count throws StateMismatchError. The
-  /// snapshot bytes are identical at any worker count (per-client state
-  /// depends only on that client's upload sequence, never on the shard
-  /// schedule).
+  /// FPCK section (tag SRV2): version, round counter, global model, stats
+  /// and every per-client record, then the defense state (tag DFNS) when
+  /// the defense is armed. Restore also reads the older SRVR layout, whose
+  /// norm-screen and reputation fields it discards. Requires quiescence;
+  /// restoring into a server with a different client count throws
+  /// StateMismatchError. The snapshot bytes are identical at any worker
+  /// count (per-client state depends only on that client's upload
+  /// sequence, never on the shard schedule).
   void save_state(ckpt::Writer& out) const override;
   void restore_state(ckpt::Reader& in) override;
 
@@ -219,7 +219,6 @@ class ShardedServer final : public fed::RoundCommitter {
     kAccepted,
     kCorrupt,
     kNonFinite,
-    kNormScreened,  ///< norm outside the client's own envelope (screen armed)
   };
 
   struct Upload {
@@ -236,6 +235,8 @@ class ShardedServer final : public fed::RoundCommitter {
     double weight = 1.0;
     std::size_t payload_bytes = 0;
     std::vector<double> model;  ///< empty unless accepted
+    /// The defense screen's verdict on an accepted upload (defense armed).
+    fed::ScreenObservation observation;
   };
 
   struct Shard {
@@ -262,9 +263,12 @@ class ShardedServer final : public fed::RoundCommitter {
   std::vector<std::unique_ptr<Shard>> shards_;
   util::ParallelFor executor_;  // lint: ckpt-skip(thread pool handle; commits are width-invariant)
 
+  // lint: shard-ok(workers read it only to screen, armed in deterministic mode only, where it is written only at quiescence: initialize, restore_state, commit_round after drain)
   std::vector<double> global_;
   // lint: ckpt-skip(derived from global_.size() on restore) lint: shard-ok(fixed after attach; workers read it only between rounds)
   std::size_t model_size_ = 0;
+  // lint: shard-ok(workers only call the pipeline's const screen; the stage changes only at quiescence: enable_defense, restore_state, commit_round after drain)
+  std::optional<fed::DefenseStage> defense_;
   std::uint64_t version_ = 0;
   std::size_t rounds_committed_ = 0;
 
@@ -274,8 +278,6 @@ class ShardedServer final : public fed::RoundCommitter {
   std::vector<std::size_t> participants_;  // lint: ckpt-skip(in-flight round state; snapshots only at quiescence)
   /// Models only in deterministic mode. lint: ckpt-skip(in-flight round state; snapshots only at quiescence)
   std::vector<Pending> round_records_;
-  std::size_t round_accepted_ = 0;  // lint: ckpt-skip(in-flight round state; snapshots only at quiescence)
-  std::size_t round_uplink_bytes_ = 0;  // lint: ckpt-skip(in-flight round state; snapshots only at quiescence)
   /// First-arrival flags for the open round. lint: ckpt-skip(in-flight round state; snapshots only at quiescence)
   std::vector<char> round_seen_;
   std::size_t round_distinct_ = 0;  // lint: ckpt-skip(in-flight round state; snapshots only at quiescence)

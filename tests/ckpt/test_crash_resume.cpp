@@ -103,7 +103,7 @@ void check_resume_bit_identical(std::size_t num_threads) {
       straight);
 }
 
-/// The same kill/resume through the sharded serve pipeline (SFED+SRVR
+/// The same kill/resume through the sharded serve pipeline (SFED+SRV2
 /// sections) at the given worker count: the resumed run matches the
 /// uninterrupted serve run, whose committed model matches the sync run's.
 void check_serve_resume_bit_identical(std::size_t workers) {
@@ -120,6 +120,44 @@ void check_serve_resume_bit_identical(std::size_t workers) {
   EXPECT_EQ(straight.global_params, sync.global_params);
 }
 
+void expect_same_defense(const RobustnessReport& a,
+                         const RobustnessReport& b) {
+  EXPECT_EQ(a.screened_per_round, b.screened_per_round);
+  EXPECT_EQ(a.quarantined_per_round, b.quarantined_per_round);
+  EXPECT_EQ(a.readmitted_per_round, b.readmitted_per_round);
+  EXPECT_EQ(a.clipped_per_round, b.clipped_per_round);
+  EXPECT_EQ(a.final_reputation, b.final_reputation);
+}
+
+/// The serve kill/resume with the defense armed and device 1 sign-flipping
+/// its uploads: the defense state (DFNS after SRV2) resumes bit-identically,
+/// and the uninterrupted serve run screens exactly as the sync run does.
+void check_defended_serve_resume_bit_identical(std::size_t workers) {
+  ExperimentConfig config = resume_config();
+  config.defense.enabled = true;
+  config.defense.warmup_rounds = 1;
+  config.faults.attack = fed::UploadAttack::kSignFlip;
+  config.faults.fraction = 0.5;
+  const auto sync = run_federated(config, two_devices(),
+                                  sim::splash2_suite(), true);
+  config.serve.enabled = true;
+  config.serve.workers = workers;
+  const auto straight = run_federated(config, two_devices(),
+                                      sim::splash2_suite(), true);
+  const auto resumed = resume_after_round_8(
+      config, "defended_serve_" + std::to_string(workers));
+  expect_same_result(resumed, straight);
+  expect_same_defense(resumed.robustness, straight.robustness);
+  EXPECT_EQ(straight.global_params, sync.global_params);
+  expect_same_defense(straight.robustness, sync.robustness);
+  // Screening fired before the snapshot round, so the resume carried it.
+  ASSERT_GE(straight.robustness.screened_per_round.size(), 8u);
+  std::uint64_t screened_by_round_8 = 0;
+  for (std::size_t r = 0; r < 8; ++r)
+    screened_by_round_8 += straight.robustness.screened_per_round[r];
+  EXPECT_GT(screened_by_round_8, 0u);
+}
+
 TEST(CrashResume, FederatedResumeIsBitIdenticalSerial) {
   check_resume_bit_identical(1);
 }
@@ -134,6 +172,10 @@ TEST(CrashResume, ServeResumeIsBitIdenticalOneWorker) {
 
 TEST(CrashResume, ServeResumeIsBitIdenticalFourWorkers) {
   check_serve_resume_bit_identical(4);
+}
+
+TEST(CrashResume, DefendedServeResumeIsBitIdenticalFourWorkers) {
+  check_defended_serve_resume_bit_identical(4);
 }
 
 TEST(CrashResume, CorruptNewestSnapshotFallsBackToOlderEntry) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "core/scenario.hpp"
 #include "sim/splash2.hpp"
@@ -66,13 +67,22 @@ TEST(Experiment, LocalOnlyKeepsDevicesIndependent) {
   EXPECT_NE(result.final_params[0], result.final_params[1]);
 }
 
-TEST(Experiment, ServeWithDefenseIsRejected) {
+TEST(Experiment, ServeThroughputWithDefenseIsRejected) {
+  // Throughput mode merges while the shards would screen; deterministic
+  // mode runs the defense (CrashResume.DefendedServeResume* run it).
   ExperimentConfig config = tiny_config();
   config.serve.enabled = true;
+  config.serve.deterministic = false;
   config.defense.enabled = true;
-  EXPECT_THROW((void)run_federated(config, scenario2_apps(),
-                                   sim::splash2_suite(), false),
-               std::invalid_argument);
+  try {
+    (void)run_federated(config, scenario2_apps(), sim::splash2_suite(),
+                        false);
+    ADD_FAILURE() << "throughput + defense ran";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("serve.mode"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("defense.enabled"),
+              std::string::npos);
+  }
   // The check runs before anything is built: an empty fleet would
   // otherwise fail FleetRuntime's precondition and abort the process.
   EXPECT_THROW((void)run_federated(config, {}, sim::splash2_suite(), false),

@@ -199,19 +199,6 @@ TEST(DefendedFederation, RecoveredClientEarnsReadmission) {
   EXPECT_EQ(result.effective_clients(), 4u);
 }
 
-TEST(DefendedFederation, TrimmedMeanClampIsRecordedInTheRound) {
-  ScriptedClient a(0.01);
-  ScriptedClient b(-0.01);
-  InProcessTransport transport;
-  FederatedAveraging server({&a, &b}, &transport,
-                            AggregationMode::kTrimmedMean);
-  server.set_trim_count(2);  // infeasible with two uploads
-  server.initialize({0.0});
-  const RoundResult result = server.run_round();
-  EXPECT_TRUE(result.trim_clamped);
-  EXPECT_EQ(result.trim_count, 0u);
-  EXPECT_EQ(server.rounds_completed(), 1u);
-}
 
 // --- quorum interaction, serial vs parallel ------------------------------
 

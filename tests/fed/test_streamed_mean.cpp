@@ -122,11 +122,8 @@ class PooledReference {
     const std::size_t required =
         std::max<std::size_t>(1, std::min(quorum, eligible));
     if (rows.size() < required) return std::nullopt;
-    AggregateOutcome outcome;
     global_ = aggregate_with_mode(AggregationMode::kUnweightedMean, rows, {},
-                                  std::nullopt, executor, outcome);
-    result.trim_count = outcome.trim_count;
-    result.trim_clamped = outcome.trim_clamped;
+                                  executor, result.trim_count);
     if (defense_) {
       const DefenseRoundLog log = defense_->commit_round(observations);
       result.readmitted = log.readmitted;
@@ -274,7 +271,6 @@ void expect_same(const RoundResult& streamed, const RoundResult& pooled) {
   EXPECT_EQ(streamed.clipped, pooled.clipped);
   EXPECT_EQ(streamed.uplink_bytes, pooled.uplink_bytes);
   EXPECT_EQ(streamed.trim_count, pooled.trim_count);
-  EXPECT_EQ(streamed.trim_clamped, pooled.trim_clamped);
 }
 
 void run_case(const Case& c, util::Rng& rng, Coverage& coverage) {

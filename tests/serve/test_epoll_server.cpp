@@ -1,6 +1,6 @@
 // EpollFrontEnd over real loopback sockets (DESIGN.md §12): uplink
-// routing + acks, fetch replies, the oversized/zero-length and truncated
-// frame police, QuorumError propagation through the command queue, and
+// routing + acks, fetch replies, the oversized/zero-length, zero-weight
+// and truncated frame police, QuorumError propagation through the command queue, and
 // identical committed models at 1/2/4 workers.
 #include "serve/epoll_server.hpp"
 
@@ -88,6 +88,38 @@ TEST(EpollFrontEnd, OversizedAndZeroLengthFramesCloseTheConnection) {
   EXPECT_TRUE(eventually([&] { return front.protocol_errors() == 2; }));
   EXPECT_EQ(front.truncated_frames(), 0u);
   EXPECT_EQ(front.uplinks_received(), 0u);
+}
+
+TEST(EpollFrontEnd, ZeroWeightUplinkIsAProtocolError) {
+  // A sample-weighted round whose uploads all weigh 0 has no weight to
+  // divide by, so the wire refuses the frame before any shard sees it.
+  ServeConfig config;
+  config.aggregation = fed::AggregationMode::kSampleWeighted;
+  ShardedServer server(1, config);
+  server.initialize({0.0});
+  EpollFrontEnd front(&server);
+  front.begin_round({0});
+  {
+    RawClient client(front.port());
+    UplinkHeader header;
+    header.client = 0;
+    header.weight = 0;
+    client.send_bytes(encode_frame(
+        kUplinkDirection,
+        encode_uplink(header, fed::Float32Codec::instance().encode(
+                                  std::vector<double>{7.0}))));
+    EXPECT_TRUE(client.peer_closed());
+  }
+  EXPECT_TRUE(eventually([&] { return front.protocol_errors() == 1; }));
+  EXPECT_EQ(front.uplinks_received(), 0u);
+  // The server keeps serving: a weighted upload commits normally.
+  RawClient client(front.port());
+  upload_and_ack(client, 0, 0, {3.0});
+  front.commit_round(1);
+  EXPECT_DOUBLE_EQ(server.global_model()[0], 3.0);
+  front.stop();
+  EXPECT_EQ(server.stats().uplinks_accepted, 1u);
+  EXPECT_EQ(server.client_record(0).accepted, 1u);
 }
 
 TEST(EpollFrontEnd, ClientDyingMidFrameCountsTruncated) {

@@ -1,19 +1,17 @@
-// Serve-path screening parity (DESIGN.md §13): both federation servers
-// route uploads through the same fed:: screening primitives, so the
-// synchronous server and the sharded serve pipeline hand down identical
-// verdicts under identical fault schedules — and the serve-side norm
-// screen, built on per-client history only, is worker-count invariant and
-// survives an SRVR checkpoint roundtrip.
+// Serve-path screening parity (DESIGN.md §13): both committers run one
+// screen — the non-finite check on every decoded upload and, with the
+// defense armed, the same fed::DefenseStage — so the synchronous server
+// and the sharded serve pipeline hand down identical verdicts under
+// identical fault schedules, and a defended serve round screens an
+// inflating client exactly as a defended sync round does.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
-#include "ckpt/binary_io.hpp"
 #include "fed/fault_injection.hpp"
 #include "fed/federation.hpp"
 #include "fed/transport.hpp"
@@ -162,125 +160,55 @@ TEST(ScreeningParity, VerdictsMatchUnderSeededFaultsWithANanClient) {
   EXPECT_GT(committed, 0u);
 }
 
-TEST(NormScreen, DisarmedByDefaultAndBlindBeforeHistoryArms) {
-  // Default config: multiplier 0, screen off — the PR 7 verdict taxonomy
-  // is untouched and even a 50x upload sails through.
-  ScriptedClient a(0.01), b(0.01);
-  InflatingClient bloated(0.01, /*inflate_from=*/2, /*factor=*/50.0);
-  fed::InProcessTransport wire;
-  ShardedServer server(3);
-  fed::FederatedAveraging serve({&a, &b, &bloated}, &wire, &server);
-  serve.initialize(kInit);
-  for (int round = 0; round < 6; ++round) {
-    const fed::RoundResult result = serve.run_round();
-    EXPECT_TRUE(result.screened.empty());
-  }
-  EXPECT_EQ(server.stats().uplinks_screened, 0u);
-}
-
-TEST(NormScreen, ScreensTheEnvelopeJumpOnceHistoryArms) {
-  ScriptedClient a(0.01), b(0.01);
-  InflatingClient bloated(0.01, /*inflate_from=*/6, /*factor=*/50.0);
-  fed::InProcessTransport wire;
-  ServeConfig config;
-  config.norm_screen_multiplier = 3.0;
-  config.norm_min_samples = 4;
-  ShardedServer server(3, config);
-  fed::FederatedAveraging serve({&a, &b, &bloated}, &wire, &server);
-  serve.initialize(kInit);
-  // Rounds 1-5: honest uploads bank norm history; nothing screens.
-  for (int round = 1; round <= 5; ++round)
-    EXPECT_TRUE(serve.run_round().screened.empty()) << "round " << round;
-  // Round 6 on: the 50x upload towers over the client's own median.
-  for (int round = 6; round <= 8; ++round) {
-    const fed::RoundResult result = serve.run_round();
-    EXPECT_EQ(result.screened, (std::vector<std::size_t>{2}))
-        << "round " << round;
-  }
-  EXPECT_EQ(server.stats().uplinks_screened, 3u);
-  EXPECT_EQ(server.client_record(2).screened, 3u);
-  // The screened uploads never reached the aggregate: both honest clients
-  // drift identically, so the global tracks them exactly.
-  EXPECT_EQ(server.client_record(2).accepted, 5u);
-}
-
-TEST(NormScreen, VerdictsAndModelAreWorkerCountInvariant) {
-  // The screen reads only the client's own ring — never cross-shard state
-  // — so re-sharding the fleet cannot move a verdict.
-  std::vector<std::vector<std::size_t>> reference_screened;
-  std::vector<double> reference_global;
+TEST(ScreeningParity, DefendedServeScreensAnInflatingClientLikeSync) {
+  // The 50x envelope jump from round 6 on: the norm screen rejects it on
+  // both paths, the repeat offender is quarantined, and the model never
+  // sees an inflated upload.
+  fed::DefenseConfig defense;
+  defense.enabled = true;
   for (const std::size_t workers : {1u, 2u, 4u}) {
-    ScriptedClient a(0.01), b(0.02), c(-0.01);
-    InflatingClient bloated(0.01, /*inflate_from=*/6, /*factor=*/50.0);
-    fed::InProcessTransport wire;
+    ScriptedClient sync_a(0.01), sync_b(0.01);
+    InflatingClient sync_bloated(0.01, /*inflate_from=*/6, /*factor=*/50.0);
+    ScriptedClient serve_a(0.01), serve_b(0.01);
+    InflatingClient serve_bloated(0.01, 6, 50.0);
+    fed::InProcessTransport sync_wire;
+    fed::InProcessTransport serve_wire;
+    fed::FederatedAveraging sync_server({&sync_a, &sync_b, &sync_bloated},
+                                        &sync_wire);
     ServeConfig config;
     config.workers = workers;
-    config.norm_screen_multiplier = 3.0;
-    config.norm_min_samples = 4;
-    ShardedServer server(4, config);
-    fed::FederatedAveraging serve({&a, &b, &bloated, &c}, &wire, &server);
-    serve.initialize(kInit);
-    std::vector<std::vector<std::size_t>> screened;
-    for (int round = 0; round < 9; ++round)
-      screened.push_back(serve.run_round().screened);
-    if (workers == 1) {
-      reference_screened = screened;
-      reference_global = serve.global_model();
-      // The scenario actually fires: at least one screened round.
-      EXPECT_FALSE(screened[6].empty());
-    } else {
-      EXPECT_EQ(screened, reference_screened) << workers << " workers";
-      EXPECT_EQ(serve.global_model(), reference_global)
-          << workers << " workers";
+    ShardedServer server(3, config);
+    fed::FederatedAveraging serve({&serve_a, &serve_b, &serve_bloated},
+                                  &serve_wire, &server);
+    for (fed::FederatedAveraging* fed : {&sync_server, &serve}) {
+      fed->enable_defense(defense);
+      fed->initialize(kInit);
     }
+    for (int round = 1; round <= 10; ++round) {
+      const fed::RoundResult s = sync_server.run_round();
+      const fed::RoundResult v = serve.run_round();
+      EXPECT_EQ(v.screened, s.screened) << "round " << round;
+      EXPECT_EQ(v.quarantined, s.quarantined) << "round " << round;
+      EXPECT_EQ(v.readmitted, s.readmitted) << "round " << round;
+      EXPECT_EQ(v.clipped, s.clipped) << "round " << round;
+      EXPECT_EQ(sync_server.global_model(), serve.global_model())
+          << "round " << round << ", " << workers << " workers";
+      // Honest uploads bank norm history through round 5; from round 6
+      // the inflated upload is screened until its client is quarantined.
+      if (round <= 5) {
+        EXPECT_TRUE(v.screened.empty()) << "round " << round;
+      } else if (round <= 8) {
+        EXPECT_EQ(v.screened, (std::vector<std::size_t>{2}))
+            << "round " << round;
+      } else {
+        EXPECT_EQ(v.quarantined, (std::vector<std::size_t>{2}))
+            << "round " << round;
+      }
+    }
+    // The screened uploads still decoded cleanly and finite.
+    EXPECT_EQ(server.client_record(2).accepted, 10u);
+    EXPECT_EQ(server.client_record(2).rejected, 0u);
   }
-}
-
-TEST(NormScreen, ScreeningCountersSurviveACheckpointRoundtrip) {
-  /// One serve-path federation: the driver and the committer it owns.
-  struct Rig {
-    ShardedServer server;
-    fed::FederatedAveraging driver;
-    Rig(std::vector<fed::FederatedClient*> clients, fed::Transport* wire,
-        const ServeConfig& config)
-        : server(clients.size(), config),
-          driver(std::move(clients), wire, &server) {}
-  };
-  const auto build = [](std::vector<fed::FederatedClient*> clients,
-                        fed::Transport* wire) {
-    ServeConfig config;
-    config.workers = 2;
-    config.norm_screen_multiplier = 3.0;
-    config.norm_min_samples = 4;
-    auto serve = std::make_unique<Rig>(std::move(clients), wire, config);
-    serve->driver.initialize(kInit);
-    return serve;
-  };
-  ScriptedClient a(0.01), b(0.01);
-  InflatingClient bloated(0.01, /*inflate_from=*/6, /*factor=*/50.0);
-  fed::InProcessTransport wire;
-  auto serve = build({&a, &b, &bloated}, &wire);
-  serve->driver.run(7);  // through the first screened round
-  ASSERT_GT(serve->server.stats().uplinks_screened, 0u);
-  ckpt::Writer snapshot;
-  serve->driver.save_state(snapshot);
-
-  ScriptedClient a2(0.01), b2(0.01);
-  InflatingClient bloated2(0.01, 6, 50.0);
-  fed::InProcessTransport wire2;
-  auto resumed = build({&a2, &b2, &bloated2}, &wire2);
-  ckpt::Reader in(snapshot.data());
-  resumed->driver.restore_state(in);
-  EXPECT_TRUE(in.exhausted());
-  // The new counters rode the SRVR section: stats, per-client record and
-  // a bit-identical re-serialization.
-  EXPECT_EQ(resumed->server.stats().uplinks_screened,
-            serve->server.stats().uplinks_screened);
-  EXPECT_EQ(resumed->server.client_record(2).screened,
-            serve->server.client_record(2).screened);
-  ckpt::Writer again;
-  resumed->driver.save_state(again);
-  EXPECT_EQ(again.data(), snapshot.data());
 }
 
 }  // namespace

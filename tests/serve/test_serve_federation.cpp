@@ -2,19 +2,22 @@
 // committing through a ShardedServer in deterministic commit mode is
 // bit-identical to inline aggregation at any worker count — same globals,
 // same RoundResult verdicts, same QuorumError pattern — including under
-// client sampling, robust aggregation and seeded transport faults. Plus
-// the SFED+SRVR checkpoint resume equivalence and its model-size check.
+// client sampling, robust aggregation, seeded transport faults and the
+// defense pipeline. Plus the SFED+SRV2 checkpoint resume equivalence and
+// its model-size check.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "ckpt/binary_io.hpp"
 #include "ckpt/errors.hpp"
+#include "fed/byzantine.hpp"
 #include "fed/fault_injection.hpp"
 #include "fed/federation.hpp"
 
@@ -129,32 +132,25 @@ TEST(ServeFederation, BitIdenticalUnderClientSampling) {
 }
 
 TEST(ServeFederation, BitIdenticalWithRobustAggregation) {
-  struct Case {
-    fed::AggregationMode mode;
-    std::optional<std::size_t> trim_override;
-  };
-  const std::vector<Case> cases{
-      {fed::AggregationMode::kCoordinateMedian, std::nullopt},
-      {fed::AggregationMode::kTrimmedMean, std::nullopt},
-      {fed::AggregationMode::kTrimmedMean, std::size_t{1}},
-      {fed::AggregationMode::kSampleWeighted, std::nullopt},
+  const fed::AggregationMode modes[] = {
+      fed::AggregationMode::kCoordinateMedian,
+      fed::AggregationMode::kTrimmedMean,
+      fed::AggregationMode::kSampleWeighted,
   };
   const std::vector<std::size_t> samples{4, 1, 2, 7, 1, 3};
-  for (const Case& c : cases) {
+  for (const fed::AggregationMode mode : modes) {
     Fleet sync_fleet = make_fleet(kDeltas, samples);
     Fleet serve_fleet = make_fleet(kDeltas, samples);
     fed::InProcessTransport sync_transport;
     fed::InProcessTransport serve_transport;
     fed::FederatedAveraging sync_server(ptrs(sync_fleet), &sync_transport,
-                                        c.mode);
+                                        mode);
     ServeConfig config;
     config.workers = 4;
-    config.aggregation = c.mode;
-    config.trim_override = c.trim_override;
+    config.aggregation = mode;
     ShardedServer server(serve_fleet.size(), config);
     fed::FederatedAveraging serve(ptrs(serve_fleet), &serve_transport,
                                   &server);
-    if (c.trim_override) sync_server.set_trim_count(*c.trim_override);
     sync_server.initialize(kInit);
     serve.initialize(kInit);
     for (int round = 0; round < 4; ++round) {
@@ -282,33 +278,88 @@ TEST(ServeFederation, CheckpointResumeMatchesUninterruptedRun) {
   EXPECT_EQ(resumed_bytes.data(), reference_bytes.data());
 }
 
-TEST(ServeFederation, DefenseCannotBeArmedWithACommitter) {
-  // The shards do not route uploads through the defense screen, so arming
-  // it on the serve path is a caller bug, not a silent no-op.
+/// Client 4 sign-flips its uploads from its third round on, client 5
+/// inflates them from its fourth: the defense's cosine and norm screens
+/// both have work.
+struct DefendedFleet {
+  Fleet honest = make_fleet(kDeltas);
+  fed::ByzantineClient flipper{honest[4].get(),
+                               {fed::UploadAttack::kSignFlip, 3.0, 5, 2}};
+  fed::ByzantineClient inflater{honest[5].get(),
+                                {fed::UploadAttack::kScale, 40.0, 5, 3}};
+
+  std::vector<fed::FederatedClient*> clients() {
+    std::vector<fed::FederatedClient*> out = ptrs(honest);
+    out[4] = &flipper;
+    out[5] = &inflater;
+    return out;
+  }
+};
+
+std::vector<std::uint8_t> defense_bytes(const fed::FederatedAveraging& fed) {
+  ckpt::Writer out;
+  fed.defense()->save_state(out);
+  return out.take();
+}
+
+TEST(ServeFederation, DefendedRoundsAreBitIdenticalToSync) {
+  // The shards screen with the in-process committer's own
+  // DefensePipeline::screen, and the commit admits the observations in
+  // client order: verdict lists, model bits and defense state all match.
+  fed::DefenseConfig defense;
+  defense.enabled = true;
+  defense.warmup_rounds = 1;
+  defense.norm_min_samples = 2;
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    DefendedFleet sync_fleet;
+    DefendedFleet serve_fleet;
+    fed::InProcessTransport sync_transport;
+    fed::InProcessTransport serve_transport;
+    fed::FederatedAveraging sync_server(sync_fleet.clients(),
+                                        &sync_transport);
+    ServeConfig config;
+    config.workers = workers;
+    ShardedServer server(kDeltas.size(), config);
+    fed::FederatedAveraging serve(serve_fleet.clients(), &serve_transport,
+                                  &server);
+    std::size_t screened = 0;
+    for (fed::FederatedAveraging* fed : {&sync_server, &serve}) {
+      fed->enable_defense(defense);
+      fed->initialize(kInit);
+    }
+    for (int round = 0; round < 8; ++round) {
+      const fed::RoundResult s = sync_server.run_round();
+      const fed::RoundResult v = serve.run_round();
+      expect_round_parity(s, v);
+      EXPECT_EQ(s.screened, v.screened) << "round " << round;
+      EXPECT_EQ(s.quarantined, v.quarantined) << "round " << round;
+      EXPECT_EQ(s.readmitted, v.readmitted) << "round " << round;
+      EXPECT_EQ(s.clipped, v.clipped) << "round " << round;
+      EXPECT_EQ(s.uplink_bytes, v.uplink_bytes) << "round " << round;
+      EXPECT_EQ(sync_server.global_model(), serve.global_model())
+          << "round " << round << ", " << workers << " workers";
+      screened += v.screened.size();
+    }
+    EXPECT_GT(screened, 0u);
+    EXPECT_TRUE(serve.defense()->quarantined(4));
+    EXPECT_EQ(defense_bytes(serve), defense_bytes(sync_server));
+  }
+}
+
+TEST(ServeFederation, DefenseCannotBeArmedInThroughputMode) {
+  // Throughput mode merges into the global model while the shards would
+  // screen against it, so arming the defense there is a caller bug.
   fed::DefenseConfig defense;
   defense.enabled = true;
   EXPECT_DEATH(
       {
         Fleet fleet = make_fleet(kDeltas);
         fed::InProcessTransport transport;
-        ShardedServer server(fleet.size());
+        ServeConfig config;
+        config.mode = CommitMode::kThroughput;
+        ShardedServer server(fleet.size(), config);
         fed::FederatedAveraging serve(ptrs(fleet), &transport, &server);
         serve.enable_defense(defense);
-      },
-      "precondition");
-}
-
-TEST(ServeFederation, TrimCountCannotBeSetWithACommitter) {
-  // The serve path takes its trim budget from ServeConfig::trim_override;
-  // a driver-level override would be silently ignored, so it is a caller
-  // bug.
-  EXPECT_DEATH(
-      {
-        Fleet fleet = make_fleet(kDeltas);
-        fed::InProcessTransport transport;
-        ShardedServer server(fleet.size());
-        fed::FederatedAveraging serve(ptrs(fleet), &transport, &server);
-        serve.set_trim_count(1);
       },
       "precondition");
 }

@@ -1,5 +1,5 @@
-// ShardedServer contracts (DESIGN.md §12): verdict classification and
-// reputation, injector-side backpressure that defers but never drops,
+// ShardedServer contracts (DESIGN.md §12): verdict classification and the
+// per-client verdict counters, injector-side backpressure that defers but never drops,
 // quorum failure leaving committed state untouched, duplicate-upload
 // dedup, throughput-mode staleness math, and the worker-count-invariant
 // SRVR checkpoint section.
@@ -82,36 +82,23 @@ TEST(ShardedServer, VerdictsClassifyCorruptWrongShapeAndNonFinite) {
   EXPECT_EQ(server.stats().uplinks_accepted, 1u);
   EXPECT_EQ(server.stats().uplinks_corrupt, 2u);
   EXPECT_EQ(server.stats().uplinks_rejected, 1u);
-}
-
-TEST(ShardedServer, ReputationCreditsAcceptsAndDebitsBadUploads) {
-  ShardedServer server(2);
-  server.initialize({0.0});
-  server.begin_round({0, 1});
-  server.submit(0, 0, enc({1.0}), 1.0);  // credit, already at the 1.0 cap
-  server.submit(1, 0, std::vector<std::uint8_t>{0xFF}, 1.0);  // debit 0.25
-  server.drain();
-  server.commit_round(1);
-  EXPECT_DOUBLE_EQ(server.client_record(0).reputation, 1.0);
-  EXPECT_DOUBLE_EQ(server.client_record(1).reputation, 0.75);
-  EXPECT_EQ(server.client_record(0).accepted, 1u);
-  EXPECT_EQ(server.client_record(1).corrupt, 1u);
-  // Five more debits floor at zero rather than going negative. Base must
-  // track the committed version: a lower base is a §14 stale replay and
-  // would be dropped before the corruption check.
-  for (int i = 0; i < 5; ++i) {
-    server.begin_round({1});
-    server.submit(1, 1, std::vector<std::uint8_t>{0xFF}, 1.0);
-    server.drain();
-    EXPECT_THROW(server.commit_round(1), fed::QuorumError);
+  // Each client's record counts its own verdict and nothing else.
+  const std::uint64_t expected[4][3] = {
+      {1, 0, 0}, {0, 1, 0}, {0, 1, 0}, {0, 0, 1}};  // accepted/corrupt/rejected
+  for (std::size_t c = 0; c < 4; ++c) {
+    EXPECT_EQ(server.client_record(c).accepted, expected[c][0]) << c;
+    EXPECT_EQ(server.client_record(c).corrupt, expected[c][1]) << c;
+    EXPECT_EQ(server.client_record(c).rejected, expected[c][2]) << c;
   }
-  EXPECT_DOUBLE_EQ(server.client_record(1).reputation, 0.0);
-  // A clean upload earns the credit back.
+  // A quorum-failed round still counts its verdicts. Base must track the
+  // committed version: a lower base is a §14 stale replay and would be
+  // dropped before the corruption check.
   server.begin_round({1});
-  server.submit(1, 1, enc({1.0}), 1.0);
+  server.submit(1, 1, std::vector<std::uint8_t>{0xFF}, 1.0);
   server.drain();
-  server.commit_round(1);
-  EXPECT_DOUBLE_EQ(server.client_record(1).reputation, 0.05);
+  EXPECT_THROW(server.commit_round(1), fed::QuorumError);
+  EXPECT_EQ(server.client_record(1).corrupt, 2u);
+  EXPECT_EQ(server.client_record(1).accepted, 0u);
 }
 
 TEST(ShardedServer, BackpressureDefersButProcessesEveryFrame) {
@@ -296,7 +283,7 @@ TEST(ShardedServer, CheckpointRoundtripRestoresEveryField) {
   EXPECT_EQ(restored.stats().uplinks_corrupt, 1u);
   EXPECT_EQ(restored.stats().uplinks_rejected, 1u);
   EXPECT_EQ(restored.client_record(0).accepted, 2u);
-  EXPECT_DOUBLE_EQ(restored.client_record(2).reputation, 0.75);
+  EXPECT_EQ(restored.client_record(2).corrupt, 1u);
   // Round 1 aggregate: mean of {1,1},{3,5},{2,0} = {2,2}; round 2: mean of
   // {4,4},{6,8} = {5,6}.
   EXPECT_DOUBLE_EQ(restored.global_model()[0], 5.0);

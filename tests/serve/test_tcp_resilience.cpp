@@ -47,10 +47,12 @@ TEST(TcpResilience, ResendIsIdempotentAtAnyWorkerCount) {
     globals.push_back(server.global_model());
     EXPECT_DOUBLE_EQ(globals.back()[0], 2.0);
     EXPECT_DOUBLE_EQ(globals.back()[1], 4.0);
-    // A clean, fully-acked round leaves reputations at the cap.
+    // A clean, fully-acked round leaves no corrupt or rejected verdict.
     front.stop();
-    EXPECT_DOUBLE_EQ(server.client_record(0).reputation, 1.0);
-    EXPECT_DOUBLE_EQ(server.client_record(1).reputation, 1.0);
+    for (const std::size_t c : {0u, 1u}) {
+      EXPECT_EQ(server.client_record(c).corrupt, 0u) << c;
+      EXPECT_EQ(server.client_record(c).rejected, 0u) << c;
+    }
   }
   EXPECT_EQ(globals[0], globals[1]);  // exact bytes, not approximate
   EXPECT_EQ(globals[0], globals[2]);
@@ -202,7 +204,7 @@ TEST(TcpResilience, CommitThenBeginDoesNotBeginAfterQuorumFailure) {
 
 // End to end through the chaos proxy: the first scheduled connection is a
 // mid-stream reset, the retry loop backs off, reconnects and delivers —
-// one verdict, correct bytes, reputation untouched.
+// one verdict, correct bytes, no corrupt or rejected verdict.
 TEST(TcpResilience, ClientReconnectsThroughAScheduledReset) {
   chaos::TcpChaosConfig config;
   config.reset_probability = 0.5;
@@ -241,7 +243,8 @@ TEST(TcpResilience, ClientReconnectsThroughAScheduledReset) {
   proxy.stop();
   EXPECT_GE(proxy.resets(), 1u);
   front.stop();
-  EXPECT_DOUBLE_EQ(server.client_record(0).reputation, 1.0);
+  EXPECT_EQ(server.client_record(0).corrupt, 0u);
+  EXPECT_EQ(server.client_record(0).rejected, 0u);
 }
 
 // upload() reports (not throws) when the round moved on while the client
