@@ -28,8 +28,11 @@ rl::NeuralAgentConfig paper_agent_config() {
 void BM_PolicyInference(benchmark::State& state) {
   rl::NeuralBanditAgent agent(paper_agent_config(), util::Rng{1});
   const std::vector<double> features = {0.5, 0.45, 0.55, 0.3, 0.4};
-  for (auto _ : state)
-    benchmark::DoNotOptimize(agent.predict(features));
+  std::vector<double> mu(agent.config().action_count);
+  for (auto _ : state) {
+    agent.predict(features, mu);
+    benchmark::DoNotOptimize(mu.data());
+  }
 }
 BENCHMARK(BM_PolicyInference);
 

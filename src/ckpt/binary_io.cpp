@@ -69,6 +69,26 @@ void Writer::vec_u64(std::span<const std::uint64_t> v) { append_vec(v); }
 
 void Writer::f64_block(std::span<const double> v) { append_block(v); }
 
+bool Writer::f32_block(std::span<const double> v) {
+  const std::size_t at = buffer_.size();
+  buffer_.resize(at + v.size() * sizeof(float));
+  std::uint8_t* dst = buffer_.data() + at;
+  bool exact = true;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    const float f = static_cast<float>(v[i]);
+    // Narrowing keeps the sign of zero, so for anything but NaN == is a
+    // bit compare here, and NaN is never == to itself.
+    exact &= static_cast<double>(f) == v[i];
+    std::memcpy(dst + i * sizeof(float), &f, sizeof(float));
+  }
+  return exact;
+}
+
+void Writer::truncate(std::size_t size) noexcept {
+  FEDPOWER_EXPECTS(size <= buffer_.size());
+  buffer_.resize(size);
+}
+
 void Reader::require(std::size_t n) const {
   if (remaining() < n)
     throw CorruptSnapshotError(
@@ -186,6 +206,17 @@ void Reader::vec_f64_into(std::vector<double>& out) {
 }
 
 void Reader::f64_block_into(std::span<double> out) { copy_out(out); }
+
+void Reader::f32_block_into(std::span<double> out) {
+  require(out.size() * sizeof(float));
+  const std::uint8_t* src = data_.data() + pos_;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    float f;
+    std::memcpy(&f, src + i * sizeof(float), sizeof(float));
+    out[i] = static_cast<double>(f);
+  }
+  pos_ += out.size() * sizeof(float);
+}
 
 void write_tag(Writer& out, const Tag& tag) {
   for (const char c : tag) out.u8(static_cast<std::uint8_t>(c));

@@ -53,6 +53,12 @@ class Writer {
   /// piece by piece with the bytes vec_f64 gives for the whole.
   void f64_block(std::span<const double> v);
 
+  /// f64_block() with each value narrowed to a float (Reader::f32_block_into
+  /// widens it back). Returns whether the block is lossless: every value
+  /// float-exact, its float widening back to the same bits. NaN never
+  /// counts as exact, so a NaN's payload is never narrowed away silently.
+  bool f32_block(std::span<const double> v);
+
   [[nodiscard]] const std::vector<std::uint8_t>& data() const noexcept {
     return buffer_;
   }
@@ -64,6 +70,10 @@ class Writer {
   /// Empties the buffer but keeps its capacity, so a writer reused for a
   /// stream of payloads stops reallocating once it has seen the largest.
   void clear() noexcept { buffer_.clear(); }
+
+  /// Drops every byte from offset size on (size <= this->size()): undoes
+  /// the writes made since size() read that value.
+  void truncate(std::size_t size) noexcept;
 
  private:
   template <class T>
@@ -110,6 +120,9 @@ class Reader {
   /// The read side of Writer::f64_block: fills out from the next
   /// out.size() doubles.
   void f64_block_into(std::span<double> out);
+  /// The read side of Writer::f32_block: fills out from the next
+  /// out.size() floats, widened.
+  void f32_block_into(std::span<double> out);
 
   [[nodiscard]] std::size_t remaining() const noexcept {
     return data_.size() - pos_;

@@ -1,5 +1,6 @@
 #include "core/evaluate.hpp"
 
+#include <array>
 #include <memory>
 
 #include "nn/mlp.hpp"
@@ -26,10 +27,17 @@ PolicyFn Evaluator::neural_policy(std::span<const double> params) const {
                    config_.agent.action_count, rng, nn::Init::kZero));
   model->set_parameters(params);
   const rl::StateFeaturizer featurizer(config_.featurizer);
-  return [model, featurizer](const sim::TelemetrySample& sample) {
-    const std::vector<double> features = featurizer.featurize(sample);
-    const nn::Matrix& mu = model->forward(nn::Matrix::row_vector(features));
-    return rl::argmax(mu.data());
+  // The row forward is const and keeps no workspace, so the policy may run
+  // on several threads at once; each keeps its action values in its own
+  // scratch, and an interval allocates nothing.
+  return [model, featurizer, actions = config_.agent.action_count](
+             const sim::TelemetrySample& sample) {
+    std::array<double, rl::StateFeaturizer::kStateDim> features;
+    featurizer.featurize_into(sample, features);
+    thread_local std::vector<double> mu;
+    mu.resize(actions);
+    model->forward_row(features, mu);
+    return rl::argmax(mu);
   };
 }
 

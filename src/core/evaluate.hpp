@@ -71,6 +71,7 @@ class Evaluator {
       std::size_t segment_intervals, std::uint64_t seed) const;
 
   /// Greedy policy function for a neural model given its flat parameters.
+  /// It may be called from several threads at once.
   PolicyFn neural_policy(std::span<const double> params) const;
 
   const ControllerConfig& controller_config() const noexcept {

@@ -385,14 +385,12 @@ FederatedRunResult run_federated(
       const sim::AppProfile& app = eval_apps[round % eval_apps.size()];
       result.eval_app_per_round.push_back(app.name);
       // Greedy evaluation of the global policy on every device, in
-      // parallel: each task builds its own policy instance
-      // (nn::Mlp::forward caches activations, so a shared one would race)
-      // and runs an episode seeded by (round, device) — independent of the
-      // schedule.
+      // parallel: the tasks share one policy (its row forward keeps no
+      // workspace, so they do not race), and each runs an episode seeded
+      // by (round, device) — independent of the schedule.
       std::vector<EvalResult> evals(fleet.size());
+      const PolicyFn policy = evaluator.neural_policy(server.global_model());
       fleet.for_each_device([&](std::size_t d) {
-        const PolicyFn policy =
-            evaluator.neural_policy(server.global_model());
         evals[d] = evaluator.run_episode(policy, app,
                                          mix_seed(config.seed, round, d));
       });

@@ -14,6 +14,13 @@ const Matrix& Relu::forward(const Matrix& input) {
   return output_;
 }
 
+void Relu::forward_row(std::span<const double> in,
+                       std::span<double> out) const {
+  FEDPOWER_EXPECTS(out.size() == in.size());
+  for (std::size_t i = 0; i < in.size(); ++i)
+    out[i] = in[i] < 0.0 ? 0.0 : in[i];
+}
+
 const Matrix& Relu::backward(const Matrix& grad_output) {
   FEDPOWER_EXPECTS(grad_output.same_shape(output_));
   grad_input_.resize(grad_output.rows(), grad_output.cols());
@@ -27,6 +34,11 @@ const Matrix& Relu::backward(const Matrix& grad_output) {
   return grad_input_;
 }
 
+void Relu::release_workspaces() noexcept {
+  output_ = Matrix();
+  grad_input_ = Matrix();
+}
+
 std::unique_ptr<Layer> Relu::clone() const {
   return std::make_unique<Relu>(*this);
 }
@@ -38,6 +50,12 @@ const Matrix& Tanh::forward(const Matrix& input) {
   return output_;
 }
 
+void Tanh::forward_row(std::span<const double> in,
+                       std::span<double> out) const {
+  FEDPOWER_EXPECTS(out.size() == in.size());
+  for (std::size_t i = 0; i < in.size(); ++i) out[i] = std::tanh(in[i]);
+}
+
 const Matrix& Tanh::backward(const Matrix& grad_output) {
   FEDPOWER_EXPECTS(grad_output.same_shape(output_));
   grad_input_.resize(grad_output.rows(), grad_output.cols());
@@ -46,6 +64,11 @@ const Matrix& Tanh::backward(const Matrix& grad_output) {
     grad_input_.data()[i] = grad_output.data()[i] * (1.0 - y * y);
   }
   return grad_input_;
+}
+
+void Tanh::release_workspaces() noexcept {
+  output_ = Matrix();
+  grad_input_ = Matrix();
 }
 
 std::unique_ptr<Layer> Tanh::clone() const {

@@ -10,13 +10,21 @@ class Relu final : public Layer {
  public:
   const Matrix& forward(const Matrix& input) override;
   const Matrix& backward(const Matrix& grad_output) override;
+  void forward_row(std::span<const double> in,
+                   std::span<double> out) const override;
+  std::size_t output_width(std::size_t in_width) const noexcept override {
+    return in_width;
+  }
   std::size_t param_count() const noexcept override { return 0; }
   void copy_params_to(std::span<double>) const override {}
   void set_params_from(std::span<const double>) override {}
-  void write_params(ckpt::Writer&) const override {}
-  void read_params(ckpt::Reader&) override {}
+  bool write_params(ckpt::Writer&, ParamFormat) const override {
+    return true;
+  }
+  void read_params(ckpt::Reader&, ParamFormat) override {}
   void copy_grads_to(std::span<double>) const override {}
   void zero_grads() noexcept override {}
+  void release_workspaces() noexcept override;
   std::unique_ptr<Layer> clone() const override;
 
  private:
@@ -30,13 +38,21 @@ class Tanh final : public Layer {
  public:
   const Matrix& forward(const Matrix& input) override;
   const Matrix& backward(const Matrix& grad_output) override;
+  void forward_row(std::span<const double> in,
+                   std::span<double> out) const override;
+  std::size_t output_width(std::size_t in_width) const noexcept override {
+    return in_width;
+  }
   std::size_t param_count() const noexcept override { return 0; }
   void copy_params_to(std::span<double>) const override {}
   void set_params_from(std::span<const double>) override {}
-  void write_params(ckpt::Writer&) const override {}
-  void read_params(ckpt::Reader&) override {}
+  bool write_params(ckpt::Writer&, ParamFormat) const override {
+    return true;
+  }
+  void read_params(ckpt::Reader&, ParamFormat) override {}
   void copy_grads_to(std::span<double>) const override {}
   void zero_grads() noexcept override {}
+  void release_workspaces() noexcept override;
   std::unique_ptr<Layer> clone() const override;
 
  private:

@@ -32,6 +32,13 @@ const Matrix& Dense::forward(const Matrix& input) {
   return output_;
 }
 
+void Dense::forward_row(std::span<const double> in,
+                        std::span<double> out) const {
+  // The kernels forward() runs, on one row.
+  matmul_row_into(in, w_, out);
+  add_row_into(out, b_.data());
+}
+
 const Matrix& Dense::backward(const Matrix& grad_output) {
   accumulate_grads(grad_output);
   matmul_transpose_into(grad_output, w_, grad_input_);
@@ -189,12 +196,20 @@ void Dense::set_params_from(std::span<const double> src) {
             b_.data().begin());
 }
 
-void Dense::write_params(ckpt::Writer& out) const {
+bool Dense::write_params(ckpt::Writer& out, ParamFormat format) const {
+  if (format == ParamFormat::kF32)
+    return out.f32_block(w_.data()) && out.f32_block(b_.data());
   out.f64_block(w_.data());
   out.f64_block(b_.data());
+  return true;
 }
 
-void Dense::read_params(ckpt::Reader& in) {
+void Dense::read_params(ckpt::Reader& in, ParamFormat format) {
+  if (format == ParamFormat::kF32) {
+    in.f32_block_into(w_.data());
+    in.f32_block_into(b_.data());
+    return;
+  }
   in.f64_block_into(w_.data());
   in.f64_block_into(b_.data());
 }
@@ -213,6 +228,16 @@ void Dense::copy_grads_to(std::span<double> dst) const {
 void Dense::zero_grads() noexcept {
   std::fill(gw_.data().begin(), gw_.data().end(), 0.0);
   std::fill(gb_.data().begin(), gb_.data().end(), 0.0);
+}
+
+void Dense::release_workspaces() noexcept {
+  gw_ = Matrix();
+  gb_ = Matrix();
+  input_ = Matrix();
+  output_ = Matrix();
+  grad_input_ = Matrix();
+  step_gw_ = Matrix();
+  step_gb_ = Matrix();
 }
 
 std::unique_ptr<Layer> Dense::clone() const {

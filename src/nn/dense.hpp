@@ -24,6 +24,11 @@ class Dense final : public Layer {
 
   const Matrix& forward(const Matrix& input) override;
   const Matrix& backward(const Matrix& grad_output) override;
+  void forward_row(std::span<const double> in,
+                   std::span<double> out) const override;
+  std::size_t output_width(std::size_t) const noexcept override {
+    return out_;
+  }
 
   /// The parameter-gradient half of backward(): adds this step's dL/dW and
   /// dL/db to the accumulated gradients without forming dL/dinput. Must
@@ -50,10 +55,11 @@ class Dense final : public Layer {
   std::size_t param_count() const noexcept override;
   void copy_params_to(std::span<double> dst) const override;
   void set_params_from(std::span<const double> src) override;
-  void write_params(ckpt::Writer& out) const override;
-  void read_params(ckpt::Reader& in) override;
+  bool write_params(ckpt::Writer& out, ParamFormat format) const override;
+  void read_params(ckpt::Reader& in, ParamFormat format) override;
   void copy_grads_to(std::span<double> dst) const override;
   void zero_grads() noexcept override;
+  void release_workspaces() noexcept override;
   std::unique_ptr<Layer> clone() const override;
 
   std::size_t in_features() const noexcept { return in_; }

@@ -128,25 +128,31 @@ void for_nonzero_chunks(const double* x, std::size_t n, std::size_t x_step,
 
 }  // namespace
 
+void matmul_row_into(std::span<const double> x, const Matrix& b,
+                     std::span<double> out) {
+  FEDPOWER_EXPECTS(x.size() == b.rows() && out.size() == b.cols());
+  const std::size_t cols = b.cols();
+  std::fill(out.begin(), out.end(), 0.0);
+  // out[c] = sum_k x[k] * b[k][c]: terms along x.
+  for_nonzero_chunks(x.data(), x.size(), 1,
+                     [&](const double* xs, const std::size_t* idx,
+                         std::size_t count) {
+                       accumulate_row<true>(xs, idx, count, b.data().data(),
+                                            cols, 1, cols, out.data());
+                     });
+}
+
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& out) {
   FEDPOWER_EXPECTS(a.cols() == b.rows());
   FEDPOWER_EXPECTS(&out != &a && &out != &b);
-  const std::size_t rows = a.rows();
   const std::size_t inner = a.cols();
   const std::size_t cols = b.cols();
-  out.resize(rows, cols);
-  std::fill(out.data().begin(), out.data().end(), 0.0);
-  const double* pa = a.data().data();
-  const double* pb = b.data().data();
-  double* po = out.data().data();
-  // out[r][c] = sum_k a[r][k] * b[k][c]: terms along a's row r.
-  for (std::size_t r = 0; r < rows; ++r)
-    for_nonzero_chunks(pa + r * inner, inner, 1,
-                       [&](const double* xs, const std::size_t* idx,
-                           std::size_t count) {
-                         accumulate_row<true>(xs, idx, count, pb, cols, 1,
-                                              cols, po + r * cols);
-                       });
+  out.resize(a.rows(), cols);
+  const std::span<const double> pa(a.data());
+  const std::span<double> po(out.data());
+  for (std::size_t r = 0; r < a.rows(); ++r)
+    matmul_row_into(pa.subspan(r * inner, inner), b,
+                    po.subspan(r * cols, cols));
 }
 
 void transpose_matmul_into(const Matrix& a, const Matrix& b, Matrix& out) {
@@ -274,9 +280,14 @@ Matrix Matrix::hadamard(const Matrix& other) const {
 
 void Matrix::add_row_broadcast(const Matrix& row) {
   FEDPOWER_EXPECTS(row.rows() == 1 && row.cols() == cols_);
+  const std::span<double> data(data_);
   for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c)
-      data_[r * cols_ + c] += row.data_[c];
+    add_row_into(data.subspan(r * cols_, cols_), row.data_);
+}
+
+void add_row_into(std::span<double> out, std::span<const double> row) {
+  FEDPOWER_EXPECTS(out.size() == row.size());
+  for (std::size_t c = 0; c < out.size(); ++c) out[c] += row[c];
 }
 
 Matrix Matrix::column_sums() const {

@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -107,6 +108,16 @@ class Matrix {
 
 /// out = a(r x k) * b(k x c).
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& out);
+
+/// out = x(1 x k) * b(k x c) for one row x: matmul_into computes each of
+/// its rows through it, so a row computed here has that row's bits. out
+/// (c values) must not alias x or b.
+void matmul_row_into(std::span<const double> x, const Matrix& b,
+                     std::span<double> out);
+
+/// out[c] += row[c]: add_row_broadcast adds its row to each row through
+/// it.
+void add_row_into(std::span<double> out, std::span<const double> row);
 
 /// out = a^T * b for a(k x r), b(k x c), without materializing a^T.
 void transpose_matmul_into(const Matrix& a, const Matrix& b, Matrix& out);

@@ -1,5 +1,7 @@
 #include "nn/mlp.hpp"
 
+#include <algorithm>
+
 #include "nn/activation.hpp"
 
 namespace fedpower::nn {
@@ -23,6 +25,32 @@ const Matrix& Mlp::forward(const Matrix& input) {
   const Matrix* activation = &input;
   for (const auto& layer : layers_) activation = &layer->forward(*activation);
   return *activation;
+}
+
+void Mlp::forward_row(std::span<const double> x,
+                      std::span<double> out) const {
+  FEDPOWER_EXPECTS(!layers_.empty());
+  std::size_t widest = 0;
+  std::size_t width = x.size();
+  for (const auto& layer : layers_) {
+    width = layer->output_width(width);
+    widest = std::max(widest, width);
+  }
+  FEDPOWER_EXPECTS(out.size() == width);
+  // Two rows, each as wide as the widest layer: layer i writes the one
+  // layer i - 1 did not, and the last layer writes out.
+  thread_local std::vector<double> scratch;
+  if (scratch.size() < 2 * widest) scratch.resize(2 * widest);
+  std::span<const double> in = x;
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    const std::span<double> next =
+        i + 1 == layers_.size()
+            ? out
+            : std::span<double>(scratch).subspan(
+                  (i % 2) * widest, layers_[i]->output_width(in.size()));
+    layers_[i]->forward_row(in, next);
+    in = next;
+  }
 }
 
 const Matrix& Mlp::backward(const Matrix& grad_output) {
@@ -98,12 +126,14 @@ void Mlp::set_parameters(std::span<const double> params) {
   }
 }
 
-void Mlp::write_parameters(ckpt::Writer& out) const {
-  for (const auto& layer : layers_) layer->write_params(out);
+bool Mlp::write_parameters(ckpt::Writer& out, ParamFormat format) const {
+  for (const auto& layer : layers_)
+    if (!layer->write_params(out, format)) return false;
+  return true;
 }
 
-void Mlp::read_parameters(ckpt::Reader& in) {
-  for (const auto& layer : layers_) layer->read_params(in);
+void Mlp::read_parameters(ckpt::Reader& in, ParamFormat format) {
+  for (const auto& layer : layers_) layer->read_params(in, format);
 }
 
 std::vector<double> Mlp::gradients() const {
@@ -124,6 +154,10 @@ void Mlp::copy_gradients_to(std::span<double> dst) const {
 
 void Mlp::zero_gradients() noexcept {
   for (const auto& layer : layers_) layer->zero_grads();
+}
+
+void Mlp::release_workspaces() noexcept {
+  for (const auto& layer : layers_) layer->release_workspaces();
 }
 
 namespace {

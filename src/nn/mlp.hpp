@@ -27,6 +27,12 @@ class Mlp {
   /// forward() (Layer gives the lifetime rule).
   const Matrix& forward(const Matrix& input);
 
+  /// forward() of the one-row matrix x, bit for bit, written to out (the
+  /// last layer's width). Const and workspace-free: the rows between the
+  /// layers live in a per-thread scratch, so a warm call allocates nothing
+  /// and concurrent calls on one model do not race.
+  void forward_row(std::span<const double> x, std::span<double> out) const;
+
   /// Back-propagates dLoss/dOutput, accumulating gradients in every layer,
   /// and returns dLoss/dInput: the first layer's input-gradient workspace,
   /// valid until the next backward().
@@ -59,11 +65,12 @@ class Mlp {
   /// Scatters a flat vector back into the layers.
   void set_parameters(std::span<const double> params);
 
-  /// Writes parameters() to out as a block of param_count() doubles with
-  /// no length prefix, straight from the layers; read_parameters() is its
-  /// inverse.
-  void write_parameters(ckpt::Writer& out) const;
-  void read_parameters(ckpt::Reader& in);
+  /// Writes parameters() to out as a block of param_count() values with
+  /// no length prefix, straight from the layers, and returns whether they
+  /// read back with their bits (Layer::write_params);
+  /// read_parameters() is its inverse.
+  bool write_parameters(ckpt::Writer& out, ParamFormat format) const;
+  void read_parameters(ckpt::Reader& in, ParamFormat format);
 
   /// Gathers accumulated gradients (same layout as parameters()).
   std::vector<double> gradients() const;
@@ -72,6 +79,10 @@ class Mlp {
   void copy_gradients_to(std::span<double> dst) const;
 
   void zero_gradients() noexcept;
+
+  /// Frees every layer's gradient accumulators and workspaces
+  /// (Layer::release_workspaces).
+  void release_workspaces() noexcept;
 
   bool empty() const noexcept { return layers_.empty(); }
 

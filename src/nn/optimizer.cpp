@@ -90,6 +90,12 @@ void Adam::reset() noexcept {
   t_ = 0;
 }
 
+void Adam::release() noexcept {
+  m_ = {};
+  v_ = {};
+  t_ = 0;
+}
+
 void Adam::save_state(ckpt::Writer& out) const {
   write_tag(out, kAdamTag);
   out.u64(static_cast<std::uint64_t>(t_));

@@ -58,6 +58,9 @@ class Adam final : public Optimizer {
   void step(std::vector<double>& params,
             const std::vector<double>& grads) override;
   void reset() noexcept override;
+  /// reset() that also frees the moments' storage, which reset() keeps
+  /// for the next step.
+  void release() noexcept;
   void save_state(ckpt::Writer& out) const override;
   void restore_state(ckpt::Reader& in) override;
 

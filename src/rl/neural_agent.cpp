@@ -34,8 +34,22 @@ void NeuralBanditAgent::reset(util::Rng rng) {
   // Leave rng_ where an eager He init would have left it.
   rng_.skip_normals(nn::init_normal_count(
       config_.state_dim, config_.hidden_sizes, config_.action_count));
-  optimizer_.reset();
-  replay_.clear();
+  // What training grew is freed, so a lazy fleet's spare does not carry
+  // a past owner's training storage into every later owner.
+  model_.release_workspaces();
+  optimizer_.release();
+  if (updates_ > 0) {
+    replay_.release();
+  } else {
+    replay_.clear();
+  }
+  batch_states_ = nn::Matrix();
+  batch_actions_ = {};
+  batch_rewards_ = {};
+  pulled_values_ = {};
+  loss_grad_ = {};
+  params_ = {};
+  grads_ = {};
   global_anchor_.clear();
   step_ = 0;
   updates_ = 0;
@@ -49,15 +63,6 @@ void NeuralBanditAgent::materialize() const {
   pending_init_.reset();
 }
 
-const nn::Matrix& NeuralBanditAgent::forward_row(
-    std::span<const double> state) const {
-  FEDPOWER_EXPECTS(state.size() == config_.state_dim);
-  materialize();
-  row_.resize(1, state.size());
-  std::copy(state.begin(), state.end(), row_.data().begin());
-  return model_.forward(row_);
-}
-
 std::vector<double> NeuralBanditAgent::parameters() const {
   materialize();
   return model_.parameters();
@@ -69,23 +74,28 @@ void NeuralBanditAgent::copy_parameters_to(std::vector<double>& out) const {
   model_.copy_parameters_to(out);
 }
 
-std::vector<double> NeuralBanditAgent::predict(
-    std::span<const double> state) const {
-  return forward_row(state).data();
+void NeuralBanditAgent::predict(std::span<const double> state,
+                                std::span<double> out) const {
+  FEDPOWER_EXPECTS(state.size() == config_.state_dim);
+  materialize();
+  model_.forward_row(state, out);
 }
 
 std::size_t NeuralBanditAgent::select_action(std::span<const double> state) {
-  const std::vector<double>& mu = forward_row(state).data();
+  values_.resize(config_.action_count);
+  predict(state, values_);
   if (config_.exploration == ExplorationMode::kEpsilonGreedy) {
     const double epsilon = std::min(1.0, temperature());
-    return epsilon_greedy(mu, epsilon, rng_);
+    return epsilon_greedy(values_, epsilon, rng_);
   }
-  return sample_softmax(mu, temperature(), rng_, probs_);
+  return sample_softmax(values_, temperature(), rng_, values_);
 }
 
 std::size_t NeuralBanditAgent::greedy_action(
     std::span<const double> state) const {
-  return argmax(forward_row(state).data());
+  values_.resize(config_.action_count);
+  predict(state, values_);
+  return argmax(values_);
 }
 
 double NeuralBanditAgent::temperature() const noexcept {
@@ -144,15 +154,30 @@ void NeuralBanditAgent::reheat(double target_tau) {
 
 namespace {
 constexpr ckpt::Tag kAgentTag{'A', 'G', 'N', 'T'};
+/// AGNT with the parameters as floats: the layout of a model whose every
+/// weight is float-exact, as a decoded broadcast that no update has moved
+/// is.
+constexpr ckpt::Tag kCompactAgentTag{'A', 'G', 'N', 'F'};
 }  // namespace
 
+// Save writes AGNF or AGNT; restore dispatches on the tag it reads, so the
+// typed sequences differ by design.
+// lint: ckpt-sym-ok(dual-format dispatch: restore branches on the tag it reads)
 void NeuralBanditAgent::save_state(ckpt::Writer& out) const {
-  write_tag(out, kAgentTag);
-  ckpt::save_rng(out, rng_);
   materialize();
-  // The vec_f64 layout, written straight from the layers.
-  out.u64(model_.param_count());
-  model_.write_parameters(out);
+  // The float layout is tried first, written straight from the layers; a
+  // weight that is not float-exact undoes it for the double one (the
+  // vec_f64 layout), which always succeeds. Either reads back bit for bit.
+  const std::size_t start = out.size();
+  for (const nn::ParamFormat format :
+       {nn::ParamFormat::kF32, nn::ParamFormat::kF64}) {
+    out.truncate(start);
+    write_tag(out, format == nn::ParamFormat::kF32 ? kCompactAgentTag
+                                                    : kAgentTag);
+    ckpt::save_rng(out, rng_);
+    out.u64(model_.param_count());
+    if (model_.write_parameters(out, format)) break;
+  }
   optimizer_.save_state(out);
   replay_.save_state(out);
   out.vec_f64(global_anchor_);
@@ -162,7 +187,11 @@ void NeuralBanditAgent::save_state(ckpt::Writer& out) const {
 }
 
 void NeuralBanditAgent::restore_state(ckpt::Reader& in) {
-  expect_tag(in, kAgentTag, "bandit agent");
+  const nn::ParamFormat format =
+      ckpt::expect_tag_of(in, {kAgentTag, kCompactAgentTag},
+                          "bandit agent") == 0
+          ? nn::ParamFormat::kF64
+          : nn::ParamFormat::kF32;
   ckpt::restore_rng(in, rng_);
   const std::uint64_t param_count = in.u64();
   if (param_count != model_.param_count())
@@ -170,7 +199,7 @@ void NeuralBanditAgent::restore_state(ckpt::Reader& in) {
         "agent snapshot holds " + std::to_string(param_count) +
         " model parameter(s), this architecture has " +
         std::to_string(model_.param_count()));
-  model_.read_parameters(in);
+  model_.read_parameters(in, format);
   pending_init_.reset();
   optimizer_.restore_state(in);
   replay_.restore_state(in);

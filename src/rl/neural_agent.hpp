@@ -18,6 +18,10 @@
 // pending init, so most devices never pay for it. reset() re-arms the
 // pending init on the same storage, which is how a lazy fleet reuses a
 // dehydrated device's agent for the next device it hydrates.
+//
+// Acting runs the network through nn::Mlp::forward_row, which keeps no
+// per-layer workspace, so an agent that has only acted holds its weights
+// and little else; the batch workspaces appear with the first update.
 #pragma once
 
 #include <cstddef>
@@ -68,8 +72,12 @@ class NeuralBanditAgent {
 
   /// Returns the agent to the state the constructor leaves with this rng
   /// (pending weight init, no optimizer moments, empty replay, no FedProx
-  /// anchor, zero counters), keeping the storage of the replay ring and of
-  /// every scratch buffer. The constructor ends with it.
+  /// anchor, zero counters). It frees the storage that only training grows
+  /// (layer gradients and workspaces, optimizer moments, batch buffers)
+  /// and, when the agent had trained, its replay ring, so an agent reset
+  /// for a new owner holds what a freshly built one holds; the ring of an
+  /// agent that never trained keeps its few slots for the next pushes. The
+  /// constructor ends with it.
   void reset(util::Rng rng);
 
   /// Softmax-explores an action for the given state (training behaviour).
@@ -78,8 +86,9 @@ class NeuralBanditAgent {
   /// Greedy action (evaluation behaviour; no exploration, no learning).
   std::size_t greedy_action(std::span<const double> state) const;
 
-  /// Predicted expected reward for every action in the given state.
-  std::vector<double> predict(std::span<const double> state) const;
+  /// Predicted expected reward for every action in the given state, into
+  /// out (action_count values).
+  void predict(std::span<const double> state, std::span<double> out) const;
 
   /// Records the outcome of one interaction; advances the temperature
   /// schedule and triggers a training update every optimize_interval steps.
@@ -120,10 +129,6 @@ class NeuralBanditAgent {
   const NeuralAgentConfig& config() const noexcept { return config_; }
 
  private:
-  /// Runs the model on one state; the result is the model's output
-  /// workspace, valid until the next forward.
-  const nn::Matrix& forward_row(std::span<const double> state) const;
-
   /// Runs the deferred weight init, if still pending. Every read of the
   /// weights calls it first.
   void materialize() const;
@@ -131,8 +136,7 @@ class NeuralBanditAgent {
   NeuralAgentConfig config_;  // lint: ckpt-skip(construction config, fixed for the run)
   mutable util::Rng rng_;
   // Mutable: the weights materialize on their first read, which may be a
-  // const one, and forward() caches activations even for inference.
-  // lint: reset-ok(reset arms pending_init_: the weights are redrawn first)
+  // const one.
   mutable nn::Mlp model_;
   /// The stream as it stood before the init draws, while the init is
   /// pending; empty once the weights are materialized or overwritten.
@@ -148,8 +152,9 @@ class NeuralBanditAgent {
 
   // Buffers reused by every call so the steady-state act and train paths
   // allocate nothing; none carries state from one call to the next.
-  mutable nn::Matrix row_;     // lint: ckpt-skip(scratch: forward_row input)
-  std::vector<double> probs_;  // lint: ckpt-skip(scratch: softmax output)
+  /// One state's action values; select_action turns them into their
+  /// softmax probabilities in place.
+  mutable std::vector<double> values_;  // lint: ckpt-skip(scratch: action values)
   nn::Matrix batch_states_;  // lint: ckpt-skip(scratch: replay batch)
   std::vector<std::size_t> batch_actions_;  // lint: ckpt-skip(scratch: batch)
   std::vector<double> batch_rewards_;  // lint: ckpt-skip(scratch: batch)

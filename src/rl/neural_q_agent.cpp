@@ -23,27 +23,23 @@ NeuralQAgent::NeuralQAgent(NeuralQConfig config, util::Rng rng)
   FEDPOWER_EXPECTS(config.target_sync_interval > 0);
 }
 
-const nn::Matrix& NeuralQAgent::forward_row(
-    std::span<const double> state) const {
+void NeuralQAgent::predict(std::span<const double> state,
+                           std::span<double> out) const {
   FEDPOWER_EXPECTS(state.size() == config_.base.state_dim);
-  row_.resize(1, state.size());
-  std::copy(state.begin(), state.end(), row_.data().begin());
-  return const_cast<nn::Mlp&>(online_).forward(row_);
-}
-
-std::vector<double> NeuralQAgent::predict(
-    std::span<const double> state) const {
-  return forward_row(state).data();
+  online_.forward_row(state, out);
 }
 
 std::size_t NeuralQAgent::select_action(std::span<const double> state) {
-  return sample_softmax(forward_row(state).data(), temperature(), rng_,
-                        probs_);
+  values_.resize(config_.base.action_count);
+  predict(state, values_);
+  return sample_softmax(values_, temperature(), rng_, values_);
 }
 
 std::size_t NeuralQAgent::greedy_action(
     std::span<const double> state) const {
-  return argmax(forward_row(state).data());
+  values_.resize(config_.base.action_count);
+  predict(state, values_);
+  return argmax(values_);
 }
 
 void NeuralQAgent::record(std::span<const double> state, std::size_t action,

@@ -39,7 +39,9 @@ class NeuralQAgent {
 
   std::size_t select_action(std::span<const double> state);
   std::size_t greedy_action(std::span<const double> state) const;
-  std::vector<double> predict(std::span<const double> state) const;
+  /// The online network's values for every action, into out
+  /// (action_count values).
+  void predict(std::span<const double> state, std::span<double> out) const;
 
   /// Records a full transition (s, a, r, s'); advances the temperature
   /// schedule and trains every optimize_interval steps.
@@ -66,9 +68,6 @@ class NeuralQAgent {
   const NeuralQConfig& config() const noexcept { return config_; }
 
  private:
-  /// Runs the online network on one state (NeuralBanditAgent::forward_row).
-  const nn::Matrix& forward_row(std::span<const double> state) const;
-
   NeuralQConfig config_;  // lint: ckpt-skip(construction config, fixed for the run)
   mutable util::Rng rng_;
   nn::Mlp online_;
@@ -82,8 +81,9 @@ class NeuralQAgent {
   double last_loss_ = 0.0;
 
   // Buffers reused by every call (as in NeuralBanditAgent).
-  mutable nn::Matrix row_;     // lint: ckpt-skip(scratch: forward_row input)
-  std::vector<double> probs_;  // lint: ckpt-skip(scratch: softmax output)
+  /// One state's action values; select_action turns them into their
+  /// softmax probabilities in place.
+  mutable std::vector<double> values_;  // lint: ckpt-skip(scratch: action values)
   nn::Matrix batch_states_;  // lint: ckpt-skip(scratch: replay batch)
   nn::Matrix batch_next_states_;  // lint: ckpt-skip(scratch: batch)
   std::vector<std::size_t> batch_actions_;  // lint: ckpt-skip(scratch: batch)

@@ -16,11 +16,14 @@ namespace fedpower::rl {
                                           double tau);
 
 /// softmax() into caller-owned storage (resized, reusing its capacity).
+/// values may view probs itself, which then has its values replaced by
+/// their probabilities.
 void softmax_into(std::span<const double> values, double tau,
                   std::vector<double>& probs);
 
 /// Samples an action from the softmax distribution. The probabilities go
-/// to caller-owned scratch, so a warm call allocates nothing.
+/// to caller-owned scratch (which values may view, as in softmax_into), so
+/// a warm call allocates nothing.
 [[nodiscard]] std::size_t sample_softmax(std::span<const double> values,
                                          double tau, util::Rng& rng,
                                          std::vector<double>& probs);

@@ -146,6 +146,16 @@ void ReplayBuffer::clear() noexcept {
   resize_slots(0);  // no slot is stored; the capacity is kept for pushes
 }
 
+void ReplayBuffer::release() noexcept {
+  head_ = 0;
+  size_ = 0;
+  states_ = {};
+  actions_ = {};
+  rewards_ = {};
+  next_states_ = {};
+  sampler_ = {};
+}
+
 namespace {
 constexpr ckpt::Tag kReplayTag{'R', 'P', 'L', '2'};
 constexpr ckpt::Tag kQReplayTag{'Q', 'R', 'P', '2'};

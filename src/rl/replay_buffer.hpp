@@ -130,6 +130,10 @@ class ReplayBuffer {
   /// up to the slots it held before allocates nothing.
   void clear() noexcept;
 
+  /// clear() that also frees the storage, the sampler's included: the
+  /// buffer then holds what a freshly built one holds.
+  void release() noexcept;
+
   /// Serializes the head/size cursors and only the size() live slots
   /// (RPL2, or QRP2 with successors), so a buffer that has seen a few
   /// steps snapshots in a few hundred bytes instead of the full ring.

@@ -8,6 +8,7 @@
 #include <limits>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace fedpower::ckpt {
@@ -250,6 +251,79 @@ TEST(BinaryIo, BlocksWrittenPieceByPieceReadAsOneVector) {
   Reader short_read(std::span(pieces.data()).first(pieces.size() - 1));
   (void)short_read.u64();
   EXPECT_THROW(short_read.f64_block_into(back), CorruptSnapshotError);
+}
+
+TEST(BinaryIo, F32BlockIsLosslessExactlyForFloatExactValues) {
+  using L = std::numeric_limits<double>;
+  // A value is float-exact when its float widens back to the same bits:
+  // both zeros, the infinities and every finite float, but no NaN (its
+  // payload would be narrowed away), no double denormal and nothing out of
+  // float range or finer than float.
+  const std::vector<std::pair<double, bool>> cases = {
+      {-0.0, true},
+      {0.0, true},
+      {L::infinity(), true},
+      {-L::infinity(), true},
+      {0.1f, true},
+      {static_cast<double>(std::numeric_limits<float>::denorm_min()), true},
+      {static_cast<double>(std::numeric_limits<float>::max()), true},
+      {L::quiet_NaN(), false},
+      {static_cast<double>(std::numeric_limits<float>::quiet_NaN()), false},
+      {std::bit_cast<double>(0x7ff8dead0000beefULL), false},
+      {std::bit_cast<double>(0x7ff0000000000001ULL), false},
+      {L::denorm_min(), false},
+      {L::max(), false},
+      {L::lowest(), false},
+      {0.1, false},
+      {1.0 / 3.0, false}};
+  for (const auto& [value, exact] : cases) {
+    Writer out;
+    EXPECT_EQ(out.f32_block(std::span(&value, 1)), exact)
+        << std::bit_cast<std::uint64_t>(value);
+    const float narrowed = static_cast<float>(value);
+    ASSERT_EQ(out.size(), sizeof(float));
+    Reader in(out.data());
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(in.f32()),
+              std::bit_cast<std::uint32_t>(narrowed));
+  }
+
+  // A block of exact values is the vec_f32 layout without its prefix and
+  // reads back with every bit.
+  std::vector<double> exact;
+  for (const auto& [value, is_exact] : cases)
+    if (is_exact) exact.push_back(value);
+  std::vector<float> floats(exact.begin(), exact.end());
+  Writer block;
+  EXPECT_TRUE(block.f32_block(exact));
+  Writer vec;
+  vec.vec_f32(floats);
+  EXPECT_EQ(block.data(), std::vector<std::uint8_t>(vec.data().begin() + 8,
+                                                    vec.data().end()));
+  Reader in(block.data());
+  std::vector<double> back(exact.size(), 7.0);
+  in.f32_block_into(back);
+  EXPECT_EQ(bits_of<std::uint64_t>(back), bits_of<std::uint64_t>(exact));
+  EXPECT_TRUE(in.exhausted());
+
+  // One inexact value anywhere makes the whole block inexact.
+  exact.push_back(0.1);
+  EXPECT_FALSE(Writer().f32_block(exact));
+  Reader short_read(std::span(block.data()).first(block.size() - 1));
+  EXPECT_THROW(short_read.f32_block_into(back), CorruptSnapshotError);
+}
+
+TEST(BinaryIo, TruncateUndoesTheWritesSinceAMark) {
+  Writer out;
+  out.u32(0x04030201u);
+  const std::size_t mark = out.size();
+  out.f64(1.0);
+  out.str("undone");
+  out.truncate(mark);
+  out.u8(5);
+  Writer expected;
+  expected.u32(0x04030201u);
+  expected.u8(5);
+  EXPECT_EQ(out.data(), expected.data());
 }
 
 TEST(BinaryIo, VecF64IntoResizesTheTargetAndKeepsItsStorage) {

@@ -12,6 +12,10 @@
 // drew the He init at construction. Rings now grow on push and the init is
 // deferred to the first read; these pin that neither moved a byte.
 //
+// Float32 golden: a lazy fleet (FLT2) holding an agent saved with its
+// weights as floats (AGNF) both as a dehydrated blob and inline, beside
+// one saved as doubles (AGNT), captured when the float layout was added.
+//
 // Experiment golden: the FEXP snapshots of a lazy run under chaos that
 // checkpoints every round, captured from the last build that kept a
 // round's participants hot until the end of the next round. Lazy fleets
@@ -366,6 +370,66 @@ TEST(LegacyGoldens, Flt2WithDehydratedRecordsRestoresIntoAnEagerFleet) {
   run_on(uninterrupted);
   run_on(eager);
   expect_same_devices(uninterrupted, eager);
+}
+
+// --- float32 agent snapshots -------------------------------------------------
+
+// The golden fleet with an update every 10 steps, so a 6-step round leaves
+// a broadcast untouched.
+runtime::FleetRuntime compact_fleet(bool lazy) {
+  core::ControllerConfig config = golden_controller();
+  config.agent.optimize_interval = 10;
+  const auto suite = sim::splash2_suite();
+  std::vector<std::vector<sim::AppProfile>> apps;
+  for (std::size_t d = 0; d < 4; ++d) apps.push_back({suite[d % suite.size()]});
+  return runtime::FleetRuntime({config}, sim::ProcessorConfig{}, apps,
+                               /*seed=*/2026, runtime::FleetOptions{1, lazy});
+}
+
+/// The rounds before the capture, from a float-exact broadcast. Afterwards
+/// device 0 is dehydrated with its broadcast untouched (an AGNF blob),
+/// device 1 hot the same way (saved inline as AGNF), device 2 pristine and
+/// device 3 dehydrated after an update (an AGNT blob).
+void run_to_compact_capture(runtime::FleetRuntime& fleet) {
+  std::vector<double> global = fleet.controller(0).local_parameters();
+  for (double& w : global) w = static_cast<float>(w * 0.75);
+  const auto clients = fleet.clients();
+  const std::vector<std::size_t> keep{1};
+  for (const std::size_t d : {0u, 1u, 3u}) {
+    clients[d]->receive_global(global);
+    clients[d]->run_local_round();
+  }
+  clients[3]->run_local_round();
+  fleet.dehydrate_inactive(keep);
+}
+
+TEST(CompactGoldens, Flt2WithAnAgnfBlobSavesRestoresAndResumes) {
+  const auto golden = read_golden("fleet_flt2_agnf.bin");
+  ASSERT_EQ(std::string(golden.begin(), golden.begin() + 4), "FLT2");
+  const std::string bytes(golden.begin(), golden.end());
+  const std::size_t blob = bytes.find("AGNF");
+  ASSERT_NE(blob, std::string::npos);
+  EXPECT_NE(bytes.find("AGNF", blob + 4), std::string::npos);  // inline
+  EXPECT_NE(bytes.find("AGNT"), std::string::npos);
+  runtime::FleetRuntime uninterrupted = compact_fleet(/*lazy=*/true);
+  run_to_compact_capture(uninterrupted);
+  EXPECT_EQ(saved_bytes(uninterrupted), golden);
+
+  for (const bool lazy : {true, false}) {
+    SCOPED_TRACE(lazy ? "into a lazy fleet" : "into an eager fleet");
+    runtime::FleetRuntime resumed = compact_fleet(lazy);
+    ckpt::Reader in(golden);
+    resumed.restore_state(in);
+    EXPECT_TRUE(in.exhausted());
+    expect_same_devices(uninterrupted, resumed);
+  }
+  runtime::FleetRuntime resumed = compact_fleet(/*lazy=*/true);
+  ckpt::Reader in(golden);
+  resumed.restore_state(in);
+  run_on(uninterrupted);
+  run_on(resumed);
+  expect_same_devices(uninterrupted, resumed);
+  EXPECT_EQ(saved_bytes(resumed), saved_bytes(uninterrupted));
 }
 
 // --- lazy experiment -------------------------------------------------------

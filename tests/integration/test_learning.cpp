@@ -107,7 +107,8 @@ TEST(Learning, PredictedRewardsApproachObservedRewards) {
   for (int i = 0; i < 20; ++i) {
     const sim::TelemetrySample before = rig.controller.greedy_step();
     const auto features = rig.controller.featurizer().featurize(before);
-    const auto mu = rig.controller.agent().predict(features);
+    std::vector<double> mu(rig.controller.agent().config().action_count);
+    rig.controller.agent().predict(features, mu);
     const std::size_t a = rl::argmax(mu);
     const sim::TelemetrySample after = rig.controller.greedy_step();
     (void)a;

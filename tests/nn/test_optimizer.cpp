@@ -90,6 +90,21 @@ TEST(Adam, ResetRestartsBiasCorrection) {
   EXPECT_NEAR(fresh[0], -0.01, 1e-6);
 }
 
+TEST(Adam, ReleaseRestartsLikeAFreshOptimizer) {
+  Adam used(0.01);
+  std::vector<double> params = {0.5, -0.25};
+  used.step(params, {1.0, -2.0});
+  used.step(params, {0.5, 0.5});
+  used.release();
+  EXPECT_EQ(used.step_count(), 0);
+  Adam fresh(0.01);
+  std::vector<double> a = {0.1, 0.2};
+  std::vector<double> b = a;
+  used.step(a, {0.3, -0.7});
+  fresh.step(b, {0.3, -0.7});
+  EXPECT_EQ(a, b);
+}
+
 TEST(Adam, ZeroGradientLeavesParamsNearlyFixed) {
   Adam adam(0.01);
   std::vector<double> params = {1.0};

@@ -75,6 +75,25 @@ TEST(Workspaces, BatchSizeChangesMatchAFreshModel) {
   EXPECT_EQ(big.grads, fresh_batch.grads);
 }
 
+TEST(Workspaces, ReleasedModelHoldsAndComputesWhatAFreshOneDoes) {
+  util::Rng rng(12);
+  const Matrix batch = random_matrix(128, 5, rng);
+  const Matrix batch_grad = random_matrix(128, 15, rng);
+  Mlp trained = paper_mlp(5);
+  (void)run_pass(trained, batch, batch_grad);
+  trained.release_workspaces();
+  // The gradient accumulators are gone (they read as zero), the weights
+  // are kept, and the next pass grows the workspaces again.
+  EXPECT_EQ(trained.gradients(), std::vector<double>(687, 0.0));
+  EXPECT_EQ(trained.parameters(), paper_mlp(5).parameters());
+  Mlp fresh = paper_mlp(5);
+  const Pass again = run_pass(trained, batch, batch_grad);
+  const Pass first = run_pass(fresh, batch, batch_grad);
+  EXPECT_TRUE(bitwise_equal(again.output, first.output));
+  EXPECT_TRUE(bitwise_equal(again.grad_input, first.grad_input));
+  EXPECT_EQ(again.grads, first.grads);
+}
+
 TEST(Workspaces, ForwardReturnsTheSameBufferEachCall) {
   Mlp mlp = paper_mlp(4);
   util::Rng rng(4);

@@ -14,6 +14,14 @@
 namespace fedpower::rl {
 namespace {
 
+/// The agent's predictions for one state, as a vector.
+std::vector<double> predicted(const NeuralBanditAgent& agent,
+                              std::span<const double> state) {
+  std::vector<double> out(agent.config().action_count);
+  agent.predict(state, out);
+  return out;
+}
+
 NeuralAgentConfig small_config() {
   NeuralAgentConfig config;
   config.state_dim = 3;
@@ -33,7 +41,7 @@ TEST(NeuralAgent, PaperConfigParamCount) {
 
 TEST(NeuralAgent, PredictReturnsOneValuePerAction) {
   NeuralBanditAgent agent(small_config(), util::Rng{2});
-  EXPECT_EQ(agent.predict(std::vector<double>{0.1, 0.2, 0.3}).size(), 4u);
+  EXPECT_EQ(predicted(agent, std::vector<double>{0.1, 0.2, 0.3}).size(), 4u);
 }
 
 TEST(NeuralAgent, TemperatureStartsAtMaxAndDecays) {
@@ -76,7 +84,7 @@ TEST(NeuralAgent, LearnsActionValuesInFixedState) {
     agent.record(state, a, action_rewards[a]);
   }
   EXPECT_EQ(agent.greedy_action(state), 1u);
-  const auto mu = agent.predict(state);
+  const auto mu = predicted(agent, state);
   EXPECT_NEAR(mu[1], 0.9, 0.15);
 }
 
@@ -103,14 +111,14 @@ TEST(NeuralAgent, LearnsStateDependentPolicy) {
   EXPECT_EQ(agent.greedy_action(s0), 0u);
   EXPECT_EQ(agent.greedy_action(s1), 3u);
   // And the value estimates themselves separate the states.
-  EXPECT_NEAR(agent.predict(s0)[0], 1.0, 0.2);
-  EXPECT_NEAR(agent.predict(s1)[0], 0.0, 0.2);
+  EXPECT_NEAR(predicted(agent, s0)[0], 1.0, 0.2);
+  EXPECT_NEAR(predicted(agent, s1)[0], 0.0, 0.2);
 }
 
 TEST(NeuralAgent, GreedyIsArgmaxOfPredict) {
   NeuralBanditAgent agent(small_config(), util::Rng{9});
   const std::vector<double> state = {0.3, -0.2, 0.8};
-  EXPECT_EQ(agent.greedy_action(state), argmax(agent.predict(state)));
+  EXPECT_EQ(agent.greedy_action(state), argmax(predicted(agent, state)));
 }
 
 TEST(NeuralAgent, ParametersRoundTripThroughFederationInterface) {
@@ -118,7 +126,7 @@ TEST(NeuralAgent, ParametersRoundTripThroughFederationInterface) {
   NeuralBanditAgent b(small_config(), util::Rng{11});
   b.set_parameters(a.parameters());
   const std::vector<double> state = {0.1, 0.9, 0.4};
-  EXPECT_EQ(a.predict(state), b.predict(state));
+  EXPECT_EQ(predicted(a, state), predicted(b, state));
 }
 
 TEST(NeuralAgent, SelectActionExploresAtHighTemperature) {
@@ -213,7 +221,7 @@ TEST(NeuralAgentDeferredInit, ActsAndPredictsLikeAnEagerReference) {
       const std::vector<double> expected = reference.forward(row).data();
       // The first read is select_action; predict and greedy_action follow.
       if (step % 3 == 1) {
-        EXPECT_EQ(agent.predict(state), expected);
+        EXPECT_EQ(predicted(agent, state), expected);
       } else if (step % 3 == 2) {
         EXPECT_EQ(agent.greedy_action(state), argmax(expected));
       }
@@ -264,7 +272,7 @@ TEST(NeuralAgentDeferredInit, CopyCarriesThePendingInit) {
   const NeuralBanditAgent original(small_config(), util::Rng{23});
   NeuralBanditAgent copy = original;
   const std::vector<double> state = {0.2, 0.4, 0.6};
-  EXPECT_EQ(copy.predict(state), original.predict(state));
+  EXPECT_EQ(predicted(copy, state), predicted(original, state));
   EXPECT_EQ(copy.parameters(), original.parameters());
 }
 
@@ -279,12 +287,12 @@ TEST(NeuralAgentDeferredInit, RestoreReplacesThePendingInit) {
   ckpt::Reader in(out.data());
   target.restore_state(in);
   EXPECT_EQ(target.parameters(), source.parameters());
-  EXPECT_EQ(target.predict(state), source.predict(state));
+  EXPECT_EQ(predicted(target, state), predicted(source, state));
 }
 
 TEST(NeuralAgentDeathTest, RejectsWrongStateSize) {
   NeuralBanditAgent agent(small_config(), util::Rng{18});
-  EXPECT_DEATH(agent.predict(std::vector<double>{0.1}), "precondition");
+  EXPECT_DEATH(predicted(agent, std::vector<double>{0.1}), "precondition");
 }
 
 TEST(NeuralAgentDeathTest, RejectsOutOfRangeAction) {

@@ -237,6 +237,38 @@ TEST(ReplayBuffer, ClearedRingRefillsAndWrapsLikeAFreshOne) {
   }
 }
 
+TEST(ReplayBuffer, ReleasedRingRefillsSamplesAndWrapsLikeAFreshOne) {
+  for (const bool successors : {false, true}) {
+    SCOPED_TRACE(successors);
+    ReplayBuffer released(5, 3, successors);
+    push_script(released, 0, 7);
+    util::Rng warm(1);
+    (void)released.sample(4, warm);  // grows the sampler too
+    nn::Matrix states, next_states;
+    std::vector<std::size_t> actions;
+    std::vector<double> rewards;
+    (void)released.sample_into(4, warm, states, actions, rewards,
+                               successors ? &next_states : nullptr);
+    released.release();
+    EXPECT_TRUE(released.empty());
+    ReplayBuffer fresh(5, 3, successors);
+    util::Rng rng_released(9);
+    util::Rng rng_fresh(9);
+    for (std::size_t i = 0; i < 12; ++i) {
+      push_script(released, i, i + 1);
+      push_script(fresh, i, i + 1);
+      EXPECT_EQ(saved(released), saved(fresh)) << i;
+      const auto a = released.sample(3, rng_released);
+      const auto b = fresh.sample(3, rng_fresh);
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t k = 0; k < a.size(); ++k) {
+        EXPECT_EQ(a[k].state, b[k].state) << i << ":" << k;
+        EXPECT_EQ(a[k].action, b[k].action) << i << ":" << k;
+      }
+    }
+  }
+}
+
 // --- one ring for both agents ------------------------------------------------
 //
 // The bandit ring and the successor ring were two classes before they were
