@@ -90,6 +90,8 @@ class ChaosEngine {
   void restore_state(ckpt::Reader& in);
 
  private:
+  template <class Self, class Io> static void fields(Self& s, Io& io);
+
   // lint: ckpt-skip(construction config, fixed for the run)
   ChaosConfig config_;
   util::Rng rng_;

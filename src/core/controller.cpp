@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "ckpt/fields.hpp"
+
 namespace fedpower::core {
 
 PowerController::PowerController(ControllerConfig config,
@@ -98,67 +100,30 @@ namespace {
 
 constexpr ckpt::Tag kControllerTag{'C', 'T', 'R', 'L'};
 
-void save_sample(ckpt::Writer& out, const sim::TelemetrySample& s) {
-  out.f64(s.time_s);
-  out.u64(s.level);
-  out.f64(s.freq_mhz);
-  out.f64(s.voltage_v);
-  out.f64(s.power_w);
-  out.f64(s.true_power_w);
-  out.f64(s.energy_j);
-  out.f64(s.instructions);
-  out.f64(s.cycles);
-  out.f64(s.ipc);
-  out.f64(s.miss_rate);
-  out.f64(s.mpki);
-  out.f64(s.ips);
-  out.f64(s.temperature_c);
-  out.str(s.app_name);
-}
-
-sim::TelemetrySample restore_sample(ckpt::Reader& in) {
-  sim::TelemetrySample s;
-  s.time_s = in.f64();
-  s.level = in.u64();
-  s.freq_mhz = in.f64();
-  s.voltage_v = in.f64();
-  s.power_w = in.f64();
-  s.true_power_w = in.f64();
-  s.energy_j = in.f64();
-  s.instructions = in.f64();
-  s.cycles = in.f64();
-  s.ipc = in.f64();
-  s.miss_rate = in.f64();
-  s.mpki = in.f64();
-  s.ips = in.f64();
-  s.temperature_c = in.f64();
-  s.app_name = in.str();
-  return s;
+/// The telemetry sample's fields, in byte order.
+template <class Sample, class Io>
+void sample_fields(Sample& x, Io& io) {
+  io.f64(x.time_s);
+  io.u64(x.level);
+  io.f64(x.freq_mhz, x.voltage_v, x.power_w, x.true_power_w, x.energy_j,
+         x.instructions, x.cycles, x.ipc, x.miss_rate, x.mpki, x.ips,
+         x.temperature_c);
+  io.str(x.app_name);
 }
 
 }  // namespace
 
-void PowerController::save_state(ckpt::Writer& out) const {
-  write_tag(out, kControllerTag);
-  agent_.save_state(out);
-  out.u8(drift_.has_value() ? 1 : 0);
-  if (drift_) drift_->save_state(out);
-  out.u8(have_state_ ? 1 : 0);
-  save_sample(out, last_sample_);
-  out.f64(last_reward_);
+template <class Self, class Io>
+void PowerController::fields(Self& s, Io& io) {
+  io.tag(kControllerTag, "power controller");
+  io.section(s.agent_);
+  io.expect_flag(s.drift_.has_value(), "drift-adaptation flag");
+  if (s.drift_) io.section(*s.drift_);
+  io.u8(s.have_state_);
+  sample_fields(s.last_sample_, io);
+  io.f64(s.last_reward_);
 }
 
-void PowerController::restore_state(ckpt::Reader& in) {
-  expect_tag(in, kControllerTag, "power controller");
-  agent_.restore_state(in);
-  const bool had_drift = in.u8() != 0;
-  if (had_drift != drift_.has_value())
-    throw ckpt::StateMismatchError(
-        "controller snapshot drift-adaptation flag does not match config");
-  if (drift_) drift_->restore_state(in);
-  have_state_ = in.u8() != 0;
-  last_sample_ = restore_sample(in);
-  last_reward_ = in.f64();
-}
+FEDPOWER_CKPT_FIELDS(PowerController)
 
 }  // namespace fedpower::core

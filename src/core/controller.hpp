@@ -102,6 +102,7 @@ class PowerController final : public fed::FederatedClient {
   void restore_state(ckpt::Reader& in);
 
  private:
+  template <class Self, class Io> static void fields(Self& s, Io& io);
   /// One step's state, built on the stack so a step allocates nothing.
   using Features = std::array<double, rl::StateFeaturizer::kStateDim>;
 

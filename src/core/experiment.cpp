@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "chaos/churn_transport.hpp"
+#include "ckpt/fields.hpp"
 #include "ckpt/rotation.hpp"
 #include "ckpt/snapshot.hpp"
 #include "fed/federation.hpp"
@@ -91,42 +92,27 @@ void record_round(std::vector<RoundCurve>& devices, RoundCurve& fleet,
 constexpr ckpt::Tag kFedExpTag{'F', 'E', 'X', 'P'};
 constexpr ckpt::Tag kLocalExpTag{'L', 'E', 'X', 'P'};
 
-void save_curve(ckpt::Writer& out, const RoundCurve& curve) {
-  out.vec_f64(curve.reward);
-  out.vec_f64(curve.mean_freq_mhz);
-  out.vec_f64(curve.stddev_freq_mhz);
-  out.vec_f64(curve.mean_power_w);
-  out.vec_f64(curve.violation_rate);
+template <class Curve, class Io>
+void curve_fields(Curve& curve, Io& io) {
+  io.vec(curve.reward, curve.mean_freq_mhz, curve.stddev_freq_mhz,
+         curve.mean_power_w, curve.violation_rate);
 }
 
-RoundCurve restore_curve(ckpt::Reader& in) {
-  RoundCurve curve;
-  curve.reward = in.vec_f64();
-  curve.mean_freq_mhz = in.vec_f64();
-  curve.stddev_freq_mhz = in.vec_f64();
-  curve.mean_power_w = in.vec_f64();
-  curve.violation_rate = in.vec_f64();
-  return curve;
+/// The curves both experiment snapshots carry: each device's, the fleet's,
+/// and the app each round evaluated.
+template <class Result, class Io>
+void result_fields(Result& result, Io& io) {
+  io.expect_count(result.devices.size(), "device curve(s)");
+  for (auto& curve : result.devices) curve_fields(curve, io);
+  curve_fields(result.fleet, io);
+  io.list(result.eval_app_per_round, [&](auto& name) { io.str(name); });
 }
 
-void save_traffic(ckpt::Writer& out, const fed::TrafficStats& stats) {
-  out.u64(stats.uplink_transfers);
-  out.u64(stats.uplink_bytes);
-  out.u64(stats.downlink_transfers);
-  out.u64(stats.downlink_bytes);
-  out.u64(stats.retries);
-  out.f64(stats.total_latency_s);
-}
-
-fed::TrafficStats restore_traffic(ckpt::Reader& in) {
-  fed::TrafficStats stats;
-  stats.uplink_transfers = in.u64();
-  stats.uplink_bytes = in.u64();
-  stats.downlink_transfers = in.u64();
-  stats.downlink_bytes = in.u64();
-  stats.retries = in.u64();
-  stats.total_latency_s = in.f64();
-  return stats;
+template <class Traffic, class Io>
+void traffic_fields(Traffic& stats, Io& io) {
+  io.u64(stats.uplink_transfers, stats.uplink_bytes, stats.downlink_transfers,
+         stats.downlink_bytes, stats.retries);
+  io.f64(stats.total_latency_s);
 }
 
 /// Traffic accrued before the snapshot plus traffic of the resumed
@@ -141,35 +127,6 @@ fed::TrafficStats merge_traffic(const fed::TrafficStats& base,
   sum.retries += post.retries;
   sum.total_latency_s += post.total_latency_s;
   return sum;
-}
-
-void save_app_names(ckpt::Writer& out, const std::vector<std::string>& names) {
-  out.u64(names.size());
-  for (const std::string& name : names) out.str(name);
-}
-
-std::vector<std::string> restore_app_names(ckpt::Reader& in) {
-  const std::uint64_t count = in.u64();
-  std::vector<std::string> names;
-  names.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) names.push_back(in.str());
-  return names;
-}
-
-void save_device_curves(ckpt::Writer& out,
-                        const std::vector<RoundCurve>& devices) {
-  out.u64(devices.size());
-  for (const RoundCurve& curve : devices) save_curve(out, curve);
-}
-
-void restore_device_curves(ckpt::Reader& in,
-                           std::vector<RoundCurve>& devices) {
-  const std::uint64_t count = in.u64();
-  if (count != devices.size())
-    throw ckpt::StateMismatchError(
-        "experiment snapshot holds curves for " + std::to_string(count) +
-        " device(s), this run has " + std::to_string(devices.size()));
-  for (RoundCurve& curve : devices) curve = restore_curve(in);
 }
 
 /// Resolves the resume source: a rotation directory picks its newest valid
@@ -294,9 +251,29 @@ FederatedRunResult run_federated(
   const bool robust_ckpt =
       config.defense.enabled || config.faults.any() || chaos_ckpt;
 
-  // Resume: restore the whole experiment — fleet, server, partial curves
-  // and the traffic accrued before the snapshot — then continue the round
-  // loop exactly where the snapshotted process stopped.
+  // The FEXP snapshot: the whole experiment — fleet, server, partial
+  // curves and the traffic accrued so far — and the next round to run.
+  auto fexp_fields = [&](auto& io, std::size_t& next_round,
+                         fed::TrafficStats& traffic) {
+    io.tag(kFedExpTag, "federated experiment");
+    io.u64(next_round);
+    io.section(fleet);
+    io.section(server);
+    result_fields(result, io);
+    traffic_fields(traffic, io);
+    if (robust_ckpt)
+      io.vec(robustness.screened_per_round, robustness.quarantined_per_round,
+             robustness.readmitted_per_round, robustness.clipped_per_round);
+    if (fault_injector) io.section(*fault_injector);
+    if (chaos_ckpt) {
+      io.vec(robustness.stragglers_per_round);
+      io.u64(robustness.aborted_rounds);
+    }
+    if (chaos_engine) io.section(*chaos_engine);
+  };
+
+  // Resume: restore the whole experiment, then continue the round loop
+  // exactly where the snapshotted process stopped.
   std::size_t start_round = 0;
   fed::TrafficStats traffic_baseline;
   if (!config.checkpoint.resume_from.empty()) {
@@ -304,26 +281,8 @@ FederatedRunResult run_federated(
         load_resume_payload(config.checkpoint.resume_from,
                             config.checkpoint.keep);
     ckpt::Reader in(payload);
-    ckpt::expect_tag(in, kFedExpTag, "federated experiment");
-    start_round = in.u64();
-    fleet.restore_state(in);
-    server.restore_state(in);
-    restore_device_curves(in, result.devices);
-    result.fleet = restore_curve(in);
-    result.eval_app_per_round = restore_app_names(in);
-    traffic_baseline = restore_traffic(in);
-    if (robust_ckpt) {
-      robustness.screened_per_round = in.vec_u64();
-      robustness.quarantined_per_round = in.vec_u64();
-      robustness.readmitted_per_round = in.vec_u64();
-      robustness.clipped_per_round = in.vec_u64();
-    }
-    if (fault_injector) fault_injector->restore_state(in);
-    if (chaos_ckpt) {
-      robustness.stragglers_per_round = in.vec_u64();
-      robustness.aborted_rounds = in.u64();
-    }
-    if (chaos_engine) chaos_engine->restore_state(in);
+    ckpt::Load io(in);
+    fexp_fields(io, start_round, traffic_baseline);
   }
   const std::optional<ckpt::SnapshotRotation> rotation =
       make_rotation(config.checkpoint);
@@ -430,26 +389,11 @@ FederatedRunResult run_federated(
       fleet.dehydrate_inactive(round_result.participants);
     if (rotation && (round + 1) % config.checkpoint.every_rounds == 0) {
       ckpt::Writer out;
-      ckpt::write_tag(out, kFedExpTag);
-      out.u64(round + 1);  // next round to run
-      fleet.save_state(out);
-      server.save_state(out);
-      save_device_curves(out, result.devices);
-      save_curve(out, result.fleet);
-      save_app_names(out, result.eval_app_per_round);
-      save_traffic(out, merge_traffic(traffic_baseline, transport.stats()));
-      if (robust_ckpt) {
-        out.vec_u64(robustness.screened_per_round);
-        out.vec_u64(robustness.quarantined_per_round);
-        out.vec_u64(robustness.readmitted_per_round);
-        out.vec_u64(robustness.clipped_per_round);
-      }
-      if (fault_injector) fault_injector->save_state(out);
-      if (chaos_ckpt) {
-        out.vec_u64(robustness.stragglers_per_round);
-        out.u64(robustness.aborted_rounds);
-      }
-      if (chaos_engine) chaos_engine->save_state(out);
+      ckpt::Save io(out);
+      std::size_t next_round = round + 1;
+      fed::TrafficStats traffic =
+          merge_traffic(traffic_baseline, transport.stats());
+      fexp_fields(io, next_round, traffic);
       rotation->save(out.data());
     }
   }
@@ -491,18 +435,21 @@ LocalRunResult run_local_only(
   LocalRunResult result;
   result.devices.resize(fleet.size());
 
+  // The LEXP snapshot: the fleet, the partial curves and the next round.
+  auto lexp_fields = [&](auto& io, std::size_t& next_round) {
+    io.tag(kLocalExpTag, "local-only experiment");
+    io.u64(next_round);
+    io.section(fleet);
+    result_fields(result, io);
+  };
   std::size_t start_round = 0;
   if (!config.checkpoint.resume_from.empty()) {
     const std::vector<std::uint8_t> payload =
         load_resume_payload(config.checkpoint.resume_from,
                             config.checkpoint.keep);
     ckpt::Reader in(payload);
-    ckpt::expect_tag(in, kLocalExpTag, "local-only experiment");
-    start_round = in.u64();
-    fleet.restore_state(in);
-    restore_device_curves(in, result.devices);
-    result.fleet = restore_curve(in);
-    result.eval_app_per_round = restore_app_names(in);
+    ckpt::Load io(in);
+    lexp_fields(io, start_round);
   }
   const std::optional<ckpt::SnapshotRotation> rotation =
       make_rotation(config.checkpoint);
@@ -523,12 +470,9 @@ LocalRunResult run_local_only(
     }
     if (rotation && (round + 1) % config.checkpoint.every_rounds == 0) {
       ckpt::Writer out;
-      ckpt::write_tag(out, kLocalExpTag);
-      out.u64(round + 1);
-      fleet.save_state(out);
-      save_device_curves(out, result.devices);
-      save_curve(out, result.fleet);
-      save_app_names(out, result.eval_app_per_round);
+      ckpt::Save io(out);
+      std::size_t next_round = round + 1;
+      lexp_fields(io, next_round);
       rotation->save(out.data());
     }
   }

@@ -70,8 +70,10 @@ class ByzantineClient final : public FederatedClient {
   void restore_state(ckpt::Reader& in);
 
  private:
+  template <class Self, class Io> static void fields(Self& s, Io& io);
+
   FederatedClient* inner_;  // lint: ckpt-skip(non-owning wrapped client; checkpoints itself)
-  ClientFaultConfig config_;  // lint: ckpt-skip(construction config; restore only validates it)
+  ClientFaultConfig config_;
   std::size_t rounds_seen_ = 0;
   /// Honest models captured after each local round (bounded to
   /// stale_rounds entries); front() is the stalest.

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "ckpt/errors.hpp"
+#include "ckpt/fields.hpp"
 #include "util/assert.hpp"
 
 namespace fedpower::fed {
@@ -244,47 +244,35 @@ namespace {
 constexpr ckpt::Tag kDefenseTag{'D', 'F', 'N', 'S'};
 }  // namespace
 
-void DefensePipeline::save_state(ckpt::Writer& out) const {
-  write_tag(out, kDefenseTag);
-  out.u64(clients_.size());
-  out.u64(rounds_);
-  for (const ClientState& state : clients_) {
-    out.f64(state.reputation);
-    out.u8(state.quarantined ? 1 : 0);
-    out.u64(state.probation_streak);
-    out.u64(state.screened_total);
-    out.u64(state.readmissions);
+template <class Self, class Io>
+void DefensePipeline::fields(Self& s, Io& io) {
+  io.tag(kDefenseTag, "defense pipeline");
+  io.expect_count(s.clients_.size(), "client(s)");
+  io.u64(s.rounds_);
+  for (auto& client : s.clients_) {
+    io.f64(client.reputation);
+    io.u8(client.quarantined);
+    io.u64(client.probation_streak, client.screened_total, client.readmissions);
   }
-  out.vec_f64(norm_history_);
-  out.u64(norm_cursor_);
+  io.vec(s.norm_history_);
+  io.check(s.norm_history_.size() <= s.config_.norm_history,
+           "norm history exceeds this config's window");
+  io.u64(s.norm_cursor_);
+  io.check(s.norm_cursor_ < std::max<std::size_t>(1, s.config_.norm_history),
+           "norm-history cursor is out of range");
+}
+
+void DefensePipeline::save_state(ckpt::Writer& out) const {
+  ckpt::Save io(out);
+  fields(*this, io);
 }
 
 void DefensePipeline::restore_state(ckpt::Reader& in) {
-  expect_tag(in, kDefenseTag, "defense pipeline");
-  const std::uint64_t client_count = in.u64();
-  if (client_count != clients_.size())
-    throw ckpt::StateMismatchError(
-        "defense snapshot was taken with " + std::to_string(client_count) +
-        " client(s), this pipeline tracks " +
-        std::to_string(clients_.size()));
-  rounds_ = in.u64();
-  quarantined_count_ = 0;
-  for (ClientState& state : clients_) {
-    state.reputation = in.f64();
-    state.quarantined = in.u8() != 0;
-    if (state.quarantined) ++quarantined_count_;
-    state.probation_streak = in.u64();
-    state.screened_total = in.u64();
-    state.readmissions = in.u64();
-  }
-  norm_history_ = in.vec_f64();
-  if (norm_history_.size() > config_.norm_history)
-    throw ckpt::StateMismatchError(
-        "defense snapshot norm history exceeds this config's window");
-  norm_cursor_ = in.u64();
-  if (norm_cursor_ >= std::max<std::size_t>(1, config_.norm_history))
-    throw ckpt::StateMismatchError(
-        "defense snapshot norm-history cursor is out of range");
+  ckpt::Load io(in);
+  fields(*this, io);
+  quarantined_count_ = static_cast<std::size_t>(
+      std::count_if(clients_.begin(), clients_.end(),
+                    [](const ClientState& c) { return c.quarantined; }));
   norm_median_ = norm_screen_armed() && !norm_history_.empty()
                      ? robust_median(norm_history_)
                      : 0.0;

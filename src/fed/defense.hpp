@@ -156,8 +156,9 @@ class DefensePipeline {
   };
 
   bool norm_screen_armed() const noexcept;
+  template <class Self, class Io> static void fields(Self& s, Io& io);
 
-  DefenseConfig config_;  // lint: ckpt-skip(construction config; restore only validates it)
+  DefenseConfig config_;
   std::vector<ClientState> clients_;
   /// Ring buffer of recently accepted update norms (insertion order; the
   /// cursor marks the next overwrite slot once the ring is full).

@@ -1,6 +1,6 @@
 #include "fed/fault_injection.hpp"
 
-#include "ckpt/state_io.hpp"
+#include "ckpt/fields.hpp"
 #include "util/assert.hpp"
 
 namespace fedpower::fed {
@@ -71,32 +71,16 @@ namespace {
 constexpr ckpt::Tag kFaultInjectionTag{'F', 'I', 'N', 'J'};
 }  // namespace
 
-void FaultInjectingTransport::save_state(ckpt::Writer& out) const {
-  write_tag(out, kFaultInjectionTag);
-  ckpt::save_rng(out, rng_);
-  out.u64(outage_remaining_);
-  out.u64(fault_stats_.attempted);
-  out.u64(fault_stats_.delivered);
-  out.u64(fault_stats_.drops);
-  out.u64(fault_stats_.delays);
-  out.u64(fault_stats_.truncations);
-  out.u64(fault_stats_.disconnects);
-  out.u64(fault_stats_.outage_failures);
-  out.f64(fault_stats_.injected_delay_s);
+template <class Self, class Io>
+void FaultInjectingTransport::fields(Self& s, Io& io) {
+  io.tag(kFaultInjectionTag, "fault-injecting transport");
+  io.rng(s.rng_);
+  auto& f = s.fault_stats_;
+  io.u64(s.outage_remaining_, f.attempted, f.delivered, f.drops, f.delays,
+         f.truncations, f.disconnects, f.outage_failures);
+  io.f64(f.injected_delay_s);
 }
 
-void FaultInjectingTransport::restore_state(ckpt::Reader& in) {
-  expect_tag(in, kFaultInjectionTag, "fault-injecting transport");
-  ckpt::restore_rng(in, rng_);
-  outage_remaining_ = in.u64();
-  fault_stats_.attempted = in.u64();
-  fault_stats_.delivered = in.u64();
-  fault_stats_.drops = in.u64();
-  fault_stats_.delays = in.u64();
-  fault_stats_.truncations = in.u64();
-  fault_stats_.disconnects = in.u64();
-  fault_stats_.outage_failures = in.u64();
-  fault_stats_.injected_delay_s = in.f64();
-}
+FEDPOWER_CKPT_FIELDS(FaultInjectingTransport)
 
 }  // namespace fedpower::fed

@@ -90,6 +90,8 @@ class FaultInjectingTransport final : public Transport {
   void restore_state(ckpt::Reader& in);
 
  private:
+  template <class Self, class Io> static void fields(Self& s, Io& io);
+
   Transport* inner_;            // lint: ckpt-skip(non-owning wrapped transport; re-wired on resume)
   FaultInjectionConfig config_;  // lint: ckpt-skip(construction config, fixed for the run)
   util::Rng rng_;

@@ -5,7 +5,7 @@
 #include <limits>
 #include <numeric>
 
-#include "ckpt/state_io.hpp"
+#include "ckpt/fields.hpp"
 #include "util/assert.hpp"
 
 namespace fedpower::fed {
@@ -194,17 +194,15 @@ RoundResult LocalCommitter::commit_round(std::size_t quorum) {
   return result;
 }
 
-void LocalCommitter::save_state(ckpt::Writer& out) const {
-  out.vec_f64(global_);
+template <class Self, class Io>
+void LocalCommitter::fields(Self& s, Io& io) {
+  io.vec(s.global_);
   // Appended only when the defense pipeline is armed: clean-run snapshots
   // keep the pre-defense byte format.
-  if (defense_) defense_->save_state(out);
+  if (s.defense_) io.section(*s.defense_);
 }
 
-void LocalCommitter::restore_state(ckpt::Reader& in) {
-  global_ = in.vec_f64();
-  if (defense_) defense_->restore_state(in);
-}
+FEDPOWER_CKPT_FIELDS(LocalCommitter)
 
 FederatedAveraging::FederatedAveraging(std::vector<FederatedClient*> clients,
                                        Transport* transport,
@@ -471,24 +469,23 @@ void FederatedAveraging::run(std::size_t rounds) {
   for (std::size_t r = 0; r < rounds; ++r) run_round();
 }
 
+template <class Self, class Io>
+void FederatedAveraging::fields(Self& s, Io& io) {
+  io.tag(s.snapshot_tag_, "federated averaging driver");
+  io.expect_count(s.clients_.size(), "client(s)");
+  io.u64(s.rounds_completed_);
+  io.rng(s.participation_rng_);
+  io.section(*s.committer_);
+}
+
 void FederatedAveraging::save_state(ckpt::Writer& out) const {
-  write_tag(out, snapshot_tag_);
-  out.u64(clients_.size());
-  out.u64(rounds_completed_);
-  ckpt::save_rng(out, participation_rng_);
-  committer_->save_state(out);
+  ckpt::Save io(out);
+  fields(*this, io);
 }
 
 void FederatedAveraging::restore_state(ckpt::Reader& in) {
-  expect_tag(in, snapshot_tag_, "federated averaging driver");
-  const std::uint64_t client_count = in.u64();
-  if (client_count != clients_.size())
-    throw ckpt::StateMismatchError(
-        "federation snapshot was taken with " + std::to_string(client_count) +
-        " client(s), this federation has " + std::to_string(clients_.size()));
-  rounds_completed_ = in.u64();
-  ckpt::restore_rng(in, participation_rng_);
-  committer_->restore_state(in);
+  ckpt::Load io(in);
+  fields(*this, io);
   // An uninitialized client reports an empty model, which says nothing
   // about shape; only a client that already holds parameters can expose a
   // snapshot/fleet mismatch.

@@ -275,6 +275,7 @@ class LocalCommitter final : public RoundCommitter {
   bool streams_mean() const noexcept {
     return mode_ == AggregationMode::kUnweightedMean;
   }
+  template <class Self, class Io> static void fields(Self& s, Io& io);
 
   AggregationMode mode_;     // lint: ckpt-skip(construction config, fixed for the run)
   const ModelCodec* codec_;  // lint: ckpt-skip(non-owning strategy object; re-wired on resume)
@@ -420,6 +421,7 @@ class FederatedAveraging {
 
   std::vector<std::size_t> draw_participants();
   Transport& transport_for(std::size_t client) noexcept;
+  template <class Self, class Io> static void fields(Self& s, Io& io);
 
   std::vector<FederatedClient*> clients_;
   Transport* transport_;  // lint: ckpt-skip(non-owning wiring; re-attached before resuming)

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "ckpt/fields.hpp"
 #include "util/assert.hpp"
 
 namespace fedpower::nn {
@@ -33,15 +34,13 @@ constexpr ckpt::Tag kSgdTag{'S', 'G', 'D', '0'};
 constexpr ckpt::Tag kAdamTag{'A', 'D', 'A', 'M'};
 }  // namespace
 
-void Sgd::save_state(ckpt::Writer& out) const {
-  write_tag(out, kSgdTag);
-  out.vec_f64(velocity_);
+template <class Self, class Io>
+void Sgd::fields(Self& s, Io& io) {
+  io.tag(kSgdTag, "Sgd optimizer");
+  io.vec(s.velocity_);
 }
 
-void Sgd::restore_state(ckpt::Reader& in) {
-  expect_tag(in, kSgdTag, "Sgd optimizer");
-  velocity_ = in.vec_f64();
-}
+FEDPOWER_CKPT_FIELDS(Sgd)
 
 Adam::Adam(double learning_rate, double beta1, double beta2, double epsilon)
     : lr_(learning_rate), beta1_(beta1), beta2_(beta2), epsilon_(epsilon) {
@@ -96,31 +95,21 @@ void Adam::release() noexcept {
   t_ = 0;
 }
 
-void Adam::save_state(ckpt::Writer& out) const {
-  write_tag(out, kAdamTag);
-  out.u64(static_cast<std::uint64_t>(t_));
-  out.vec_f64(m_);
-  out.vec_f64(v_);
-}
-
-void Adam::restore_state(ckpt::Reader& in) {
-  expect_tag(in, kAdamTag, "Adam optimizer");
-  const auto t = static_cast<long>(in.u64());
+template <class Self, class Io>
+void Adam::fields(Self& s, Io& io) {
+  io.tag(kAdamTag, "Adam optimizer");
+  io.u64(s.t_);
   // An optimizer that already stepped knows its parameter dimension; a
   // snapshot of a different dimension belongs to a different model. The
   // moments are read into the optimizer's own storage.
-  const std::size_t tracked = m_.size();
-  in.vec_f64_into(m_);
-  in.vec_f64_into(v_);
-  if (m_.size() != v_.size())
-    throw ckpt::StateMismatchError(
-        "Adam snapshot has mismatched moment vectors (" +
-        std::to_string(m_.size()) + " vs " + std::to_string(v_.size()) + ")");
-  if (tracked != 0 && !m_.empty() && m_.size() != tracked)
-    throw ckpt::StateMismatchError(
-        "Adam snapshot is for " + std::to_string(m_.size()) +
-        " parameter(s), this optimizer tracks " + std::to_string(tracked));
-  t_ = t;
+  const std::size_t tracked = s.m_.size();
+  io.vec(s.m_);
+  io.vec(s.v_);
+  io.check(s.m_.size() == s.v_.size(), "has mismatched moment vectors");
+  io.check(tracked == 0 || s.m_.empty() || s.m_.size() == tracked,
+           "is for another parameter count than this optimizer tracks");
 }
+
+FEDPOWER_CKPT_FIELDS(Adam)
 
 }  // namespace fedpower::nn

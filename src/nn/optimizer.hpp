@@ -44,6 +44,8 @@ class Sgd final : public Optimizer {
   double learning_rate() const noexcept { return lr_; }
 
  private:
+  template <class Self, class Io> static void fields(Self& s, Io& io);
+
   double lr_;        // lint: ckpt-skip(hyperparameter fixed at construction)
   double momentum_;  // lint: ckpt-skip(hyperparameter fixed at construction)
   std::vector<double> velocity_;
@@ -68,6 +70,8 @@ class Adam final : public Optimizer {
   long step_count() const noexcept { return t_; }
 
  private:
+  template <class Self, class Io> static void fields(Self& s, Io& io);
+
   double lr_;       // lint: ckpt-skip(hyperparameter fixed at construction)
   double beta1_;    // lint: ckpt-skip(hyperparameter fixed at construction)
   double beta2_;    // lint: ckpt-skip(hyperparameter fixed at construction)

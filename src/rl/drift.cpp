@@ -1,5 +1,7 @@
 #include "rl/drift.hpp"
 
+#include "ckpt/fields.hpp"
+
 namespace fedpower::rl {
 
 DriftMonitor::DriftMonitor(DriftConfig config) : config_(config) {
@@ -45,22 +47,13 @@ namespace {
 constexpr ckpt::Tag kDriftTag{'D', 'R', 'F', 'T'};
 }  // namespace
 
-void DriftMonitor::save_state(ckpt::Writer& out) const {
-  write_tag(out, kDriftTag);
-  out.f64(fast_);
-  out.f64(slow_);
-  out.u64(samples_);
-  out.u64(since_trigger_);
-  out.u64(detections_);
+template <class Self, class Io>
+void DriftMonitor::fields(Self& s, Io& io) {
+  io.tag(kDriftTag, "drift monitor");
+  io.f64(s.fast_, s.slow_);
+  io.u64(s.samples_, s.since_trigger_, s.detections_);
 }
 
-void DriftMonitor::restore_state(ckpt::Reader& in) {
-  expect_tag(in, kDriftTag, "drift monitor");
-  fast_ = in.f64();
-  slow_ = in.f64();
-  samples_ = in.u64();
-  since_trigger_ = in.u64();
-  detections_ = in.u64();
-}
+FEDPOWER_CKPT_FIELDS(DriftMonitor)
 
 }  // namespace fedpower::rl

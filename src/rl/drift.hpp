@@ -47,6 +47,8 @@ class DriftMonitor {
   const DriftConfig& config() const noexcept { return config_; }
 
  private:
+  template <class Self, class Io> static void fields(Self& s, Io& io);
+
   DriftConfig config_;  // lint: ckpt-skip(construction config, fixed for the run)
   double fast_ = 0.0;
   double slow_ = 0.0;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "ckpt/state_io.hpp"
+#include "ckpt/fields.hpp"
 #include "nn/matrix.hpp"
 #include "rl/policy.hpp"
 
@@ -160,61 +160,48 @@ constexpr ckpt::Tag kAgentTag{'A', 'G', 'N', 'T'};
 constexpr ckpt::Tag kCompactAgentTag{'A', 'G', 'N', 'F'};
 }  // namespace
 
-// Save writes AGNF or AGNT; restore dispatches on the tag it reads, so the
-// typed sequences differ by design.
-// lint: ckpt-sym-ok(dual-format dispatch: restore branches on the tag it reads)
+template <class Self, class Io>
+bool NeuralBanditAgent::fields(Self& s, Io& io, nn::ParamFormat format) {
+  const bool compact =
+      io.tag_of({kAgentTag, kCompactAgentTag},
+                format == nn::ParamFormat::kF32, "bandit agent") == 1;
+  format = compact ? nn::ParamFormat::kF32 : nn::ParamFormat::kF64;
+  io.rng(s.rng_);
+  io.expect_count(s.model_.param_count(), "model parameter(s)");
+  if constexpr (Io::kLoad) {
+    s.model_.read_parameters(io.in, format);
+    s.pending_init_.reset();
+  } else if (!s.model_.write_parameters(io.out, format)) {
+    return false;  // a weight that is not float-exact
+  }
+  io.section(s.optimizer_);
+  io.section(s.replay_);
+  io.check(s.replay_.max_action() < s.config_.action_count,
+           "replays an action this agent does not have");
+  io.vec(s.global_anchor_);
+  io.check(s.global_anchor_.empty() ||
+               s.global_anchor_.size() == s.model_.param_count(),
+           "FedProx anchor size does not match the model");
+  io.u64(s.step_, s.updates_);
+  io.f64(s.last_loss_);
+  return true;
+}
+
 void NeuralBanditAgent::save_state(ckpt::Writer& out) const {
   materialize();
   // The float layout is tried first, written straight from the layers; a
-  // weight that is not float-exact undoes it for the double one (the
-  // vec_f64 layout), which always succeeds. Either reads back bit for bit.
+  // weight that is not float-exact undoes it for the double one (AGNT),
+  // which always succeeds. Either reads back bit for bit.
   const std::size_t start = out.size();
-  for (const nn::ParamFormat format :
-       {nn::ParamFormat::kF32, nn::ParamFormat::kF64}) {
-    out.truncate(start);
-    write_tag(out, format == nn::ParamFormat::kF32 ? kCompactAgentTag
-                                                    : kAgentTag);
-    ckpt::save_rng(out, rng_);
-    out.u64(model_.param_count());
-    if (model_.write_parameters(out, format)) break;
-  }
-  optimizer_.save_state(out);
-  replay_.save_state(out);
-  out.vec_f64(global_anchor_);
-  out.u64(step_);
-  out.u64(updates_);
-  out.f64(last_loss_);
+  ckpt::Save io(out);
+  if (fields(*this, io, nn::ParamFormat::kF32)) return;
+  out.truncate(start);
+  fields(*this, io, nn::ParamFormat::kF64);
 }
 
 void NeuralBanditAgent::restore_state(ckpt::Reader& in) {
-  const nn::ParamFormat format =
-      ckpt::expect_tag_of(in, {kAgentTag, kCompactAgentTag},
-                          "bandit agent") == 0
-          ? nn::ParamFormat::kF64
-          : nn::ParamFormat::kF32;
-  ckpt::restore_rng(in, rng_);
-  const std::uint64_t param_count = in.u64();
-  if (param_count != model_.param_count())
-    throw ckpt::StateMismatchError(
-        "agent snapshot holds " + std::to_string(param_count) +
-        " model parameter(s), this architecture has " +
-        std::to_string(model_.param_count()));
-  model_.read_parameters(in, format);
-  pending_init_.reset();
-  optimizer_.restore_state(in);
-  replay_.restore_state(in);
-  if (replay_.max_action() >= config_.action_count)
-    throw ckpt::StateMismatchError(
-        "agent snapshot replays action " +
-        std::to_string(replay_.max_action()) + ", this agent has " +
-        std::to_string(config_.action_count) + " action(s)");
-  in.vec_f64_into(global_anchor_);
-  if (!global_anchor_.empty() && global_anchor_.size() != param_count)
-    throw ckpt::StateMismatchError(
-        "agent snapshot FedProx anchor size does not match the model");
-  step_ = in.u64();
-  updates_ = in.u64();
-  last_loss_ = in.f64();
+  ckpt::Load io(in);
+  fields(*this, io, nn::ParamFormat::kF64);  // the tag read decides
 }
 
 void NeuralBanditAgent::set_parameters(std::span<const double> params) {

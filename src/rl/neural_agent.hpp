@@ -132,15 +132,20 @@ class NeuralBanditAgent {
   /// Runs the deferred weight init, if still pending. Every read of the
   /// weights calls it first.
   void materialize() const;
+  /// The AGNT fields, or AGNF's with the weights as floats. Saving in the
+  /// float layout returns false, its bytes part-written, at the first
+  /// weight that is not float-exact; restoring follows the tag it reads.
+  template <class Self, class Io>
+  static bool fields(Self& s, Io& io, nn::ParamFormat format);
 
-  NeuralAgentConfig config_;  // lint: ckpt-skip(construction config, fixed for the run)
+  NeuralAgentConfig config_;
   mutable util::Rng rng_;
   // Mutable: the weights materialize on their first read, which may be a
   // const one.
   mutable nn::Mlp model_;
   /// The stream as it stood before the init draws, while the init is
   /// pending; empty once the weights are materialized or overwritten.
-  mutable std::optional<util::Rng> pending_init_;  // lint: ckpt-skip(save_state materializes the weights first)
+  mutable std::optional<util::Rng> pending_init_;
   nn::HuberLoss loss_;  // lint: ckpt-skip(stateless functor of the config delta)
   nn::Adam optimizer_;
   ReplayBuffer replay_;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "ckpt/state_io.hpp"
+#include "ckpt/fields.hpp"
 #include "nn/matrix.hpp"
 #include "rl/policy.hpp"
 
@@ -94,40 +94,27 @@ namespace {
 constexpr ckpt::Tag kQAgentTag{'Q', 'A', 'G', 'T'};
 }  // namespace
 
-void NeuralQAgent::save_state(ckpt::Writer& out) const {
-  write_tag(out, kQAgentTag);
-  ckpt::save_rng(out, rng_);
-  out.vec_f64(online_.parameters());
-  out.vec_f64(target_.parameters());
-  optimizer_.save_state(out);
-  replay_.save_state(out);
-  out.u64(step_);
-  out.u64(updates_);
-  out.f64(last_loss_);
+template <class Self, class Io>
+void NeuralQAgent::fields(Self& s, Io& io) {
+  io.tag(kQAgentTag, "Q agent");
+  io.rng(s.rng_);
+  // Each network's parameters as a counted run of doubles.
+  for (auto* network : {&s.online_, &s.target_}) {
+    io.expect_count(network->param_count(), "network parameter(s)");
+    if constexpr (Io::kLoad)
+      network->read_parameters(io.in, nn::ParamFormat::kF64);
+    else
+      network->write_parameters(io.out, nn::ParamFormat::kF64);
+  }
+  io.section(s.optimizer_);
+  io.section(s.replay_);
+  io.check(s.replay_.max_action() < s.config_.base.action_count,
+           "replays an action this agent does not have");
+  io.u64(s.step_, s.updates_);
+  io.f64(s.last_loss_);
 }
 
-void NeuralQAgent::restore_state(ckpt::Reader& in) {
-  expect_tag(in, kQAgentTag, "Q agent");
-  ckpt::restore_rng(in, rng_);
-  const std::vector<double> online = in.vec_f64();
-  const std::vector<double> target = in.vec_f64();
-  if (online.size() != online_.param_count() ||
-      target.size() != online_.param_count())
-    throw ckpt::StateMismatchError(
-        "Q agent snapshot parameter counts do not match this architecture");
-  online_.set_parameters(online);
-  target_.set_parameters(target);
-  optimizer_.restore_state(in);
-  replay_.restore_state(in);
-  if (replay_.max_action() >= config_.base.action_count)
-    throw ckpt::StateMismatchError(
-        "Q agent snapshot replays action " +
-        std::to_string(replay_.max_action()) + ", this agent has " +
-        std::to_string(config_.base.action_count) + " action(s)");
-  step_ = in.u64();
-  updates_ = in.u64();
-  last_loss_ = in.f64();
-}
+FEDPOWER_CKPT_FIELDS(NeuralQAgent)
 
 void NeuralQAgent::set_parameters(std::span<const double> params) {
   online_.set_parameters(params);

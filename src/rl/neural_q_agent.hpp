@@ -68,7 +68,9 @@ class NeuralQAgent {
   const NeuralQConfig& config() const noexcept { return config_; }
 
  private:
-  NeuralQConfig config_;  // lint: ckpt-skip(construction config, fixed for the run)
+  template <class Self, class Io> static void fields(Self& s, Io& io);
+
+  NeuralQConfig config_;
   mutable util::Rng rng_;
   nn::Mlp online_;
   nn::Mlp target_;

@@ -1,5 +1,7 @@
 #include "rl/replay_buffer.hpp"
 
+#include "ckpt/fields.hpp"
+
 namespace fedpower::rl {
 
 namespace {
@@ -164,56 +166,60 @@ constexpr ckpt::Tag kLegacyReplayTag{'R', 'P', 'L', 'Y'};
 constexpr ckpt::Tag kLegacyQReplayTag{'Q', 'R', 'P', 'L'};
 }  // namespace
 
-void ReplayBuffer::save_state(ckpt::Writer& out) const {
-  write_tag(out, successors_ ? kQReplayTag : kReplayTag);
-  out.u64(capacity_);
-  out.u64(state_dim_);
-  out.u64(head_);
-  out.u64(size_);
-  // Live entries always occupy slots [0, size); the rest is never read.
-  out.vec_f32(std::span(states_).first(size_ * state_dim_));
-  if (successors_)
-    out.vec_f32(std::span(next_states_).first(size_ * state_dim_));
-  out.vec_u8(std::span(actions_).first(size_));
-  out.vec_f32(std::span(rewards_).first(size_));
-}
-
-void ReplayBuffer::restore_state(ckpt::Reader& in) {
-  const char* name = successors_ ? "Q replay buffer" : "replay buffer";
-  const ckpt::Tag tag = successors_ ? kQReplayTag : kReplayTag;
-  const ckpt::Tag legacy_tag =
-      successors_ ? kLegacyQReplayTag : kLegacyReplayTag;
-  const bool legacy = ckpt::expect_tag_of(in, {tag, legacy_tag}, name) == 1;
-  const std::uint64_t capacity = in.u64();
-  const std::uint64_t state_dim = in.u64();
-  if (capacity != capacity_ || state_dim != state_dim_)
-    throw ckpt::StateMismatchError(
-        std::string(name) + " snapshot geometry " + std::to_string(capacity) +
-        "x" + std::to_string(state_dim) + " does not match configured " +
-        std::to_string(capacity_) + "x" + std::to_string(state_dim_));
-  const std::uint64_t head = in.u64();
-  const std::uint64_t size = in.u64();
+template <class Self, class Io>
+void ReplayBuffer::fields(Self& s, Io& io, bool full_ring) {
+  const char* name = s.successors_ ? "Q replay buffer" : "replay buffer";
+  if (full_ring)
+    io.tag(s.successors_ ? kLegacyQReplayTag : kLegacyReplayTag, name);
+  else
+    io.tag(s.successors_ ? kQReplayTag : kReplayTag, name);
+  io.expect_count(s.capacity_, "slot(s) of capacity");
+  io.expect_count(s.state_dim_, "state dimension(s)");
+  std::size_t head = s.head_;
+  std::size_t size = s.size_;
+  io.u64(head, size);
   // Until the ring first fills, entries occupy slots [0, size) and the
   // next write goes to slot size; any other head would sample never-written
   // slots as live ones.
-  if (head >= capacity_ || size > capacity_ ||
-      (size < capacity_ && head != size))
-    throw ckpt::StateMismatchError(std::string(name) +
-                                   " snapshot has inconsistent cursors");
-  // The legacy layout carries the whole ring, the current one the live
-  // slots; either way the storage ends up holding exactly the slots read.
-  // It grows before the read and shrinks only after it, so a snapshot that
-  // throws mid-read leaves the current cursors in bounds.
-  const std::size_t slots = legacy ? capacity_ : size;
-  resize_slots(std::max(slots, actions_.size()));
-  in.vec_f32_into(std::span(states_).first(slots * state_dim_));
-  if (successors_)
-    in.vec_f32_into(std::span(next_states_).first(slots * state_dim_));
-  in.vec_u8_into(std::span(actions_).first(slots));
-  in.vec_f32_into(std::span(rewards_).first(slots));
-  resize_slots(slots);
-  head_ = head;
-  size_ = size;
+  io.check(head < s.capacity_ && size <= s.capacity_ &&
+               (size == s.capacity_ || head == size),
+           "has inconsistent cursors");
+  // Live entries always occupy slots [0, size); the full ring carries the
+  // rest too. The storage ends up holding exactly the slots read: it grows
+  // before the read and shrinks only after it, so a snapshot that throws
+  // mid-read leaves the current cursors in bounds.
+  const std::size_t slots = full_ring ? s.capacity_ : size;
+  if constexpr (Io::kLoad) s.resize_slots(std::max(slots, s.actions_.size()));
+  io.vec(std::span(s.states_).first(slots * s.state_dim_));
+  if (s.successors_)
+    io.vec(std::span(s.next_states_).first(slots * s.state_dim_));
+  io.vec(std::span(s.actions_).first(slots),
+         std::span(s.rewards_).first(slots));
+  if constexpr (Io::kLoad) {
+    s.resize_slots(slots);
+    s.head_ = head;
+    s.size_ = size;
+  }
+}
+
+void ReplayBuffer::save_state(ckpt::Writer& out) const {
+  ckpt::Save io(out);
+  fields(*this, io, /*full_ring=*/false);
+}
+
+void ReplayBuffer::restore_state(ckpt::Reader& in) {
+  if (ckpt::next_tag_is(in, successors_ ? kLegacyQReplayTag
+                                        : kLegacyReplayTag)) {
+    read_legacy_rply(in);  // lint: ckpt-sym-ok(RPLY/QRPL are only read)
+    return;
+  }
+  ckpt::Load io(in);
+  fields(*this, io, /*full_ring=*/false);
+}
+
+void ReplayBuffer::read_legacy_rply(ckpt::Reader& in) {
+  ckpt::Load io(in);
+  fields(*this, io, /*full_ring=*/true);
 }
 
 }  // namespace fedpower::rl

@@ -150,6 +150,12 @@ class ReplayBuffer {
  private:
   /// Sizes every storage array to `slots` slots.
   void resize_slots(std::size_t slots);
+  /// The RPL2/QRP2 fields, or with full_ring the RPLY/QRPL layout of older
+  /// builds, which differs only in carrying every slot of the ring.
+  template <class Self, class Io>
+  static void fields(Self& s, Io& io, bool full_ring);
+  /// Reads an RPLY/QRPL snapshot; this build never writes one.
+  void read_legacy_rply(ckpt::Reader& in);
 
   std::size_t capacity_;
   std::size_t state_dim_;

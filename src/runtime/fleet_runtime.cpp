@@ -6,6 +6,7 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "ckpt/fields.hpp"
 #include "util/assert.hpp"
 
 namespace fedpower::runtime {
@@ -124,20 +125,17 @@ void FleetRuntime::HotDevice::arm(const DeviceFaultConfig& faults) {
   }
 }
 
-void FleetRuntime::HotDevice::save_state(ckpt::Writer& out) const {
-  processor.save_state(out);
-  controller.save_state(out);
+template <class Self, class Io>
+void FleetRuntime::HotDevice::fields(Self& s, Io& io) {
+  io.section(s.processor);
+  io.section(s.controller);
   // Attacker state is appended only for attacked devices: clean fleets
   // keep the attack-free byte format, and both sides of a resume must
   // agree on which devices are compromised.
-  if (attacker) attacker->save_state(out);
+  if (s.attacker) io.section(*s.attacker);
 }
 
-void FleetRuntime::HotDevice::restore_state(ckpt::Reader& in) {
-  processor.restore_state(in);
-  controller.restore_state(in);
-  if (attacker) attacker->restore_state(in);
-}
+FEDPOWER_CKPT_FIELDS(FleetRuntime::HotDevice)
 
 FleetRuntime::FleetRuntime(
     const std::vector<core::ControllerConfig>& configs,
@@ -387,115 +385,87 @@ constexpr std::uint8_t kColdPristine = 0;
 constexpr std::uint8_t kHotInline = 1;
 constexpr std::uint8_t kColdDehydrated = 2;
 
-bool all_zero(const std::array<std::uint64_t, 4>& state) noexcept {
-  return state[0] == 0 && state[1] == 0 && state[2] == 0 && state[3] == 0;
-}
-
-std::array<std::uint64_t, 4> read_rng_state(ckpt::Reader& in) {
-  std::array<std::uint64_t, 4> state{};
-  for (std::uint64_t& word : state) word = in.u64();
-  if (all_zero(state))
-    throw ckpt::CorruptSnapshotError(
-        "fleet snapshot cold record holds an all-zero RNG state");
-  return state;
+/// A cold record's fields: the two stream states of a pristine device, or
+/// a dehydrated device's blob.
+template <class Cold, class Io>
+void cold_record(Cold& cold, std::uint8_t kind, Io& io) {
+  switch (kind) {
+    case kColdPristine:
+      io.rng_words(cold.processor_rng);
+      io.rng_words(cold.brain_rng);
+      return;
+    case kColdDehydrated:
+      io.vec(cold.blob);
+      return;
+    default:
+      throw ckpt::CorruptSnapshotError(
+          "fleet snapshot device record has unknown kind " +
+          std::to_string(kind));
+  }
 }
 }  // namespace
 
-// Save writes one of two layouts behind the FLT1/FLT2 tag; restore
-// dispatches on the tag it reads, so the typed sequences differ by design.
-// lint: ckpt-sym-ok(dual-format dispatch: restore branches on the tag it reads)
-void FleetRuntime::save_state(ckpt::Writer& out) const {
-  if (!lazy_) {
-    // The historic eager layout, byte for byte.
-    write_tag(out, kFleetTag);
-    out.u64(devices_.size());
-    for (const auto& device : devices_) device->save_state(out);
-    return;
-  }
-  // FLT2: cold devices are saved as their compact records — snapshotting a
-  // 100k-device lazy fleet must not materialize it.
-  write_tag(out, kFleetTagLazy);
-  out.u64(devices_.size());
-  for (std::size_t d = 0; d < devices_.size(); ++d) {
-    if (devices_[d]) {
-      out.u8(kHotInline);
-      devices_[d]->save_state(out);
-    } else if (cold_[d].blob.empty()) {
-      out.u8(kColdPristine);
-      for (const std::uint64_t word : cold_[d].processor_rng) out.u64(word);
-      for (const std::uint64_t word : cold_[d].brain_rng) out.u64(word);
+template <class Self, class Io>
+void FleetRuntime::fields(Self& s, Io& io) {
+  // Eager fleets write FLT1, every device inline, byte for byte the
+  // historic layout. Lazy fleets write FLT2, one record per device, so
+  // snapshotting a 100k-device lazy fleet does not materialize it.
+  const bool records = io.tag_of({kFleetTag, kFleetTagLazy}, s.lazy_ ? 1 : 0,
+                                 "fleet runtime") == 1;
+  io.expect_count(s.devices_.size(), "device(s)");
+  for (std::size_t d = 0; d < s.devices_.size(); ++d) {
+    std::uint8_t kind = kHotInline;
+    if (!Io::kLoad && !s.devices_[d])
+      kind = s.cold_[d].blob.empty() ? kColdPristine : kColdDehydrated;
+    if (records) io.u8(kind);
+    if (kind == kHotInline) {
+      if constexpr (Io::kLoad) s.hydrate(d);  // no-op for a hot device
+      io.section(*s.devices_[d]);
+    } else if constexpr (Io::kLoad) {
+      ColdDeviceState cold;
+      cold_record(cold, kind, io);
+      s.restore_cold(d, cold);
     } else {
-      out.u8(kColdDehydrated);
-      out.vec_u8(cold_[d].blob);
+      cold_record(s.cold_[d], kind, io);
     }
   }
+}
+
+void FleetRuntime::save_state(ckpt::Writer& out) const {
+  ckpt::Save io(out);
+  fields(*this, io);
 }
 
 void FleetRuntime::restore_state(ckpt::Reader& in) {
   // A restore flips devices hot and cold in bulk; one scan at the end
   // (also after a corrupt record threw midway) rebuilds the hot list.
   try {
-    const bool lazy_format =
-        ckpt::expect_tag_of(in, {kFleetTag, kFleetTagLazy},
-                            "fleet runtime") == 1;
-    const std::uint64_t device_count = in.u64();
-    if (device_count != devices_.size())
-      throw ckpt::StateMismatchError(
-          "fleet snapshot holds " + std::to_string(device_count) +
-          " device(s), this fleet has " + std::to_string(devices_.size()));
-
-    if (!lazy_format) {
-      for (std::size_t d = 0; d < devices_.size(); ++d) {
-        hydrate(d);  // no-op for eager fleets
-        devices_[d]->restore_state(in);
-      }
-    } else {
-      // FLT2 restores into either kind of fleet: a lazy one keeps cold
-      // records cold; an eager one materializes them on the spot (it has
-      // nowhere else to put them).
-      for (std::size_t d = 0; d < devices_.size(); ++d) {
-        const std::uint8_t kind = in.u8();
-        switch (kind) {
-          case kColdPristine: {
-            const auto processor_rng = read_rng_state(in);
-            const auto brain_rng = read_rng_state(in);
-            if (lazy_) {
-              devices_[d].reset();
-              cold_[d].processor_rng = processor_rng;
-              cold_[d].brain_rng = brain_rng;
-              cold_[d].blob.clear();
-            } else {
-              devices_[d] = build_device(d, processor_rng, brain_rng);
-            }
-            break;
-          }
-          case kHotInline: {
-            hydrate(d);
-            devices_[d]->restore_state(in);
-            break;
-          }
-          case kColdDehydrated: {
-            std::vector<std::uint8_t> blob = in.vec_u8();
-            if (lazy_) {
-              devices_[d].reset();
-              cold_[d].blob = std::move(blob);
-            } else {
-              restore_blob(*devices_[d], blob);
-            }
-            break;
-          }
-          default:
-            throw ckpt::CorruptSnapshotError(
-                "fleet snapshot device record has unknown kind " +
-                std::to_string(kind));
-        }
-      }
-    }
+    ckpt::Load io(in);
+    fields(*this, io);
   } catch (...) {
     rescan_hot();
     throw;
   }
   rescan_hot();
+}
+
+void FleetRuntime::restore_cold(std::size_t d, ColdDeviceState& read) {
+  if (!lazy_) {  // an eager fleet materializes the record on the spot
+    if (read.blob.empty())
+      devices_[d] = build_device(d, read.processor_rng, read.brain_rng);
+    else
+      restore_blob(*devices_[d], read.blob);
+    return;
+  }
+  devices_[d].reset();
+  ColdDeviceState& cold = cold_[d];
+  if (read.blob.empty()) {
+    cold.processor_rng = read.processor_rng;
+    cold.brain_rng = read.brain_rng;
+    cold.blob.clear();
+  } else {
+    cold.blob = std::move(read.blob);
+  }
 }
 
 }  // namespace fedpower::runtime

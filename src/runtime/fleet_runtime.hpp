@@ -328,6 +328,7 @@ class FleetRuntime {
     /// attacker's when armed (clean devices keep the attack-free bytes).
     void save_state(ckpt::Writer& out) const;
     void restore_state(ckpt::Reader& in);
+    template <class Self, class Io> static void fields(Self& s, Io& io);
 
     InternedWorkload workload;  // lint: ckpt-skip(the app list: construction recipe, not state)
     sim::Processor processor;
@@ -366,6 +367,10 @@ class FleetRuntime {
   void dehydrate_with(std::size_t device, ckpt::Writer& scratch);
   /// Rebuilds hot_ from devices_ in one scan.
   void rescan_hot();
+  template <class Self, class Io> static void fields(Self& s, Io& io);
+  /// Puts a cold record read from a snapshot in place of device d: kept
+  /// cold by a lazy fleet, materialized by an eager one.
+  void restore_cold(std::size_t d, ColdDeviceState& read);
   /// The device's federated-client view (attacker wrapper when armed).
   fed::FederatedClient& client_view(std::size_t d) {
     HotDevice& device = *devices_[d];

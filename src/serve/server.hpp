@@ -254,6 +254,12 @@ class ShardedServer final : public fed::RoundCommitter {
   void absorb(Pending pending);
   void merge_async(const Pending& pending);
   void stop();
+  /// The SRV2 fields, or with srvr the SRVR layout of older builds: SRV2
+  /// plus norm-screen and reputation fields this build drops.
+  template <class Self, class Io>
+  static void fields(Self& s, Io& io, bool srvr);
+  /// Reads an SRVR snapshot; this build never writes one.
+  void read_legacy_srvr(ckpt::Reader& in);
 
   // lint: ckpt-skip(construction config, fixed for the run) lint: shard-ok(set before start(); read-only afterwards)
   ServeConfig config_;

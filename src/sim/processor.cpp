@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "ckpt/state_io.hpp"
+#include "ckpt/fields.hpp"
 
 namespace fedpower::sim {
 
@@ -257,148 +257,59 @@ namespace {
 
 constexpr ckpt::Tag kProcessorTag{'P', 'R', 'O', 'C'};
 
-void save_phase(ckpt::Writer& out, const PhaseProfile& phase) {
-  out.f64(phase.base_cpi);
-  out.f64(phase.llc_apki);
-  out.f64(phase.llc_miss_rate);
-  out.f64(phase.activity);
-  out.f64(phase.instructions);
-}
-
-PhaseProfile restore_phase(ckpt::Reader& in) {
-  PhaseProfile phase;
-  phase.base_cpi = in.f64();
-  phase.llc_apki = in.f64();
-  phase.llc_miss_rate = in.f64();
-  phase.activity = in.f64();
-  phase.instructions = in.f64();
-  return phase;
+template <class Phase, class Io>
+void phase_fields(Phase& phase, Io& io) {
+  io.f64(phase.base_cpi, phase.llc_apki, phase.llc_miss_rate, phase.activity,
+         phase.instructions);
 }
 
 }  // namespace
 
-void Processor::save_state(ckpt::Writer& out) const {
-  write_tag(out, kProcessorTag);
-  ckpt::save_rng(out, rng_);
-  out.u8(thermal_.has_value() ? 1 : 0);
-  if (thermal_) out.f64(thermal_->temperature_c());
+template <class Self, class Io>
+void Processor::fields(Self& s, Io& io) {
+  io.tag(kProcessorTag, "processor");
+  io.rng(s.rng_);
+  io.expect_flag(s.thermal_.has_value(), "thermal-model flag");
+  if (s.thermal_) {
+    double temperature_c = s.thermal_->temperature_c();
+    io.f64(temperature_c);
+    if constexpr (Io::kLoad) s.thermal_->set_temperature_c(temperature_c);
+  }
   // In-flight application run, profile stored verbatim: the profile was
   // drawn (and possibly scaled) by the workload at start time, so the
-  // resumed run must finish the exact same instance.
-  out.u8(run_.has_value() ? 1 : 0);
-  if (run_) {
-    out.str(run_->app.name);
-    out.u64(run_->app.phases.size());
-    for (const PhaseProfile& phase : run_->app.phases) save_phase(out, phase);
-    out.u64(run_->phase_index);
-    out.f64(run_->phase_instructions_done);
-    out.f64(run_->start_time_s);
-    out.f64(run_->instructions);
-    out.f64(run_->energy_j);
-  }
-  out.u64(completed_.size());
-  for (const AppExecution& exec : completed_) {
-    out.str(exec.name);
-    out.f64(exec.start_time_s);
-    out.f64(exec.exec_time_s);
-    out.f64(exec.energy_j);
-    out.f64(exec.instructions);
-    out.f64(exec.avg_power_w);
-    out.f64(exec.avg_ips);
-  }
-  out.u64(level_);
-  out.u64(previous_level_);
-  out.f64(time_s_);
-  out.f64(jitter_miss_);
-  out.f64(jitter_activity_);
-  out.f64(mem_latency_scale_);
+  // resumed run must finish the exact same instance. A restore reads it
+  // into the storage of the run it ends.
+  if constexpr (Io::kLoad) s.end_run();
+  io.optional(s.run_, [&](auto& run) {
+    if constexpr (Io::kLoad) run.app = std::move(s.spare_app_);
+    io.str(run.app.name);
+    io.list(run.app.phases, [&](auto& phase) { phase_fields(phase, io); });
+    io.u64(run.phase_index);
+    io.f64(run.phase_instructions_done, run.start_time_s, run.instructions,
+           run.energy_j);
+    io.check(run.phase_index < run.app.phases.size(),
+             "has an in-flight run with an out-of-range phase index");
+  });
+  io.list(s.completed_, [&](auto& exec) {
+    io.str(exec.name);
+    io.f64(exec.start_time_s, exec.exec_time_s, exec.energy_j,
+           exec.instructions, exec.avg_power_w, exec.avg_ips);
+  });
+  io.u64(s.level_, s.previous_level_);
+  io.check(s.level_ < s.config_.vf_table.size() &&
+               s.previous_level_ < s.config_.vf_table.size(),
+           "V/f level is out of range for this table");
+  io.f64(s.time_s_, s.jitter_miss_, s.jitter_activity_, s.mem_latency_scale_);
   // Fault state is appended only when faults are armed, keeping clean-run
   // snapshots byte-identical to the fault-free format. Faults are config,
   // not state — the restoring processor must already be armed the same way.
-  if (faults_.any()) {
-    out.u8(frozen_.has_value() ? 1 : 0);
-    if (frozen_) {
-      out.f64(frozen_->instructions);
-      out.f64(frozen_->cycles);
-      out.f64(frozen_->ipc);
-      out.f64(frozen_->miss_rate);
-      out.f64(frozen_->mpki);
-      out.f64(frozen_->ips);
-    }
-  }
+  if (s.faults_.any())
+    io.optional(s.frozen_, [&](auto& frozen) {
+      io.f64(frozen.instructions, frozen.cycles, frozen.ipc, frozen.miss_rate,
+             frozen.mpki, frozen.ips);
+    });
 }
 
-void Processor::restore_state(ckpt::Reader& in) {
-  expect_tag(in, kProcessorTag, "processor");
-  ckpt::restore_rng(in, rng_);
-  const bool had_thermal = in.u8() != 0;
-  if (had_thermal != thermal_.has_value())
-    throw ckpt::StateMismatchError(
-        "processor snapshot thermal-model flag does not match this config");
-  if (thermal_) thermal_->set_temperature_c(in.f64());
-  end_run();
-  if (in.u8() != 0) {
-    AppRun run;
-    run.app = std::move(spare_app_);
-    run.app.name = in.str();
-    const std::uint64_t phase_count = in.u64();
-    run.app.phases.clear();
-    run.app.phases.reserve(phase_count);
-    for (std::uint64_t i = 0; i < phase_count; ++i)
-      run.app.phases.push_back(restore_phase(in));
-    run.phase_index = in.u64();
-    run.phase_instructions_done = in.f64();
-    run.start_time_s = in.f64();
-    run.instructions = in.f64();
-    run.energy_j = in.f64();
-    if (run.app.phases.empty() || run.phase_index >= run.app.phases.size())
-      throw ckpt::StateMismatchError(
-          "processor snapshot has an in-flight run with an out-of-range "
-          "phase index");
-    run_ = std::move(run);
-  }
-  const std::uint64_t completed_count = in.u64();
-  completed_.clear();
-  completed_.reserve(completed_count);
-  for (std::uint64_t i = 0; i < completed_count; ++i) {
-    AppExecution exec;
-    exec.name = in.str();
-    exec.start_time_s = in.f64();
-    exec.exec_time_s = in.f64();
-    exec.energy_j = in.f64();
-    exec.instructions = in.f64();
-    exec.avg_power_w = in.f64();
-    exec.avg_ips = in.f64();
-    completed_.push_back(std::move(exec));
-  }
-  level_ = in.u64();
-  previous_level_ = in.u64();
-  if (level_ >= config_.vf_table.size() ||
-      previous_level_ >= config_.vf_table.size())
-    throw ckpt::StateMismatchError(
-        "processor snapshot V/f level is out of range for this table");
-  time_s_ = in.f64();
-  jitter_miss_ = in.f64();
-  jitter_activity_ = in.f64();
-  mem_latency_scale_ = in.f64();
-  if (faults_.any()) {
-    frozen_.reset();
-    const std::uint8_t has_frozen = in.u8();
-    if (has_frozen > 1)
-      throw ckpt::StateMismatchError(
-          "processor snapshot lacks the hardware-fault section this "
-          "configuration expects");
-    if (has_frozen == 1) {
-      FrozenCounters frozen;
-      frozen.instructions = in.f64();
-      frozen.cycles = in.f64();
-      frozen.ipc = in.f64();
-      frozen.miss_rate = in.f64();
-      frozen.mpki = in.f64();
-      frozen.ips = in.f64();
-      frozen_ = frozen;
-    }
-  }
-}
+FEDPOWER_CKPT_FIELDS(Processor)
 
 }  // namespace fedpower::sim

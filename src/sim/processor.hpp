@@ -154,6 +154,7 @@ class Processor final : public CpuDevice {
   void end_run();
   PhaseProfile jittered(const PhaseProfile& phase) const;
   void apply_faults(TelemetrySample& sample);
+  template <class Self, class Io> static void fields(Self& s, Io& io);
 
   ProcessorConfig config_;  // lint: ckpt-skip(construction config; restore only validates it)
   mutable util::Rng rng_;
@@ -162,7 +163,7 @@ class Processor final : public CpuDevice {
   std::optional<ThermalModel> thermal_;
   Workload* workload_ = nullptr;  // lint: ckpt-skip(non-owning; re-attach the same workload before resuming)
   std::optional<AppRun> run_;
-  AppProfile spare_app_;  // lint: ckpt-skip(scratch: storage of the last run's profile)
+  AppProfile spare_app_;  // storage of the last run's profile
   std::vector<AppExecution> completed_;
   std::size_t level_ = 0;
   std::size_t previous_level_ = 0;

@@ -12,7 +12,7 @@
 #include "fed/federation.hpp"
 #include "nn/optimizer.hpp"
 #include "rl/drift.hpp"
-#include "ckpt/state_io.hpp"
+#include "ckpt/fields.hpp"
 #include "rl/neural_agent.hpp"
 #include "rl/neural_q_agent.hpp"
 #include "rl/replay_buffer.hpp"

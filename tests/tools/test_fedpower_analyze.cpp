@@ -269,6 +269,52 @@ TEST(AnalyzeCkptCoverage, MergesOutOfLineBodies) {
   EXPECT_TRUE(has_rule_at(fs, "L8-ckpt-coverage", 7));
 }
 
+// A field list (ckpt/fields.hpp) is the class's one declaration of both
+// directions; its out-of-line template definition binds to the class.
+const char* kFieldsClass =
+    "namespace fedpower::rl {\n"
+    "class F {\n"
+    " public:\n"
+    "  void save_state(ckpt::Writer& out) const;\n"
+    "  void restore_state(ckpt::Reader& in);\n"
+    "  void reset();\n"
+    " private:\n"
+    "  template <class Self, class Io> static void fields(Self& s, Io& io);\n"
+    "  template <class Io> void helper(Io& io) { io.u64(lost_); }\n"
+    "  std::uint64_t n_ = 0;\n"
+    "  std::vector<double> v_;\n"
+    "  std::uint64_t lost_ = 0;\n"
+    "};\n"
+    "template <class Self, class Io>\n"
+    "void F::fields(Self& s, Io& io) {\n"
+    "  io.u64(s.n_);\n"
+    "  io.vec(s.v_);\n"
+    "  s.helper(io);\n"
+    "}\n"
+    "FEDPOWER_CKPT_FIELDS(F)\n"
+    "void F::reset() { n_ = 0; v_.clear(); }\n"
+    "}  // namespace fedpower::rl\n";
+
+TEST(AnalyzeCkptCoverage, FieldListCountsAsSaveAndRestore) {
+  const FileModel model = model_of("src/rl/f.cpp", kFieldsClass);
+  ASSERT_EQ(model.out_of_line.size(), 2u);
+  EXPECT_EQ(model.out_of_line[0].class_name, "fedpower::rl::F");
+  EXPECT_EQ(model.out_of_line[0].method.name, "fields");
+  // The macro line does not swallow the definition after it.
+  EXPECT_EQ(model.out_of_line[1].method.name, "reset");
+  const auto fs = lint_source("src/rl/f.cpp", kFieldsClass);
+  EXPECT_FALSE(has_rule_at(fs, "L8-ckpt-coverage", 10));
+  EXPECT_FALSE(has_rule_at(fs, "L8-ckpt-coverage", 11));
+}
+
+TEST(AnalyzeCkptCoverage, FieldListFollowsNoCalls) {
+  // lost_ is written only by a helper the list calls: still flagged, once
+  // for the list and once for reset().
+  const auto fs = lint_source("src/rl/f.cpp", kFieldsClass);
+  EXPECT_TRUE(has_rule_at(fs, "L8-ckpt-coverage", 12));
+  EXPECT_EQ(count_rule(fs, "L8-ckpt-coverage"), 2u);
+}
+
 TEST(AnalyzeCkptCoverage, ResetMustCoverEveryStateMember) {
   const std::string src =
       "class R {\n"
@@ -545,6 +591,42 @@ TEST(AnalyzeCkptSymmetry, WaiverOnDefinitionLineSuppresses) {
       "};\n";
   EXPECT_EQ(count_rule(lint_source("src/rl/a.cpp", src), "L9-ckpt-symmetry"),
             0u);
+}
+
+TEST(AnalyzeCkptSymmetry, WaiverOnTheLegacyReadForkSuppresses) {
+  // A field-list class whose restore forks to a read of a layout it only
+  // reads: the waiver sits on the restore-side call where the sequences
+  // part.
+  const auto source = [](const char* waiver) {
+    return std::string(
+               "class A {\n"
+               " public:\n"
+               "  void save_state(ckpt::Writer& out) const {\n"
+               "    ckpt::Save io(out);\n"
+               "    fields(*this, io);\n"
+               "  }\n"
+               "  void restore_state(ckpt::Reader& in) {\n"
+               "    if (ckpt::next_tag_is(in, kOldTag)) {\n"
+               "      read_legacy_old(in);") +
+           waiver +
+           "\n"
+           "      return;\n"
+           "    }\n"
+           "    ckpt::Load io(in);\n"
+           "    fields(*this, io);\n"
+           "  }\n"
+           " private:\n"
+           "  template <class Self, class Io> static void fields(Self& s, "
+           "Io& io) { io.u32(s.n_); }\n"
+           "  std::uint32_t n_ = 0;\n"
+           "};\n";
+  };
+  EXPECT_EQ(count_rule(lint_source("src/rl/a.cpp",
+                                   source("  // lint: ckpt-sym-ok(read only)")),
+                       "L9-ckpt-symmetry"),
+            0u);
+  EXPECT_TRUE(has_rule_at(lint_source("src/rl/a.cpp", source("")),
+                          "L9-ckpt-symmetry", 3));
 }
 
 // ---------------------------------------------------------------------------

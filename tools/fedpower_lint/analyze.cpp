@@ -199,6 +199,11 @@ class ModelBuilder {
                  ident_is(i, "static_assert") || ident_is(i, "friend")) {
         i = skip_statement(i, end);
         pending_template = false;
+      } else if (ident_is(i, "FEDPOWER_CKPT_FIELDS") && is(i + 1, "(")) {
+        // Expands to save_state/restore_state over the class's fields
+        // body, which is what the rules read; no ';' follows it.
+        i = skip_balanced(i + 1, end, "(", ")");
+        pending_template = false;
       } else if (ident_is(i, "extern") && is(i + 1, "{")) {
         const std::size_t close = skip_balanced(i + 1, end, "{", "}");
         parse_scope(i + 2, close - 1, stack);
@@ -836,30 +841,36 @@ std::vector<Finding> analyze(const std::vector<FileModel>& models,
     if (under_any(decl_path, options.ckpt_contract_dirs)) {
       const BoundMethod* save = find_body(merged, "save_state");
       const BoundMethod* restore = find_body(merged, "restore_state");
-      if (save != nullptr && restore != nullptr) {
-        // L8: every non-static data member is referenced in both bodies or
-        // carries a ckpt-skip annotation saying why it is not state.
+      // The field list (ckpt/fields.hpp) both saves and restores.
+      const BoundMethod* fields = find_body(merged, "fields");
+      const auto in_body = [](const BoundMethod* b, const std::string& name) {
+        return b != nullptr &&
+               range_contains_ident(*b->file, b->method->body_begin,
+                                    b->method->body_end, name);
+      };
+      if ((save != nullptr && restore != nullptr) || fields != nullptr) {
+        // L8: every non-static data member is referenced in the field list
+        // or in both bodies, or carries a ckpt-skip annotation saying why
+        // it is not state.
         for (const MemberModel& member : merged.decl->members) {
           if (member.is_static) continue;
-          const bool in_save = range_contains_ident(
-              *save->file, save->method->body_begin, save->method->body_end,
-              member.name);
-          const bool in_restore = range_contains_ident(
-              *restore->file, restore->method->body_begin,
-              restore->method->body_end, member.name);
+          const bool in_fields = in_body(fields, member.name);
+          const bool in_save = in_fields || in_body(save, member.name);
+          const bool in_restore = in_fields || in_body(restore, member.name);
           if (in_save && in_restore) continue;
           if (decl_waivers.try_waive(member.line, "ckpt-skip")) continue;
           const char* where =
               !in_save && !in_restore
-                  ? "either save_state or restore_state"
+                  ? "fields, save_state or restore_state"
                   : (!in_save ? "save_state" : "restore_state");
           findings.push_back(
               {decl_path, member.line + 1, "L8-ckpt-coverage",
                "data member '" + member.name + "' of '" +
                    merged.decl->qualified + "' is not referenced in " +
                    where +
-                   " — a resume would silently lose it; serialize it or "
-                   "annotate `// lint: ckpt-skip(reason)` on the member",
+                   " — a resume would silently lose it; list it in fields "
+                   "(or serialize it) or annotate `// lint: ckpt-skip(reason)` "
+                   "on the member",
                Severity::kError});
         }
 
@@ -894,9 +905,12 @@ std::vector<Finding> analyze(const std::vector<FileModel>& models,
           }
         }
 
-        // L9: the typed Writer sequence mirrors the Reader sequence.
-        const std::string writer = stream_param(*save->method, "Writer");
-        const std::string reader = stream_param(*restore->method, "Reader");
+        // L9: a hand-written typed Writer sequence mirrors the Reader
+        // sequence (a field list is symmetric by construction).
+        const std::string writer =
+            save != nullptr ? stream_param(*save->method, "Writer") : "";
+        const std::string reader =
+            restore != nullptr ? stream_param(*restore->method, "Reader") : "";
         if (!writer.empty() && !reader.empty()) {
           const auto saves = extract_io_calls(*save->file,
                                               save->method->body_begin,
@@ -912,9 +926,12 @@ std::vector<Finding> analyze(const std::vector<FileModel>& models,
             const std::size_t report_line =
                 k < saves.size() ? saves[k].line : save->method->line;
             WaiverSet& save_waivers = *waivers[save->waiver_index];
+            WaiverSet& restore_waivers = *waivers[restore->waiver_index];
             const bool waived =
                 save_waivers.try_waive(save->method->line, "ckpt-sym") ||
-                save_waivers.try_waive(report_line, "ckpt-sym");
+                save_waivers.try_waive(report_line, "ckpt-sym") ||
+                (k < reads.size() &&
+                 restore_waivers.try_waive(reads[k].line, "ckpt-sym"));
             if (!waived) {
               std::ostringstream msg;
               msg << "save_state/restore_state of '"
